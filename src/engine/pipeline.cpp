@@ -1,6 +1,5 @@
 #include "engine/pipeline.hpp"
 
-#include <chrono>
 #include <deque>
 #include <set>
 #include <stdexcept>
@@ -16,12 +15,6 @@ namespace fides::engine {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double since_us(Clock::time_point start) {
-  return std::chrono::duration<double, std::micro>(Clock::now() - start).count();
-}
-
 /// Opening messages start a round at a cohort; they are the only messages
 /// that can causally overtake the previous round's decision, so they are
 /// the only ones the watermark gates.
@@ -35,14 +28,6 @@ bool opens_round(const std::string& type) {
 /// one on a reordering network and be lost as kFuture).
 bool is_tf_decision(const std::string& type) {
   return type == "tf_decision" || type == "tf_term_decision";
-}
-
-/// Phase traffic whose open() verdict may be hoisted out of dispatch_impl:
-/// the coordinator's vote/response inbox. These types are never gated or
-/// held (only openings and, under speculation, decisions are), so a
-/// pre-verified envelope reaches deliver() exactly as the serial path would.
-bool batchable_inbox(const std::string& type) {
-  return type == "tf_response" || type == "2pc_vote" || type.rfind("tf_vote", 0) == 0;
 }
 
 class CommitPipeline final : public Dispatcher, public RoundObserver, public SpecContext {
@@ -96,8 +81,9 @@ class CommitPipeline final : public Dispatcher, public RoundObserver, public Spe
       RoundState rs;
       rs.epoch = epoch;
       if (protocol == Protocol::kTfCommit) {
-        rs.reactor = std::make_unique<TfCommitRound>(cluster, epoch, std::move(batch),
-                                                     this, speculate_ ? this : nullptr);
+        rs.reactor = std::make_unique<TfCommitRound>(cluster, RoundPlacement::global(cluster),
+                                                     epoch, std::move(batch), this,
+                                                     speculate_ ? this : nullptr);
       } else {
         rs.reactor = std::make_unique<TwoPhaseRound>(cluster, epoch, std::move(batch), this);
       }
@@ -185,39 +171,11 @@ class CommitPipeline final : public Dispatcher, public RoundObserver, public Spe
     dispatch_impl(src, dst, env, out, /*replay=*/true);
   }
 
-  /// A scheduler drained one destination's queue: verify the batchable
-  /// envelopes (the coordinator's accumulated vote/response inbox) as one
-  /// RLC aggregate fanned over the cluster pool, then run the normal serial
-  /// dispatch loop with the cached verdicts. Delivery order, gating, and
-  /// dedup are untouched — only the signature checks are hoisted off the
-  /// destination actor.
   void dispatch_batch(std::span<const Delivery> batch, NodeId dst, Outbox& out) override {
-    static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-    std::vector<unsigned char> verdicts;
-    std::vector<std::size_t> slot;
-    const bool dst_crashed =
-        dst.kind == NodeId::Kind::kServer && cluster_->is_crashed(ServerId{dst.id});
-    if (cluster_->transport().batch_verify() && cluster_->transport().crypto_enabled() &&
-        !dst_crashed) {
-      std::vector<const Envelope*> envs;
-      slot.assign(batch.size(), kNoSlot);
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (batchable_inbox(batch[i].env->type)) {
-          slot[i] = envs.size();
-          envs.push_back(batch[i].env);
-        }
-      }
-      if (envs.size() >= 2) {
-        verdicts = cluster_->transport().open_batch(envs, &cluster_->pool());
-      } else {
-        slot.clear();
-      }
-    }
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const unsigned char* v =
-          (!slot.empty() && slot[i] != kNoSlot) ? &verdicts[slot[i]] : nullptr;
-      dispatch_impl(batch[i].src, dst, *batch[i].env, out, /*replay=*/false, v);
-    }
+    dispatch_inbox_batch(*cluster_, batch, dst,
+                         [&](const Delivery& d, std::optional<bool> verdict) {
+                           dispatch_impl(d.src, dst, *d.env, out, /*replay=*/false, verdict);
+                         });
   }
 
   void on_control(const ControlEvent& ev, Outbox& out) override {
@@ -453,11 +411,11 @@ class CommitPipeline final : public Dispatcher, public RoundObserver, public Spe
     return true;
   }
 
-  /// `verdict`, when non-null, is the pre-computed open() result for this
+  /// `verdict`, when set, is the pre-computed open() result for this
   /// envelope (from dispatch_batch's aggregate verification); deliver() then
   /// skips its own signature check.
   void dispatch_impl(NodeId src, NodeId dst, const Envelope& env, Outbox& out,
-                     bool replay, const unsigned char* verdict = nullptr)
+                     bool replay, std::optional<bool> verdict = std::nullopt)
       EXCLUDES(mutex_) {
     const auto epoch = peek_epoch(env.payload);
     if (!epoch.has_value()) return;  // not an engine frame; unreachable for sealed traffic
@@ -545,24 +503,12 @@ class CommitPipeline final : public Dispatcher, public RoundObserver, public Spe
   }
 
   void deliver(RoundReactor& reactor, NodeId src, NodeId dst, const Envelope& env,
-               Outbox& out, const unsigned char* verdict = nullptr) {
-    // A held opening can be flushed after its destination died (sim mode):
-    // the node's volatile state — including anything queued at it — is
-    // gone; the recovery replay re-supplies what still matters.
-    if (dst.kind == NodeId::Kind::kServer && cluster_->is_crashed(ServerId{dst.id})) {
-      return;
+               Outbox& out, std::optional<bool> verdict = std::nullopt) {
+    if (deliver_checked(*cluster_, *sched_, dst, env, verdict, [&](bool authentic) {
+          reactor.on_deliver(src, dst, env, authentic, out);
+        })) {
+      handle_crash(dst);
     }
-    const bool authentic =
-        verdict != nullptr ? *verdict != 0 : cluster_->transport().open(env, env.type);
-    try {
-      reactor.on_deliver(src, dst, env, authentic, out);
-    } catch (const DecodeError&) {
-      // Malformed bytes — a truncated frame from a corrupt or malicious
-      // peer — must never take down a server: drop the message and let the
-      // round proceed as if it was lost on the wire.
-      return;
-    }
-    if (poll_transition_crash(*cluster_, *sched_, dst, env.type)) handle_crash(dst);
   }
 
   void handle_crash(NodeId node) EXCLUDES(mutex_) {
@@ -988,16 +934,9 @@ class CheckpointDispatch final : public Dispatcher {
       const bool fresh = dedup_.first(src, dst, env.type, *epoch);
       if (!fresh && !replay) return;
     }
-    if (dst.kind == NodeId::Kind::kServer && cluster_->is_crashed(ServerId{dst.id})) {
-      return;
-    }
-    const bool authentic = cluster_->transport().open(env, env.type);
-    try {
-      round_->on_deliver(src, dst, env, authentic, out);
-    } catch (const DecodeError&) {
-      return;  // malformed frame from the wire: drop it
-    }
-    if (poll_transition_crash(*cluster_, *sched_, dst, env.type)) {
+    if (deliver_checked(*cluster_, *sched_, dst, env, std::nullopt, [&](bool authentic) {
+          round_->on_deliver(src, dst, env, authentic, out);
+        })) {
       apply_crash(*cluster_, *sched_, dst);
     }
   }

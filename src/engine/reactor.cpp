@@ -1,7 +1,6 @@
 #include "engine/reactor.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/cpu_time.hpp"
 #include "crypto/cosi.hpp"
@@ -9,23 +8,6 @@
 namespace fides::engine {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double since_us(Clock::time_point start) {
-  return std::chrono::duration<double, std::micro>(Clock::now() - start).count();
-}
-
-NodeId server_node(std::uint32_t i) { return NodeId::server(ServerId{i}); }
-
-/// ServerIds [0, n) — the cohort list of the global protocol (§4.1: every
-/// server, including the coordinator, participates in termination).
-std::vector<ServerId> all_server_ids(std::uint32_t n) {
-  std::vector<ServerId> ids;
-  ids.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) ids.push_back(ServerId{i});
-  return ids;
-}
 
 /// Wire type of a TFCommit vote. Speculative re-votes are distinct logical
 /// messages: the base key lands in the type tag so the engine's at-most-once
@@ -43,14 +25,33 @@ bool is_tf_vote_type(const std::string& type) {
   return type == "tf_vote" || type.compare(0, 8, "tf_vote~") == 0;
 }
 
+/// Public keys of `members`, in member order.
+std::vector<crypto::PublicKey> member_keys(const Cluster& cluster,
+                                           const std::vector<ServerId>& members) {
+  std::vector<crypto::PublicKey> keys;
+  keys.reserve(members.size());
+  for (const ServerId m : members) keys.push_back(cluster.server_keys()[m.value]);
+  return keys;
+}
+
 }  // namespace
 
-RoundReactor::RoundReactor(Cluster& cluster, std::uint64_t epoch, RoundObserver* observer)
+RoundPlacement RoundPlacement::global(const Cluster& cluster) {
+  // §4.1: every server, the coordinator included, votes and co-signs.
+  RoundPlacement p;
+  p.members.reserve(cluster.num_servers());
+  for (std::uint32_t i = 0; i < cluster.num_servers(); ++i) p.members.push_back(ServerId{i});
+  p.coordinator = cluster.coordinator_id();
+  return p;
+}
+
+RoundReactor::RoundReactor(Cluster& cluster, RoundPlacement placement, std::uint64_t epoch,
+                           RoundObserver* observer)
     : cluster_(&cluster),
       transport_(&cluster.transport()),
       n_(cluster.num_servers()),
-      coord_id_(cluster.coordinator_id()),
-      coord_node_(NodeId::server(cluster.coordinator_id())),
+      placement_(std::move(placement)),
+      coord_node_(NodeId::server(placement_.coordinator)),
       epoch_(epoch),
       observer_(observer),
       cohort_us_(n_, 0),
@@ -64,9 +65,9 @@ Envelope RoundReactor::seal_framed(const Server& sender, const char* type,
 }
 
 void RoundReactor::broadcast(Outbox& out, const Envelope& env) {
-  for (std::uint32_t i = 0; i < n_; ++i) {
+  for (std::size_t i = 0; i < placement_.members.size(); ++i) {
     if (i > 0) transport_->count_copy(env);
-    out.send(env.sender, server_node(i), env);
+    out.send(env.sender, server_node(placement_.members[i].value), env);
   }
 }
 
@@ -121,20 +122,19 @@ void RoundReactor::finalize() {
 
 // --- TFCommit -----------------------------------------------------------------
 
-TfCommitRound::TfCommitRound(Cluster& cluster, std::uint64_t epoch,
-                             std::vector<commit::SignedEndTxn> batch,
+TfCommitRound::TfCommitRound(Cluster& cluster, RoundPlacement placement,
+                             std::uint64_t epoch, std::vector<commit::SignedEndTxn> batch,
                              RoundObserver* observer, SpecContext* spec)
-    : RoundReactor(cluster, epoch, observer),
+    : RoundReactor(cluster, std::move(placement), epoch, observer),
       batch_(std::move(batch)),
       pristine_batch_(batch_),
-      cohort_ids_(all_server_ids(cluster.num_servers())),
-      coordinator_(cohort_ids_, cluster.server_keys()),
+      coordinator_(placement_.members, member_keys(cluster, placement_.members)),
       spec_(spec),
-      votes_(n_),
-      vote_in_(n_, 0),
-      buffered_votes_(n_),
-      responses_(n_),
-      resp_in_(n_, 0),
+      votes_(placement_.members.size()),
+      vote_in_(placement_.members.size(), 0),
+      buffered_votes_(placement_.members.size()),
+      responses_(placement_.members.size()),
+      resp_in_(placement_.members.size(), 0),
       term_live_(n_, 0),
       term_votes_(n_),
       term_commitments_(n_),
@@ -146,26 +146,35 @@ TfCommitRound::TfCommitRound(Cluster& cluster, std::uint64_t epoch,
   metrics_.network_legs = 6;  // end_txn + get_vote + vote + challenge + response + decision
 }
 
+std::optional<std::size_t> TfCommitRound::slot_of(std::uint32_t server) const {
+  const auto& m = placement_.members;
+  const auto it = std::lower_bound(m.begin(), m.end(), ServerId{server},
+                                   [](ServerId a, ServerId b) { return a.value < b.value; });
+  if (it == m.end() || it->value != server) return std::nullopt;
+  return static_cast<std::size_t>(it - m.begin());
+}
+
 void TfCommitRound::start(Outbox& out) {
+  // A dead coordinator opens nothing; its recovery restarts the round.
+  if (cluster_->is_crashed(placement_.coordinator)) return;
   commit::order_batch(batch_);
-  Server& coord = cluster_->server(coord_id_);
+  Server& coord = coord_server();
 
   // Phase 1 <GetVote, SchAnnouncement> — assembled against the
   // coordinator's current log head (or, speculating, the projected chain
-  // position); everything after reacts to deliveries. The partial is cached
-  // so a restart after a coordinator crash re-broadcasts the identical
-  // opening even though the chain may have moved on since.
+  // position; unchained, height 0 and a zero prev-hash); everything after
+  // reacts to deliveries. The partial is cached so a restart after a
+  // coordinator crash re-broadcasts the identical opening even though the
+  // chain may have moved on since.
   const auto t0 = Clock::now();
   if (!first_partial_.has_value()) {
-    if (spec_ != nullptr) {
-      const SpecContext::ChainPos base = spec_->opening_base(epoch_);
-      first_partial_ = commit::TfCommitCoordinator::make_partial_block(
-          base.height, base.prev_hash, commit::batch_txns(batch_), cohort_ids_);
-    } else {
-      first_partial_ = commit::TfCommitCoordinator::make_partial_block(
-          coord.log().size(), coord.log().head_hash(), commit::batch_txns(batch_),
-          cohort_ids_);
+    SpecContext::ChainPos base{0, crypto::Digest::zero()};
+    if (!placement_.unchained) {
+      base = spec_ != nullptr ? spec_->opening_base(epoch_)
+                              : SpecContext::ChainPos{coord.log().size(), coord.log().head_hash()};
     }
+    first_partial_ = commit::TfCommitCoordinator::make_partial_block(
+        base.height, base.prev_hash, commit::batch_txns(batch_), placement_.members);
   }
   commit::Block partial = *first_partial_;
   height_ = partial.height;
@@ -185,6 +194,7 @@ void TfCommitRound::start(Outbox& out) {
 void TfCommitRound::handle_get_vote(NodeId dst, BytesView body, bool authentic,
                                     Outbox& out) {
   // Phase 2 <Vote, SchCommitment> at cohort dst.
+  if (!slot_of(dst.id).has_value()) return;
   Server& server = cluster_->server(ServerId{dst.id});
   const double tc = common::thread_cpu_time_us();
   commit::VoteMsg empty_vote;
@@ -193,38 +203,43 @@ void TfCommitRound::handle_get_vote(NodeId dst, BytesView body, bool authentic,
   bool respond = true;
   if (authentic) {
     if (const auto msg = commit::GetVoteMsg::deserialize(body)) {
-      const bool already_decided = server.log().size() > msg->partial_block.height;
+      // Only a chained round can tell from the log that it already decided
+      // here; unchained partials all sit at height 0, and the group engine
+      // drops openings for rounds a member has finished before they arrive.
+      const bool already_decided =
+          !placement_.unchained && server.log().size() > msg->partial_block.height;
       const Bytes* logged = server.logged_vote(epoch_);
       if (already_decided && logged == nullptr) {
         // The round closed without this server's vote (cohort termination
         // while it was down); nobody needs one now.
         respond = false;
-      } else {
-        if (!already_decided &&
-            !server.tf_cohort().has_pending(msg->round, msg->partial_block)) {
-          // First sight — or a rebuild after a crash wiped the volatile
-          // round state. Recomputation is deterministic, and the bytes that
-          // leave the node below come from the durable log when one exists.
-          commit::CohortFaults faults = server.faults().cohort;
-          if (!verify_touching_requests(*transport_, server, msg->requests)) {
-            faults.always_vote_abort = true;  // refuse forged requests
-          }
-          commit::VoteMsg vote = server.tf_cohort().handle_get_vote(*msg, faults);
-          server.add_mht_time_us(server.tf_cohort().last_root_compute_us());
-          cohort_mht_us_[dst.id] =
-              std::max(cohort_mht_us_[dst.id], server.tf_cohort().last_root_compute_us());
-          vote_bytes = vote.serialize();
-          base = vote.base_key();
+      } else if (!already_decided &&
+                 !server.tf_cohort().has_pending(msg->round, msg->partial_block)) {
+        // First sight — or a rebuild after a crash wiped the volatile round
+        // state. Recomputation is deterministic against the restored durable
+        // state, and vote_once is idempotent per (epoch, base): replaying
+        // yields the logged bytes, so no base ever equivocates. Keying on the
+        // *recomputed* base matters after a crash: the latest pre-crash vote
+        // may stack on speculative assumptions that have since been decided
+        // differently — re-sending it would leave the coordinator waiting
+        // forever for a corrected re-vote the wiped pending stack can no
+        // longer produce.
+        commit::CohortFaults faults = server.faults().cohort;
+        if (!verify_touching_requests(*transport_, server, msg->requests)) {
+          faults.always_vote_abort = true;  // refuse forged requests
         }
-        if (logged != nullptr) {
-          // The durable log wins over any recomputation, and the wire
-          // identity must match the recorded vote's base.
-          vote_bytes = *logged;
-          if (const auto prev = commit::VoteMsg::deserialize(*logged)) {
-            base = prev->base_key();
-          }
-        } else {
-          vote_bytes = server.vote_once(epoch_, base, "tf_vote", std::move(vote_bytes));
+        commit::VoteMsg vote = server.tf_cohort().handle_get_vote(*msg, faults);
+        server.add_mht_time_us(server.tf_cohort().last_root_compute_us());
+        cohort_mht_us_[dst.id] =
+            std::max(cohort_mht_us_[dst.id], server.tf_cohort().last_root_compute_us());
+        base = vote.base_key();
+        vote_bytes = server.vote_once(epoch_, base, "tf_vote", vote.serialize());
+      } else if (logged != nullptr) {
+        // A duplicate opening for a live round, or a decided one replayed to
+        // a restored cohort: re-send the latest logged vote verbatim.
+        vote_bytes = *logged;
+        if (const auto prev = commit::VoteMsg::deserialize(*logged)) {
+          base = prev->base_key();
         }
       }
     }
@@ -244,6 +259,22 @@ void TfCommitRound::handle_get_vote(NodeId dst, BytesView body, bool authentic,
   }
 }
 
+void TfCommitRound::resolve_speculation(
+    Transport& transport, Server& server, std::uint64_t epoch, bool applied,
+    const std::function<std::optional<NodeId>(std::uint64_t)>& coordinator_of,
+    Outbox& out) {
+  auto revotes = server.tf_cohort().resolve_decision(epoch, applied);
+  for (auto& rv : revotes) {
+    const std::uint64_t base = rv.vote.base_key();
+    const Bytes vb = server.vote_once(rv.round, base, "tf_vote", rv.vote.serialize());
+    const std::optional<NodeId> coord = coordinator_of(rv.round);
+    if (!coord.has_value()) continue;
+    Envelope env = transport.seal(server.keypair(), NodeId::server(server.id()),
+                                  tf_vote_type(base), frame_payload(rv.round, vb));
+    out.send(NodeId::server(server.id()), *coord, std::move(env));
+  }
+}
+
 void TfCommitRound::on_deliver(NodeId src, NodeId dst, const Envelope& env,
                                bool authentic, Outbox& out) {
   const BytesView body = unframe_payload(env.payload);
@@ -257,7 +288,8 @@ void TfCommitRound::on_deliver(NodeId src, NodeId dst, const Envelope& env,
     // speculation a vote is first parked per (sender, base) and only counts
     // once its base assumptions survive the decided chain.
     const auto t = Clock::now();
-    if (src.id < n_) {
+    const auto slot = slot_of(src.id);
+    if (slot.has_value() && dst == coord_node_) {
       // An unauthenticated or malformed vote is never ingested; the slot is
       // conservatively filled with an involved abort so the round still
       // terminates — with a deny.
@@ -273,12 +305,13 @@ void TfCommitRound::on_deliver(NodeId src, NodeId dst, const Envelope& env,
         }
         note_vote_bytes(src.id, parsed ? vote.base_key() : 0, body);
       }
-      ingest_vote(src.id, std::move(vote), out);
+      ingest_vote(*slot, std::move(vote), out);
     }
     coord_us_ += since_us(t);
 
   } else if (env.type == "tf_challenge") {
     // Phase 4 <null, SchResponse> at cohort dst.
+    if (!slot_of(dst.id).has_value()) return;
     Server& server = cluster_->server(ServerId{dst.id});
     const double tc = common::thread_cpu_time_us();
     commit::ResponseMsg resp;
@@ -324,9 +357,10 @@ void TfCommitRound::on_deliver(NodeId src, NodeId dst, const Envelope& env,
 
   } else if (env.type == "tf_response") {
     // Phase 5 <Decision, null> at the coordinator, once all responses are
-    // in: aggregate the co-sign and broadcast the finalized block.
+    // in: aggregate the co-sign and decide.
     const auto t = Clock::now();
-    if (src.id < n_ && !resp_in_[src.id]) {
+    const auto slot = slot_of(src.id);
+    if (slot.has_value() && dst == coord_node_ && !resp_in_[*slot]) {
       commit::ResponseMsg resp;
       resp.cohort = ServerId{src.id};
       resp.refused = true;
@@ -334,19 +368,12 @@ void TfCommitRound::on_deliver(NodeId src, NodeId dst, const Envelope& env,
       if (authentic) {
         if (const auto msg = commit::ResponseMsg::deserialize(body)) resp = *msg;
       }
-      responses_[src.id] = std::move(resp);
-      resp_in_[src.id] = 1;
+      responses_[*slot] = std::move(resp);
+      resp_in_[*slot] = 1;
       ++resps_seen_;
     }
-    if (resps_seen_ == n_ && !outcome_.has_value()) {
-      outcome_ = coordinator_.on_responses(responses_);
-      const commit::DecisionMsg decision{outcome_->block};
-      decision_env_ =
-          seal_framed(cluster_->server(coord_id_), "tf_decision", decision.serialize());
-      broadcast(out, decision_env_);
-      if (observer_ != nullptr) {
-        observer_->on_outcome(epoch_, outcome_->block, outcome_->cosign_valid, out);
-      }
+    if (resps_seen_ == placement_.members.size() && !outcome_.has_value()) {
+      decide(coordinator_.on_responses(responses_), out);
     }
     coord_us_ += since_us(t);
 
@@ -373,24 +400,13 @@ void TfCommitRound::on_deliver(NodeId src, NodeId dst, const Envelope& env,
       // Speculation truth feed: this decision may contradict the base of
       // later in-flight votes at this cohort — those are recomputed on the
       // corrected state and re-sent as new logical votes.
-      const auto resolve_speculation = [&] {
+      decision_processed(server, env.type.c_str(), block, result, [&] {
         if (spec_ == nullptr) return;
-        const bool applied_to_shard =
-            result == Server::ApplyResult::kApplied && block.committed();
-        auto revotes = server.tf_cohort().resolve_decision(epoch_, applied_to_shard);
-        for (auto& rv : revotes) {
-          const std::uint64_t base = rv.vote.base_key();
-          const Bytes vb =
-              server.vote_once(rv.round, base, "tf_vote", rv.vote.serialize());
-          Envelope env_out = transport_->seal(server.keypair(), NodeId::server(server.id()),
-                                              tf_vote_type(base).c_str(),
-                                              frame_payload(rv.round, vb));
-          out.send(NodeId::server(server.id()), coord_node_, std::move(env_out));
-        }
-      };
-      decision_processed(server, env.type.c_str(), block, result, resolve_speculation);
+        const bool applied = result == Server::ApplyResult::kApplied && block.committed();
+        resolve_speculation(*transport_, server, epoch_, applied,
+                            [this](std::uint64_t) { return std::optional(coord_node_); }, out);
+      });
     }
-
   } else if (env.type == "tf_term_query") {
     // Termination step 1: the backup asks every surviving cohort for its
     // recorded vote plus a fresh CoSi commitment.
@@ -539,16 +555,16 @@ void TfCommitRound::on_deliver(NodeId src, NodeId dst, const Envelope& env,
   }
 }
 
-void TfCommitRound::ingest_vote(std::uint32_t src, commit::VoteMsg vote, Outbox& out) {
-  if (vote_in_[src]) return;  // a validated vote already holds the slot
+void TfCommitRound::ingest_vote(std::size_t slot, commit::VoteMsg vote, Outbox& out) {
+  if (vote_in_[slot]) return;  // a validated vote already holds the slot
   if (spec_ == nullptr) {
-    votes_[src] = std::move(vote);
-    vote_in_[src] = 1;
+    votes_[slot] = std::move(vote);
+    vote_in_[slot] = 1;
     ++votes_seen_;
     maybe_fire_challenge(out);
     return;
   }
-  buffered_votes_[src][vote.base_key()] = std::move(vote);
+  buffered_votes_[slot][vote.base_key()] = std::move(vote);
   try_accept_votes(out);
 }
 
@@ -568,7 +584,7 @@ bool TfCommitRound::spec_base_valid(const commit::VoteMsg& vote) const {
 
 void TfCommitRound::try_accept_votes(Outbox& out) {
   if (spec_ == nullptr || !spec_->base_resolved(epoch_)) return;
-  for (std::uint32_t i = 0; i < n_; ++i) {
+  for (std::size_t i = 0; i < buffered_votes_.size(); ++i) {
     auto& candidates = buffered_votes_[i];
     if (vote_in_[i]) {
       candidates.clear();
@@ -593,33 +609,57 @@ void TfCommitRound::try_accept_votes(Outbox& out) {
 }
 
 void TfCommitRound::maybe_fire_challenge(Outbox& out) {
-  if (votes_seen_ != n_ || !challenges_.empty()) return;
-  if (spec_ != nullptr) {
+  const std::size_t m = placement_.members.size();
+  if (votes_seen_ != m || !challenges_.empty() || outcome_.has_value()) return;
+  if (spec_ != nullptr && !placement_.unchained) {
     // Pin the true chain position before the challenge block is hashed —
     // every round below has decided (base_resolved gated the acceptance).
     const SpecContext::ChainPos base = spec_->decided_base();
     coordinator_.rebase(base.height, base.prev_hash);
     height_ = base.height;
   }
-  Server& coord = cluster_->server(coord_id_);
+  Server& coord = coord_server();
   challenges_ = coordinator_.on_votes(votes_, coord.faults().coordinator);
-  // Honest coordinators broadcast one challenge; an equivocating one
-  // signs a divergent envelope per cohort.
+  if (challenges_.size() != 1 && challenges_.size() != m) {
+    // An honest coordinator broadcasts one challenge and an equivocating one
+    // signs one per cohort; any other fan-out is malformed. Refuse the
+    // round instead of indexing challenges by cohort slot: it ends without
+    // a co-sign, so nothing is appended or sequenced.
+    fault_ = "coordinator challenge fan-out mismatch (" +
+             std::to_string(challenges_.size()) + " messages for " + std::to_string(m) +
+             " cohorts)";
+    commit::TfCommitOutcome refused;
+    refused.block = coordinator_.block();
+    decide(std::move(refused), out);
+    return;
+  }
   challenge_envs_.clear();
   challenge_envs_.reserve(challenges_.size());
   for (const auto& ch : challenges_) {
     challenge_envs_.push_back(seal_framed(coord, "tf_challenge", ch.serialize()));
   }
-  for (std::uint32_t i = 0; i < n_; ++i) {
+  for (std::size_t i = 0; i < m; ++i) {
     const std::size_t slot = challenges_.size() == 1 ? 0 : i;
     if (challenges_.size() == 1 && i > 0) transport_->count_copy(challenge_envs_[0]);
-    out.send(coord_node_, server_node(i), challenge_envs_[slot]);
+    out.send(coord_node_, server_node(placement_.members[i].value), challenge_envs_[slot]);
+  }
+}
+
+void TfCommitRound::decide(commit::TfCommitOutcome outcome, Outbox& out) {
+  outcome_ = std::move(outcome);
+  if (!placement_.unchained) {
+    const commit::DecisionMsg decision{outcome_->block};
+    decision_env_ = seal_framed(coord_server(), "tf_decision", decision.serialize());
+    broadcast(out, decision_env_);
+  }
+  if (observer_ != nullptr) {
+    observer_->on_outcome(epoch_, outcome_->block, outcome_->cosign_valid, out);
   }
 }
 
 void TfCommitRound::on_base_resolved(Outbox& out) {
   if (outcome_.has_value() || term_decided_) return;
-  if (cluster_->is_crashed(coord_id_)) return;  // the round is the survivors' now
+  if (cluster_->is_crashed(placement_.coordinator)) return;  // the round is the survivors' now
   const auto t = Clock::now();
   try_accept_votes(out);
   coord_us_ += since_us(t);
@@ -646,7 +686,7 @@ void TfCommitRound::begin_termination(Outbox& out) {
   // Already decided (the decision is on the wire and will land everywhere),
   // already terminating, or never opened: nothing for the cohorts to do.
   if (outcome_.has_value() || term_started_ || term_decided_ || !opening_sent_) return;
-  const auto backup = cluster_->backup_for(coord_id_);
+  const auto backup = cluster_->backup_for(placement_.coordinator);
   if (!backup.has_value()) return;
   Server& b = cluster_->server(*backup);
   if (b.tf_cohort().partial_of(epoch_) == nullptr) return;  // backup lacks the opening
@@ -664,15 +704,17 @@ void TfCommitRound::begin_termination(Outbox& out) {
 }
 
 void TfCommitRound::restart(Outbox& out) {
-  coordinator_ = commit::TfCommitCoordinator(cohort_ids_, cluster_->server_keys());
-  votes_.assign(n_, {});
-  vote_in_.assign(n_, 0);
+  const std::size_t m = placement_.members.size();
+  coordinator_ = commit::TfCommitCoordinator(placement_.members,
+                                             member_keys(*cluster_, placement_.members));
+  votes_.assign(m, {});
+  vote_in_.assign(m, 0);
   for (auto& b : buffered_votes_) b.clear();
   votes_seen_ = 0;
   challenges_.clear();
   challenge_envs_.clear();
-  responses_.assign(n_, {});
-  resp_in_.assign(n_, 0);
+  responses_.assign(m, {});
+  resp_in_.assign(m, 0);
   resps_seen_ = 0;
   outcome_.reset();
   batch_ = pristine_batch_;
@@ -688,29 +730,29 @@ void TfCommitRound::on_recover(std::uint32_t server, Outbox& out) {
     out.send_replay(server_node(term_backup_), node, term_decision_env_);
     return;
   }
-  if (server == coord_id_.value) {
-    if (outcome_.has_value()) {
-      // Decision already broadcast; the coordinator only missed its own copy.
-      out.send_replay(coord_node_, node, decision_env_);
-    } else if (term_started_) {
-      // The survivors own this round now: restarting it here would race
-      // their in-flight termination co-sign and fork the chain. Their
-      // tf_term_decision broadcast reaches this (now live) node normally.
-    } else if (opening_sent_) {
-      restart(out);
-    }
+  if (server == placement_.coordinator.value && !outcome_.has_value()) {
+    // Restart the aggregation from the top — unless the survivors own this
+    // round now: restarting it would race their in-flight termination
+    // co-sign and fork the chain. Their tf_term_decision broadcast reaches
+    // this (now live) node normally.
+    if (!term_started_) restart(out);
     return;
   }
-  // Cohort catch-up, in causal order over the FIFO replay stream.
-  if (outcome_.has_value()) {
+  // Catch-up, in causal order over the FIFO replay stream. A chained round
+  // that decided only owes the decision (the coordinator missed at most its
+  // own copy). An unchained round's sequenced entry is the group engine's
+  // to replay; the opening still goes out so the member rebuilds its wiped
+  // cohort state in round order.
+  if (outcome_.has_value() && !placement_.unchained) {
     out.send_replay(coord_node_, node, decision_env_);
     return;
   }
-  if (!opening_sent_) return;
+  const auto slot = slot_of(server);
+  if (!opening_sent_ || !slot.has_value()) return;
   out.send_replay(coord_node_, node, opening_env_);
-  if (!challenge_envs_.empty() && !resp_in_[server]) {
-    const std::size_t slot = challenge_envs_.size() == 1 ? 0 : server;
-    out.send_replay(coord_node_, node, challenge_envs_[slot]);
+  if (!challenge_envs_.empty() && !resp_in_[*slot]) {
+    const std::size_t ci = challenge_envs_.size() == 1 ? 0 : *slot;
+    out.send_replay(coord_node_, node, challenge_envs_[ci]);
   }
 }
 
@@ -727,16 +769,22 @@ void TfCommitRound::finalize() {
   }
 }
 
+std::string TfCommitRound::progress() const {
+  const std::string m = "/" + std::to_string(placement_.members.size());
+  return "opened=" + std::to_string(opening_sent_) + " votes=" + std::to_string(votes_seen_) +
+         m + " responses=" + std::to_string(resps_seen_) + m +
+         " decided=" + std::to_string(outcome_.has_value());
+}
+
 // --- 2PC ----------------------------------------------------------------------
 
 TwoPhaseRound::TwoPhaseRound(Cluster& cluster, std::uint64_t epoch,
                              std::vector<commit::SignedEndTxn> batch,
                              RoundObserver* observer)
-    : RoundReactor(cluster, epoch, observer),
+    : RoundReactor(cluster, RoundPlacement::global(cluster), epoch, observer),
       batch_(std::move(batch)),
       pristine_batch_(batch_),
-      cohort_ids_(all_server_ids(cluster.num_servers())),
-      coordinator_(cohort_ids_),
+      coordinator_(placement_.members),
       votes_(n_),
       vote_in_(n_, 0) {
   metrics_.txns_in_block = batch_.size();
@@ -745,12 +793,12 @@ TwoPhaseRound::TwoPhaseRound(Cluster& cluster, std::uint64_t epoch,
 
 void TwoPhaseRound::start(Outbox& out) {
   commit::order_batch(batch_);
-  Server& coord = cluster_->server(coord_id_);
+  Server& coord = coord_server();
 
   const auto t0 = Clock::now();
   commit::Block partial = commit::TfCommitCoordinator::make_partial_block(
       coord.log().size(), coord.log().head_hash(), commit::batch_txns(batch_),
-      cohort_ids_);
+      placement_.members);
   commit::PrepareMsg prepare = coordinator_.start(std::move(partial), std::move(batch_));
   opening_env_ = seal_framed(coord, "2pc_prepare", prepare.serialize());
   opening_sent_ = true;
@@ -815,8 +863,7 @@ void TwoPhaseRound::on_deliver(NodeId src, NodeId dst, const Envelope& env,
     if (votes_seen_ == n_ && !outcome_.has_value()) {
       outcome_ = coordinator_.on_votes(votes_);
       const commit::CommitDecisionMsg decision{outcome_->block};
-      decision_env_ =
-          seal_framed(cluster_->server(coord_id_), "2pc_decision", decision.serialize());
+      decision_env_ = seal_framed(coord_server(), "2pc_decision", decision.serialize());
       broadcast(out, decision_env_);
     }
     coord_us_ += since_us(t);
@@ -842,7 +889,7 @@ void TwoPhaseRound::on_deliver(NodeId src, NodeId dst, const Envelope& env,
 }
 
 void TwoPhaseRound::restart(Outbox& out) {
-  coordinator_ = commit::TwoPhaseCommitCoordinator(cohort_ids_);
+  coordinator_ = commit::TwoPhaseCommitCoordinator(placement_.members);
   votes_.assign(n_, {});
   vote_in_.assign(n_, 0);
   votes_seen_ = 0;
@@ -853,7 +900,7 @@ void TwoPhaseRound::restart(Outbox& out) {
 
 void TwoPhaseRound::on_recover(std::uint32_t server, Outbox& out) {
   const NodeId node = server_node(server);
-  if (server == coord_id_.value) {
+  if (server == placement_.coordinator.value) {
     // 2PC has no cohort-driven termination: the whole round waited for this
     // moment (the paper's blocking argument). Resume it.
     if (outcome_.has_value()) {
@@ -880,7 +927,7 @@ void TwoPhaseRound::finalize() {
 // --- Checkpoint ---------------------------------------------------------------
 
 CheckpointRound::CheckpointRound(Cluster& cluster, std::uint64_t epoch)
-    : RoundReactor(cluster, epoch, nullptr),
+    : RoundReactor(cluster, RoundPlacement::global(cluster), epoch, nullptr),
       secrets_(n_),
       commitments_(n_),
       agrees_(n_, 0),
@@ -891,9 +938,9 @@ CheckpointRound::CheckpointRound(Cluster& cluster, std::uint64_t epoch)
 }
 
 void CheckpointRound::start(Outbox& out) {
-  Server& coord = cluster_->server(coord_id_);
+  Server& coord = coord_server();
   const auto t0 = Clock::now();
-  cp_ = ledger::make_checkpoint(coord.log().blocks(), all_server_ids(n_));
+  cp_ = ledger::make_checkpoint(coord.log().blocks(), placement_.members);
   record_ = cp_.signing_bytes();
   propose_env_ = seal_framed(coord, "cp_propose", cp_.serialize());
   propose_sent_ = true;
@@ -961,8 +1008,7 @@ void CheckpointRound::on_deliver(NodeId src, NodeId dst, const Envelope& env,
         Writer w;
         const auto cb = challenge_.to_bytes_be();
         w.raw(BytesView(cb.data(), cb.size()));
-        challenge_env_ =
-            seal_framed(cluster_->server(coord_id_), "cp_challenge", std::move(w).take());
+        challenge_env_ = seal_framed(coord_server(), "cp_challenge", std::move(w).take());
         challenge_sent_ = true;
         broadcast(out, challenge_env_);
       }
@@ -1024,7 +1070,7 @@ void CheckpointRound::restart(Outbox& out) {
 
 void CheckpointRound::on_recover(std::uint32_t server, Outbox& out) {
   const NodeId node = server_node(server);
-  if (server == coord_id_.value) {
+  if (server == placement_.coordinator.value) {
     if (!finalized_ && propose_sent_) restart(out);
     return;
   }

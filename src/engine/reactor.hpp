@@ -4,10 +4,12 @@
 // Each reactor drives one round of its protocol as a message-consuming state
 // machine: start() emits the opening broadcast, on_deliver() handles one
 // arrived envelope (already authenticated by the dispatcher) and emits the
-// follow-up sends. The same reactors run under the in-process scheduler
-// (replacing the old lock-step driver in fides/cluster.cpp) and over SimNet
-// (replacing the hand-written drivers in sim/sim_round.cpp) — there is no
-// second copy of the phase logic anywhere.
+// follow-up sends. The same reactors run under the in-process scheduler,
+// over SimNet, and over sockets, and TfCommitRound owns the TFCommit phases
+// for both engines that run them: the global commit pipeline
+// (engine/pipeline.cpp) and the group-commit engine
+// (ordserv/group_engine.cpp), which differ only in the RoundPlacement they
+// hand it. There is no second copy of the phase logic anywhere.
 //
 // Thread-safety contract (what makes the concurrent in-process scheduler
 // deterministic): all state a handler touches is either (a) owned by the
@@ -18,8 +20,10 @@
 // arrival order, so outcomes do not depend on the interleaving.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <optional>
+#include <string>
 
 #include "engine/scheduler.hpp"
 #include "fides/cluster.hpp"
@@ -88,13 +92,32 @@ class SpecContext {
   virtual ChainPos decided_base() const = 0;
 };
 
+/// Who runs a round. The global protocol (§4.1) runs every server with S0
+/// coordinating and chains each block to the coordinator's log head; scaled
+/// TFCommit (§4.6) runs only the servers a batch touches, with the lowest
+/// one coordinating, and leaves the chain position to OrdServ.
+struct RoundPlacement {
+  std::vector<ServerId> members;  ///< cohort slot i is members[i], ascending
+  ServerId coordinator{0};        ///< one of the members
+  /// Group commit (TFCommit only): the partial block sits at height 0 with a
+  /// zero prev-hash (the co-sign covers the unchained bytes), nothing is
+  /// rebased, and no tf_decision is broadcast — the outcome goes to
+  /// RoundObserver::on_outcome alone, and the observer sequences it.
+  bool unchained{false};
+
+  /// All servers, coordinated by the cluster's coordinator (S0).
+  static RoundPlacement global(const Cluster& cluster);
+};
+
 /// Shared wiring of the coordinator/cohort reactors.
 class RoundReactor {
  public:
-  RoundReactor(Cluster& cluster, std::uint64_t epoch, RoundObserver* observer);
+  RoundReactor(Cluster& cluster, RoundPlacement placement, std::uint64_t epoch,
+               RoundObserver* observer);
   virtual ~RoundReactor() = default;
 
   std::uint64_t epoch() const { return epoch_; }
+  NodeId coordinator_node() const { return coord_node_; }
 
   /// Emits the round's opening broadcast. Must run in the coordinator's
   /// serialized context (it reads the coordinator's log head).
@@ -109,12 +132,13 @@ class RoundReactor {
   /// schedules; the dispatcher already restored the server from its round
   /// log and cleared its dedup state). Implementations re-send, over the
   /// ideal replay stream and in causal order, exactly the messages the
-  /// server needs: the opening (to rebuild volatile cohort state — votes
-  /// re-emitted from the durable log, never recomputed differently), the
-  /// challenge if one is pending, or the decision if the round already
-  /// decided. A recovered *coordinator* instead restarts the round's
-  /// aggregation from the top; surviving cohorts answer every re-ask with
-  /// their recorded bytes, so the restarted round finishes bit-identical.
+  /// server needs: the opening (to rebuild volatile cohort state — a vote
+  /// leaves vote-once per (epoch, base), so a recomputed vote never differs
+  /// from a logged one), the challenge if one is pending, or the decision if
+  /// the round already decided. A recovered *coordinator* instead restarts
+  /// the round's aggregation from the top; surviving cohorts answer every
+  /// re-ask with their recorded bytes, so the restarted round finishes
+  /// bit-identical.
   virtual void on_recover(std::uint32_t server, Outbox& out) = 0;
 
   /// Coordinator-death termination (TFCommit only): the lowest-id surviving
@@ -135,8 +159,9 @@ class RoundReactor {
   RoundMetrics& metrics() { return metrics_; }
 
  protected:
+  Server& coord_server() const { return cluster_->server(placement_.coordinator); }
   Envelope seal_framed(const Server& sender, const char* type, BytesView payload) const;
-  /// Seal-once / count-every-copy broadcast to servers [0, n).
+  /// Seal-once / count-every-copy broadcast to the round's members.
   void broadcast(Outbox& out, const Envelope& env);
 
   /// Records the first authentic vote bytes per (sender, speculated base)
@@ -159,7 +184,7 @@ class RoundReactor {
   Cluster* cluster_;
   Transport* transport_;
   std::uint32_t n_;
-  ServerId coord_id_;
+  RoundPlacement placement_;
   NodeId coord_node_;
   std::uint64_t epoch_;
   RoundObserver* observer_;
@@ -180,7 +205,8 @@ class RoundReactor {
 /// (deterministic CoSi nonces), and a coordinator that stays dead past the
 /// termination timeout is routed around by the surviving cohorts
 /// (begin_termination) — they finish the round as a co-signed abort among
-/// themselves, which the 2PC baseline cannot do.
+/// themselves, which the 2PC baseline cannot do. Termination is a global
+/// placement feature; a group round waits for its coordinator to recover.
 class TfCommitRound final : public RoundReactor {
  public:
   /// `spec` non-null runs the round speculatively (see ClusterConfig::
@@ -188,9 +214,18 @@ class TfCommitRound final : public RoundReactor {
   /// carry base tags the coordinator validates against `spec`'s decided
   /// chain, and mis-speculated votes are discarded to await the cohort's
   /// deterministic re-vote. Null reproduces the gated protocol exactly.
-  TfCommitRound(Cluster& cluster, std::uint64_t epoch,
+  TfCommitRound(Cluster& cluster, RoundPlacement placement, std::uint64_t epoch,
                 std::vector<commit::SignedEndTxn> batch, RoundObserver* observer,
                 SpecContext* spec = nullptr);
+
+  /// Round `epoch` is over at `server` (`applied`: its block changed the
+  /// shard): pops the cohort's speculation stack and sends each contradicted
+  /// later vote, recomputed and logged as a new (epoch, base), to
+  /// `coordinator_of(round)` (nullopt drops it).
+  static void resolve_speculation(
+      Transport& transport, Server& server, std::uint64_t epoch, bool applied,
+      const std::function<std::optional<NodeId>(std::uint64_t)>& coordinator_of,
+      Outbox& out);
 
   void start(Outbox& out) override;
   void on_deliver(NodeId src, NodeId dst, const Envelope& env, bool authentic,
@@ -200,26 +235,37 @@ class TfCommitRound final : public RoundReactor {
   void on_base_resolved(Outbox& out) override;
   void finalize() override;
 
+  /// Why the round was refused without a co-sign attempt (empty otherwise).
+  const std::string& fault() const { return fault_; }
+  /// One-line phase counts (opened / votes / responses / outcome), for
+  /// stall reports. Read only at quiescence.
+  std::string progress() const;
+
  private:
   /// Rebuilds the coordinator's aggregation state from scratch and re-runs
   /// the round (recovered coordinator; cohorts answer from their logs).
   void restart(Outbox& out);
+  /// Cohort slot of `server`, or nullopt when it is not a member.
+  std::optional<std::size_t> slot_of(std::uint32_t server) const;
   void handle_get_vote(NodeId dst, BytesView body, bool authentic, Outbox& out);
-  void ingest_vote(std::uint32_t src, commit::VoteMsg vote, Outbox& out);
+  void ingest_vote(std::size_t slot, commit::VoteMsg vote, Outbox& out);
   /// Validates buffered speculative votes against the decided chain, fills
-  /// slots with the survivors, and fires the challenge once all n are in.
+  /// slots with the survivors, and fires the challenge once all are in.
   void try_accept_votes(Outbox& out);
   /// All of `vote`'s base assumptions hold against the decided chain.
   bool spec_base_valid(const commit::VoteMsg& vote) const;
   void maybe_fire_challenge(Outbox& out);
+  /// Records the outcome, broadcasts it (chained placements), and reports
+  /// it to the observer.
+  void decide(commit::TfCommitOutcome outcome, Outbox& out);
   void send_term_vote(Server& server, Outbox& out);
   std::size_t live_expected() const;
 
   std::vector<commit::SignedEndTxn> batch_;
   std::vector<commit::SignedEndTxn> pristine_batch_;  ///< for coordinator restart
-  std::vector<ServerId> cohort_ids_;
   commit::TfCommitCoordinator coordinator_;
   SpecContext* spec_{nullptr};
+  std::string fault_;
   /// This round's block height, set by start() (projected for speculative
   /// rounds until the base resolves). Not the CoSi round id (that is
   /// epoch_ — heights recur when aborted rounds retry); used for the
@@ -230,10 +276,11 @@ class TfCommitRound final : public RoundReactor {
   /// be recomputed against a chain that has moved on since).
   std::optional<commit::Block> first_partial_;
 
+  // Aggregation state, indexed by cohort slot.
   std::vector<commit::VoteMsg> votes_;
   std::vector<unsigned char> vote_in_;
   std::size_t votes_seen_{0};
-  /// Speculative rounds: votes parked per (sender, base) until the base
+  /// Speculative rounds: votes parked per (slot, base) until the base
   /// resolves and their assumptions can be checked.
   std::vector<std::map<std::uint64_t, commit::VoteMsg>> buffered_votes_;
   std::vector<commit::ChallengeMsg> challenges_;
@@ -248,8 +295,9 @@ class TfCommitRound final : public RoundReactor {
   std::vector<Envelope> challenge_envs_;
   Envelope decision_env_;
 
-  // Cooperative termination state (backup-side slots are per-sender; the
-  // deferred-reply flags are per-destination cohort state).
+  // Cooperative termination state (global placement only, so server id and
+  // cohort slot coincide). Backup-side slots are per-sender; the
+  // deferred-reply flags are per-destination cohort state.
   bool term_started_{false};
   std::uint32_t term_backup_{0};
   std::vector<unsigned char> term_live_;     ///< live set frozen at term start
@@ -289,7 +337,6 @@ class TwoPhaseRound final : public RoundReactor {
 
   std::vector<commit::SignedEndTxn> batch_;
   std::vector<commit::SignedEndTxn> pristine_batch_;
-  std::vector<ServerId> cohort_ids_;
   commit::TwoPhaseCommitCoordinator coordinator_;
 
   std::vector<commit::PrepareVoteMsg> votes_;

@@ -19,6 +19,7 @@
 // what makes the in-process and simulated paths bit-identical.
 #pragma once
 
+#include <chrono>
 #include <functional>
 #include <optional>
 
@@ -212,6 +213,14 @@ inline BytesView unframe_payload(BytesView payload) {
     throw DecodeError("engine frame shorter than its epoch header");
   }
   return payload.subspan(8);
+}
+
+inline NodeId server_node(std::uint32_t i) { return NodeId::server(ServerId{i}); }
+
+using Clock = std::chrono::steady_clock;  ///< measurement only, never protocol input
+
+inline double since_us(Clock::time_point start) {
+  return std::chrono::duration<double, std::micro>(Clock::now() - start).count();
 }
 
 }  // namespace fides::engine

@@ -168,35 +168,43 @@ std::optional<CrashFault> Cluster::poll_crash_point(std::uint32_t server,
 
 // --- Data path ---------------------------------------------------------------
 
+Envelope Cluster::seal_data(const crypto::KeyPair& key, NodeId sender, const char* type,
+                            Bytes payload) {
+  if (config_.sign_data_path) return transport_.seal(key, sender, type, std::move(payload));
+  return transport_.wrap(sender, type, std::move(payload));
+}
+
+bool Cluster::open_data(const Envelope& env, const char* type) {
+  if (config_.sign_data_path) return transport_.open(env, type);
+  return env.type == type;
+}
+
 void Cluster::client_begin(Client& client, TxnId txn, std::span<const ItemId> items) {
-  transport_.set_crypto_enabled(config_.sign_data_path);
   for (const ItemId item : items) {
     Server& server = *servers_[owner_of(item).value];
     Writer w;
     w.u32(txn.client);
     w.u64(txn.seq);
-    Envelope env = transport_.seal(client.keypair(), NodeId::client(client.id()),
-                                   "begin_txn", std::move(w).take());
-    if (transport_.open(env, "begin_txn")) {
+    Envelope env = seal_data(client.keypair(), NodeId::client(client.id()), "begin_txn",
+                             std::move(w).take());
+    if (open_data(env, "begin_txn")) {
       server.record_client_message(env);
       server.handle_begin(client.id(), txn);
     }
   }
-  transport_.set_crypto_enabled(true);
 }
 
 store::ReadResult Cluster::client_read(Client& client, TxnId txn, ItemId item) {
-  transport_.set_crypto_enabled(config_.sign_data_path);
   Server& server = *servers_[owner_of(item).value];
 
   Writer w;
   w.u32(txn.client);
   w.u64(txn.seq);
   w.u64(item);
-  Envelope env = transport_.seal(client.keypair(), NodeId::client(client.id()), "read",
-                                 std::move(w).take());
+  Envelope env =
+      seal_data(client.keypair(), NodeId::client(client.id()), "read", std::move(w).take());
   store::ReadResult result;
-  if (transport_.open(env, "read")) {
+  if (open_data(env, "read")) {
     server.record_client_message(env);
     result = server.handle_read(client.id(), txn, item);
     // Response travels back signed by the server.
@@ -205,16 +213,14 @@ store::ReadResult Cluster::client_read(Client& client, TxnId txn, ItemId item) {
     resp.bytes(result.value);
     resp.timestamp(result.rts);
     resp.timestamp(result.wts);
-    Envelope renv = transport_.seal(server.keypair(), NodeId::server(server.id()),
-                                    "read_resp", std::move(resp).take());
-    transport_.open(renv, "read_resp");
+    Envelope renv = seal_data(server.keypair(), NodeId::server(server.id()), "read_resp",
+                              std::move(resp).take());
+    open_data(renv, "read_resp");
   }
-  transport_.set_crypto_enabled(true);
   return result;
 }
 
 WriteAck Cluster::client_write(Client& client, TxnId txn, ItemId item, Bytes value) {
-  transport_.set_crypto_enabled(config_.sign_data_path);
   Server& server = *servers_[owner_of(item).value];
 
   Writer w;
@@ -222,10 +228,10 @@ WriteAck Cluster::client_write(Client& client, TxnId txn, ItemId item, Bytes val
   w.u64(txn.seq);
   w.u64(item);
   w.bytes(value);
-  Envelope env = transport_.seal(client.keypair(), NodeId::client(client.id()), "write",
-                                 std::move(w).take());
+  Envelope env =
+      seal_data(client.keypair(), NodeId::client(client.id()), "write", std::move(w).take());
   WriteAck ack;
-  if (transport_.open(env, "write")) {
+  if (open_data(env, "write")) {
     server.record_client_message(env);
     ack = server.handle_write(client.id(), txn, item, std::move(value));
     Writer resp;
@@ -233,11 +239,10 @@ WriteAck Cluster::client_write(Client& client, TxnId txn, ItemId item, Bytes val
     resp.bytes(ack.old_value);
     resp.timestamp(ack.rts);
     resp.timestamp(ack.wts);
-    Envelope renv = transport_.seal(server.keypair(), NodeId::server(server.id()),
-                                    "write_ack", std::move(resp).take());
-    transport_.open(renv, "write_ack");
+    Envelope renv = seal_data(server.keypair(), NodeId::server(server.id()), "write_ack",
+                              std::move(resp).take());
+    open_data(renv, "write_ack");
   }
-  transport_.set_crypto_enabled(true);
   return ack;
 }
 

@@ -280,6 +280,13 @@ class Cluster {
   /// Runs fn(i) for every server index, on the pool when parallel.
   void for_each_server(const std::function<void(std::size_t)>& fn);
 
+  /// Data-path envelopes: signed and verified when config().sign_data_path
+  /// is set; otherwise wrapped unsigned (still counted) and accepted on
+  /// their type tag. Commit-round traffic always signs.
+  Envelope seal_data(const crypto::KeyPair& key, NodeId sender, const char* type,
+                     Bytes payload);
+  bool open_data(const Envelope& env, const char* type);
+
   /// Runs `body` with the scheduler matching config().network.mode. Direct
   /// mode requires every server to be live (mid-round crash/recovery is a
   /// simulated-schedule feature).

@@ -30,18 +30,21 @@ Bytes Transport::signing_preimage(const Envelope& env) {
   return std::move(w).take();
 }
 
-Envelope Transport::seal(const crypto::KeyPair& sender_key, NodeId sender,
-                         std::string type, Bytes payload) {
+Envelope Transport::wrap(NodeId sender, std::string type, Bytes payload) {
   Envelope env;
   env.sender = sender;
   env.type = std::move(type);
   env.payload = std::move(payload);
   ++stats_.messages;
   stats_.bytes += env.payload.size();
-  if (crypto_enabled()) {
-    env.signature = sender_key.sign(signing_preimage(env));
-    ++stats_.signatures_created;
-  }
+  return env;
+}
+
+Envelope Transport::seal(const crypto::KeyPair& sender_key, NodeId sender,
+                         std::string type, Bytes payload) {
+  Envelope env = wrap(sender, std::move(type), std::move(payload));
+  env.signature = sender_key.sign(signing_preimage(env));
+  ++stats_.signatures_created;
   return env;
 }
 
@@ -55,7 +58,6 @@ bool Transport::open(const Envelope& env, std::string_view expected_type) {
     ++stats_.rejected;
     return false;
   }
-  if (!crypto_enabled()) return true;
   const crypto::PublicKey* key = key_of(env.sender);
   if (key == nullptr) {
     ++stats_.rejected;
@@ -72,7 +74,6 @@ bool Transport::open(const Envelope& env, std::string_view expected_type) {
 std::vector<unsigned char> Transport::open_batch(std::span<const Envelope* const> envelopes,
                                                  common::ThreadPool* pool) {
   std::vector<unsigned char> ok(envelopes.size(), 1);
-  if (!crypto_enabled()) return ok;
 
   // Envelopes with an unknown sender are rejected outright, exactly as
   // open() would; the rest form the batch_verify input. Preimages must stay

@@ -108,6 +108,10 @@ class Transport {
   Envelope seal(const crypto::KeyPair& sender_key, NodeId sender, std::string type,
                 Bytes payload);
 
+  /// Wraps a payload without signing it — a data-path message when
+  /// ClusterConfig::sign_data_path is off. Still counts as one message sent.
+  Envelope wrap(NodeId sender, std::string type, Bytes payload);
+
   /// Accounts for one more copy of an already-sealed broadcast envelope:
   /// the sender signs a broadcast once and sends the same envelope to every
   /// recipient, but each copy is still a message on the wire.
@@ -137,14 +141,6 @@ class Transport {
                                       std::string_view expected_type,
                                       common::ThreadPool* pool = nullptr);
 
-  /// When disabled, seal/open skip the actual signature computation but
-  /// still count messages/bytes (data-path fast mode; see ClusterConfig).
-  /// Only toggled between rounds, never while pool workers are in flight.
-  void set_crypto_enabled(bool enabled) {
-    crypto_enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  bool crypto_enabled() const { return crypto_enabled_.load(std::memory_order_relaxed); }
-
   /// Mirrors ClusterConfig::batch_verify so verification sites that only see
   /// the transport (request checks, the pipeline's inbox seam) can route
   /// through the batched path. Toggled only between rounds.
@@ -162,10 +158,9 @@ class Transport {
   // Audited for the thread-safety pass: registry_ is written only during
   // cluster setup (before any round traffic or pool fan-out exists) and is
   // read-only while rounds run, so it needs no lock; everything mutated on
-  // the hot path (stats_ counters, the two mode flags) is atomic.
+  // the hot path (stats_ counters, the mode flag) is atomic.
   std::unordered_map<NodeId, crypto::PublicKey> registry_;  // confined(setup)
   Stats stats_;  // confined(shared-atomics): every field is a relaxed atomic
-  std::atomic<bool> crypto_enabled_{true};
   std::atomic<bool> batch_verify_{false};
 };
 

@@ -14,11 +14,13 @@
 // the outer OrdServ hash chain.
 //
 // Two drivers share this module's validation and epoch rules:
-//   GroupCommitRunner (below) — the sequential lock-step reference driver.
-//   GroupEngine (group_engine.hpp) — the engine-routed driver: every group
-//     round runs on message reactors under a Scheduler, with pipelining,
-//     speculation, durable round logs, and crash/recovery. The two produce
-//     bit-identical sequenced streams for the same batches.
+//   GroupCommitRunner (below) — the sequential lock-step reference,
+//     kept as the test oracle; it calls the TFCommit cohort/coordinator
+//     state machines directly.
+//   GroupEngine (group_engine.hpp) — the engine-routed path: the phases
+//     run on engine::TfCommitRound (the global pipeline's reactor) under a
+//     Scheduler, with pipelining, speculation, durable round logs, and
+//     crash/recovery. The two produce bit-identical sequenced streams.
 #pragma once
 
 #include <optional>
@@ -55,6 +57,9 @@ struct GroupRoundResult {
   std::vector<std::pair<ServerId, std::string>> refusals;
   /// Cohorts whose co-sign shares failed attribution (Lemma 4).
   std::vector<ServerId> faulty_cosigners;
+  /// Members seen sending two different authentic votes for one speculated
+  /// base (engine runs; see RoundMetrics::vote_equivocators).
+  std::vector<ServerId> vote_equivocators;
 };
 
 /// Evidence a delivering server records when a sequenced entry fails

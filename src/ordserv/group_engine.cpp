@@ -1,9 +1,6 @@
 #include "ordserv/group_engine.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -14,33 +11,14 @@
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
 #include "engine/dispatch_util.hpp"
+#include "engine/reactor.hpp"
 
 namespace fides::ordserv {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double since_us(Clock::time_point start) {
-  return std::chrono::duration<double, std::micro>(Clock::now() - start).count();
-}
-
-NodeId server_node(std::uint32_t i) { return NodeId::server(ServerId{i}); }
-
-/// Wire type of a group vote. Like the global pipeline's tf_vote~base tags:
-/// speculative re-votes are distinct logical messages, so the base key lands
-/// in the type tag and the at-most-once filter admits one copy of each
-/// variant instead of swallowing the corrected vote as a duplicate.
-std::string gtf_vote_type(std::uint64_t base) {
-  if (base == 0) return "gtf_vote";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "gtf_vote~%016llx",
-                static_cast<unsigned long long>(base));
-  return buf;
-}
-
-bool is_gtf_vote_type(const std::string& type) {
-  return type == "gtf_vote" || type.compare(0, 9, "gtf_vote~") == 0;
-}
+using engine::Clock;
+using engine::server_node;
+using engine::since_us;
 
 /// Wire codec for a sequenced OrdServ entry (SequencedBlock carries no serde
 /// of its own — it never crossed a wire before the group engine).
@@ -77,21 +55,21 @@ std::optional<SequencedBlock> decode_entry(BytesView body) {
   }
 }
 
-/// The engine: one Dispatcher owning every concurrent group round. Protocol
-/// state is per-round (like the pipeline's reactors); the cross-round state —
-/// per-server touch-order gates, the sequencing barrier, delivery validators
-/// — is what makes multi-coordinator dispatch compose with pipelining and
-/// speculation without a global coordinator.
+/// The engine: OrdServ policy around one TfCommitRound per group round (the
+/// reactor owns every TFCommit phase) — per-server touch-order admission and
+/// opening gates, the sequencing barrier, gtf_seq/gtf_refuse delivery
+/// through StreamValidator, and recovery of the sequenced stream. As
+/// RoundObserver it sequences each outcome; as SpecContext it answers
+/// speculating reactors from the decided rounds.
 ///
-/// One plain mutex serializes all handlers: group throughput comes from
-/// virtual-time overlap of disjoint groups (what bench_group_scaling gates),
-/// not from parallel handler execution. Gate flushes deliver held openings
-/// inline from within a handler (all helpers REQUIRES the lock); the only
-/// thing that must escape the critical section is sched_->post — an inline
-/// scheduler (SimNet's default post) would re-enter dispatch — so admission
-/// queues round starts in pending_starts_ and every entry point drains them
-/// after releasing the lock. Clang's -Wthread-safety proves the discipline.
-class GroupEngine final : public engine::Dispatcher {
+/// One plain mutex guards the engine's own state. Reactors run outside it,
+/// as under the global pipeline, because they call back into the observer
+/// and SpecContext: work a locked handler uncovers for a reactor runs after
+/// unlocking (held openings in deliver(), starts in drain_starts(), base
+/// resolutions posted to each round's coordinator context).
+class GroupEngine final : public engine::Dispatcher,
+                          public engine::RoundObserver,
+                          public engine::SpecContext {
  public:
   GroupEngine(Cluster& cluster, Sequencer& seq,
               std::vector<std::vector<commit::SignedEndTxn>> batches,
@@ -115,16 +93,16 @@ class GroupEngine final : public engine::Dispatcher {
         validators_(n_),
         refusals_(n_) {
     rounds_.reserve(batches.size());
+    reactors_.reserve(batches.size());
     for (auto& batch : batches) {
       Round r;
-      r.batch = std::move(batch);
-      if (r.batch.empty()) {
+      if (batch.empty()) {
         // No transactions → no group. Without this refusal a fabricated
         // single-server group would co-sign an empty "committed" block.
         r.terminal = true;
         r.fault = "empty batch refused at submission";
       } else {
-        auto ordered = r.batch;
+        auto ordered = batch;
         commit::order_batch(ordered);
         r.group = group_for(commit::batch_txns(ordered), n_);
         if (r.group.members.empty()) {
@@ -133,6 +111,7 @@ class GroupEngine final : public engine::Dispatcher {
         }
       }
       const std::size_t k = rounds_.size();
+      std::unique_ptr<engine::TfCommitRound> reactor;
       if (r.terminal) {
         // Refused at admission: no epoch, no traffic, complete immediately.
         r.decided = true;
@@ -144,29 +123,22 @@ class GroupEngine final : public engine::Dispatcher {
         // every admissible round up front, in round order, so the epoch
         // sequence (and hence every signed byte) is schedule-independent.
         r.epoch = group_epoch(seq_->epochs().reserve());
-        r.coord_node = server_node(r.group.coordinator.value);
-        const std::size_t members = r.group.members.size();
-        r.group_keys.reserve(members);
-        for (const ServerId m : r.group.members) {
-          r.group_keys.push_back(cluster_->server_keys()[m.value]);
-        }
-        r.votes.resize(members);
-        r.vote_in.assign(members, 0);
-        r.buffered_votes.resize(members);
-        r.responses.resize(members);
-        r.resp_in.assign(members, 0);
         r.done_at.assign(n_, 0);
         r.opened_at.assign(n_, 0);
         r.target = n_;  // every server processes the sequenced entry
-        for (std::size_t i = 0; i < members; ++i) {
-          const std::uint32_t m = r.group.members[i].value;
-          r.member_slot[m] = i;
-          r.touch_pos[m] = touch_rounds_[m].size();
-          touch_rounds_[m].push_back(k);
+        for (const ServerId m : r.group.members) {
+          r.touch_pos[m.value] = touch_rounds_[m.value].size();
+          touch_rounds_[m.value].push_back(k);
         }
         epoch_to_round_[r.epoch] = k;
+        engine::RoundPlacement placement{r.group.members, r.group.coordinator,
+                                         /*unchained=*/true};
+        reactor = std::make_unique<engine::TfCommitRound>(
+            cluster, std::move(placement), r.epoch, std::move(batch), this,
+            speculate_ ? this : nullptr);
       }
       rounds_.push_back(std::move(r));
+      reactors_.push_back(std::move(reactor));
     }
     // Seed delivery validators from the servers' existing logs, so several
     // engine runs can extend one cluster+sequencer stream (server logs are
@@ -182,7 +154,7 @@ class GroupEngine final : public engine::Dispatcher {
     });
     {
       common::MutexLock lock(mutex_);
-      launch_ready(sched_->outbox());
+      launch_ready();
     }
     drain_starts();
   }
@@ -193,66 +165,34 @@ class GroupEngine final : public engine::Dispatcher {
     result.rounds.reserve(rounds_.size());
     for (std::size_t k = 0; k < rounds_.size(); ++k) {
       const Round& r = rounds_[k];
+      engine::TfCommitRound* reactor = reactors_[k].get();
       if (!r.completed) {
-        if (std::getenv("FIDES_GROUP_DEBUG")) {
-          for (std::uint32_t s = 0; s < n_; ++s) {
-            std::string touches;
-            for (const std::size_t t : touch_rounds_[s]) {
-              touches += std::to_string(t) + ",";
-            }
-            std::fprintf(stderr,
-                         "[grp] S%u gate=%zu started=%zu unresolved=%zu held=%zu "
-                         "pend=%zu decided_upto=%zu touch=[%s] crashed=%d\n",
-                         s, gate_upto_[s], started_upto_[s], unresolved_[s],
-                         held_[s].size(), pending_entries_[s].size(),
-                         decided_upto_[s], touches.c_str(),
-                         cluster_->is_crashed(ServerId{s}));
-          }
-          for (std::size_t j = 0; j < rounds_.size(); ++j) {
-            const Round& d = rounds_[j];
-            std::string members;
-            for (const ServerId m : d.group.members) {
-              members += std::to_string(m.value) + ",";
-            }
-            std::string slots;
-            for (std::size_t sl = 0; sl < d.group.members.size(); ++sl) {
-              slots += std::to_string(d.vote_in.size() > sl ? d.vote_in[sl] : 9);
-              slots += "/";
-              slots += std::to_string(d.buffered_votes.size() > sl
-                                          ? d.buffered_votes[sl].size()
-                                          : 9);
-              slots += ",";
-            }
-            std::fprintf(stderr,
-                         "[grp] round %zu grp={%s} started=%d votes=%zu "
-                         "slots(in/buf)=[%s] chal=%zu resps=%zu outcome=%d "
-                         "decided=%d refused=%d seq=%d done=%zu/%zu\n",
-                         j, members.c_str(), d.started, d.votes_seen, slots.c_str(),
-                         d.challenges.size(), d.resps_seen, d.outcome.has_value(),
-                         d.decided, d.refused, d.sequenced, d.done_count, d.target);
-          }
-        }
         throw std::logic_error(
-            "group commit stalled: round " + std::to_string(k) + " saw " +
-            std::to_string(r.done_count) + "/" + std::to_string(r.target) +
+            "group commit stalled: round " + std::to_string(k) + " (group of " +
+            std::to_string(r.group.members.size()) + " led by S" +
+            std::to_string(r.group.coordinator.value) + ", " + reactor->progress() +
+            ") saw " + std::to_string(r.done_count) + "/" + std::to_string(r.target) +
             " completions" + (r.fault.empty() ? "" : " (" + r.fault + ")"));
       }
       GroupRoundResult rr;
       rr.group = r.group;
       rr.group_size = r.group.members.size();
       rr.fault = r.fault;
-      if (r.outcome.has_value()) {
-        rr.decision = r.outcome->decision;
-        rr.cosign_valid = r.outcome->cosign_valid;
-        rr.refusals = r.outcome->refusals;
-        rr.faulty_cosigners = r.outcome->faulty_cosigners;
+      if (reactor != nullptr) {
+        reactor->finalize();
+        const RoundMetrics& m = reactor->metrics();
+        rr.decision = m.decision;
+        rr.cosign_valid = m.cosign_valid;
+        rr.refusals = m.refusals;
+        rr.faulty_cosigners = m.faulty_cosigners;
+        rr.vote_equivocators = m.vote_equivocators;
+        result.spec_revotes += m.spec_revotes;
       }
       if (r.entry.has_value()) rr.global_height = r.entry->block.height;
       result.rounds.push_back(std::move(rr));
     }
     result.delivery_refusals = refusals_;
     result.wall_us = since_us(start_wall_);
-    result.spec_revotes = spec_revotes_;
     return result;
   }
 
@@ -269,43 +209,16 @@ class GroupEngine final : public engine::Dispatcher {
 
   void dispatch_batch(std::span<const Delivery> batch, NodeId dst,
                       engine::Outbox& out) override {
-    // Mirror of the pipeline's inbox seam: a drained run of votes/responses
-    // for one destination is signature-checked as one RLC aggregate; the
-    // verdicts thread into per-item dispatch so semantics stay exact.
-    const bool dst_crashed =
-        dst.kind == NodeId::Kind::kServer && cluster_->is_crashed(ServerId{dst.id});
-    const bool batched = transport_->batch_verify() && transport_->crypto_enabled() &&
-                         !dst_crashed && batch.size() >= 2;
-    if (!batched) {
-      for (const auto& d : batch) dispatch(d.src, dst, *d.env, out);
-      return;
-    }
-    constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-    std::vector<std::size_t> slot_of(batch.size(), kNoSlot);
-    std::vector<const Envelope*> envs;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const std::string& type = batch[i].env->type;
-      if (type == "gtf_response" || is_gtf_vote_type(type)) {
-        slot_of[i] = envs.size();
-        envs.push_back(batch[i].env);
-      }
-    }
-    if (envs.size() < 2) {
-      for (const auto& d : batch) dispatch(d.src, dst, *d.env, out);
-      return;
-    }
-    const std::vector<unsigned char> verdicts =
-        transport_->open_batch(envs, &cluster_->pool());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const std::optional<bool> verdict =
-          slot_of[i] == kNoSlot ? std::nullopt
-                                : std::optional<bool>(verdicts[slot_of[i]] != 0);
-      dispatch_impl(batch[i].src, dst, *batch[i].env, out, /*replay=*/false, verdict);
-    }
+    engine::dispatch_inbox_batch(*cluster_, batch, dst,
+                                 [&](const Delivery& d, std::optional<bool> verdict) {
+                                   dispatch_impl(d.src, dst, *d.env, out,
+                                                 /*replay=*/false, verdict);
+                                 });
   }
 
   void on_control(const engine::ControlEvent& ev, engine::Outbox& out) override
       EXCLUDES(mutex_) {
+    std::vector<engine::TfCommitRound*> catch_up;
     {
       common::MutexLock lock(mutex_);
       switch (ev.kind) {
@@ -313,7 +226,7 @@ class GroupEngine final : public engine::Dispatcher {
           handle_crash(ev.node);
           break;
         case engine::ControlEvent::Kind::kRecover:
-          handle_recover(ev.node, out);
+          catch_up = handle_recover(ev.node, out);
           break;
         case engine::ControlEvent::Kind::kCoordinatorTimeout:
         case engine::ControlEvent::Kind::kTimer:
@@ -324,47 +237,95 @@ class GroupEngine final : public engine::Dispatcher {
           break;
       }
     }
+    for (engine::TfCommitRound* reactor : catch_up) reactor->on_recover(ev.node.id, out);
     drain_starts();  // recovery re-admits rounds
+  }
+
+  // --- RoundObserver -----------------------------------------------------------
+
+  /// Unchained rounds broadcast no decision (gtf_seq / gtf_refuse end them).
+  void on_decision_processed(std::uint64_t /*epoch*/, std::uint32_t /*server*/) override {}
+
+  /// A group round decided: refuse it if it cannot be sequenced, let later
+  /// speculative rounds check their votes, and sequence what the barrier admits.
+  void on_outcome(std::uint64_t epoch, const ledger::Block& block, bool appended,
+                  engine::Outbox& out) override EXCLUDES(mutex_) {
+    std::vector<std::size_t> resolvable;
+    {
+      common::MutexLock lock(mutex_);
+      const std::size_t k = epoch_to_round_.at(epoch);
+      Round& r = rounds_[k];
+      if (r.decided) return;
+      r.block = block;
+      r.applied = appended && block.committed();
+      if (!appended) {
+        // An unsignable block never reaches OrdServ; the members learn the
+        // round is over (and who to blame) via the refusal broadcast.
+        const std::string& fault = reactors_[k]->fault();
+        refuse_round(k, fault.empty() ? "co-sign did not verify" : fault, out);
+      }
+      resolvable = mark_decided(k);
+    }
+    // Outside the lock: a resolved round validates its buffered votes (and
+    // may fire its challenge) on its own coordinator's context.
+    for (const std::size_t k : resolvable) {
+      engine::TfCommitRound* reactor = reactors_[k].get();
+      sched_->post(reactor->coordinator_node(),
+                   [this, reactor] { reactor->on_base_resolved(sched_->outbox()); });
+    }
+    common::MutexLock lock(mutex_);
+    advance_sequencing(out);
+  }
+
+  // --- SpecContext -------------------------------------------------------------
+  // Group votes speculate on earlier group rounds at the same member; their
+  // chain position is OrdServ's, so unchained rounds never ask the chain.
+
+  ChainPos opening_base(std::uint64_t /*epoch*/) override { return {}; }
+  ChainPos decided_base() const override { return {}; }
+
+  bool base_resolved(std::uint64_t epoch) const override EXCLUDES(mutex_) {
+    common::MutexLock lock(mutex_);
+    return base_resolved_locked(rounds_[epoch_to_round_.at(epoch)]);
+  }
+
+  std::optional<bool> applied(std::uint64_t epoch) const override EXCLUDES(mutex_) {
+    common::MutexLock lock(mutex_);
+    const auto it = epoch_to_round_.find(epoch);
+    if (it == epoch_to_round_.end()) return std::nullopt;
+    const Round& r = rounds_[it->second];
+    if (!r.decided) return std::nullopt;
+    return r.applied;
+  }
+
+  const crypto::Digest* shard_root(std::uint32_t server) const override EXCLUDES(mutex_) {
+    // The returned pointer stays valid: the vector is sized in the ctor and
+    // an engaged optional's payload address never changes on assignment.
+    common::MutexLock lock(mutex_);
+    if (server >= n_ || !shard_roots_[server].has_value()) return nullptr;
+    return &*shard_roots_[server];
   }
 
  private:
   struct Round {
     // Immutable after construction.
-    std::vector<commit::SignedEndTxn> batch;  ///< pristine (unordered) batch
     ServerGroup group;
-    std::vector<crypto::PublicKey> group_keys;
     std::uint64_t epoch{0};
-    NodeId coord_node;
     bool terminal{false};  ///< refused at admission; no protocol traffic
-    std::unordered_map<std::uint32_t, std::size_t> touch_pos;    ///< server → index in touch_rounds_
-    std::unordered_map<std::uint32_t, std::size_t> member_slot;  ///< server → cohort slot
+    /// member → its index in touch_rounds_
+    std::unordered_map<std::uint32_t, std::size_t> touch_pos;
 
-    // Coordinator-side volatile round state (rebuilt on restart).
-    std::unique_ptr<commit::TfCommitCoordinator> coordinator;
     bool started{false};
-    bool opening_cached{false};
-    Envelope opening_env;
-    std::vector<commit::VoteMsg> votes;
-    std::vector<unsigned char> vote_in;
-    /// Speculation: votes parked per (slot, base key) until the base resolves.
-    std::vector<std::map<std::uint64_t, commit::VoteMsg>> buffered_votes;
-    std::size_t votes_seen{0};
-    std::vector<commit::ChallengeMsg> challenges;
-    std::vector<Envelope> challenge_envs;
-    std::vector<commit::ResponseMsg> responses;
-    std::vector<unsigned char> resp_in;
-    std::size_t resps_seen{0};
-    std::optional<commit::TfCommitOutcome> outcome;
 
     // Sequencing / refusal.
-    bool decided{false};  ///< outcome or refusal known
+    bool decided{false};  ///< outcome (or admission refusal) known
+    bool applied{false};  ///< outcome committed with a valid co-sign
+    ledger::Block block;  ///< the outcome's block, once decided
     bool refused{false};  ///< never reaches OrdServ; members told via gtf_refuse
     std::string fault;
-    bool sequenced{false};
-    std::optional<SequencedBlock> entry;
+    std::optional<SequencedBlock> entry;  ///< set once sequenced
     Envelope entry_env;
-    Envelope refuse_env;
-    bool refuse_env_cached{false};
+    Envelope refuse_env;  ///< empty type until sealed
 
     // Completion.
     std::vector<unsigned char> done_at;    ///< per server: entry/refusal processed
@@ -378,6 +339,7 @@ class GroupEngine final : public engine::Dispatcher {
     NodeId src;
     NodeId dst;
     Envelope env;
+    std::size_t round{0};
   };
 
   // --- Gates -------------------------------------------------------------------
@@ -395,36 +357,47 @@ class GroupEngine final : public engine::Dispatcher {
     }
   }
 
-  void flush_held(std::uint32_t s, engine::Outbox& out) REQUIRES(mutex_) {
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (auto it = held_[s].begin(); it != held_[s].end(); ++it) {
-        const auto ep = engine::peek_epoch(it->env.payload);
-        const auto rit = ep.has_value() ? epoch_to_round_.find(*ep)
-                                        : epoch_to_round_.end();
-        if (rit == epoch_to_round_.end()) {
-          held_[s].erase(it);
-          progress = true;
-          break;
-        }
-        const std::size_t k = rit->second;
-        Round& r = rounds_[k];
-        if (r.done_at[s] != 0) {  // round resolved while the opening waited
-          held_[s].erase(it);
-          progress = true;
-          break;
-        }
-        const auto tp = r.touch_pos.find(s);
-        if (tp == r.touch_pos.end() || tp->second <= gate_upto_[s]) {
-          Held h = std::move(*it);
-          held_[s].erase(it);
-          deliver(k, h.src, h.dst, h.env, out, std::nullopt);
-          progress = true;
-          break;
-        }
+  /// Delivers, on server s's context, every held opening its gate now
+  /// admits (the deliveries may advance the gate further).
+  void flush_held(std::uint32_t s, engine::Outbox& out) EXCLUDES(mutex_) {
+    for (;;) {
+      std::optional<Held> next;
+      {
+        common::MutexLock lock(mutex_);
+        next = take_admissible_held(s);
       }
+      if (!next.has_value()) return;
+      deliver(next->round, next->src, next->dst, next->env, out, std::nullopt);
     }
+  }
+
+  /// Removes and returns the first held opening at s whose gate is open
+  /// (dropping openings of rounds already resolved there).
+  std::optional<Held> take_admissible_held(std::uint32_t s) REQUIRES(mutex_) {
+    auto& held = held_[s];
+    for (auto it = held.begin(); it != held.end();) {
+      const Round& r = rounds_[it->round];
+      if (r.done_at[s] != 0) {
+        it = held.erase(it);  // resolved while the opening waited
+        continue;
+      }
+      if (r.touch_pos.at(s) <= gate_upto_[s]) {
+        Held h = std::move(*it);
+        held.erase(it);
+        return h;
+      }
+      ++it;
+    }
+    return std::nullopt;
+  }
+
+  /// Member s processed round k's opening: under speculation that passes
+  /// the opening gate for the next round touching s.
+  void note_opened(std::size_t k, std::uint32_t s) REQUIRES(mutex_) {
+    Round& r = rounds_[k];
+    if (!speculate_ || !r.touch_pos.count(s) || r.opened_at[s] != 0) return;
+    r.opened_at[s] = 1;
+    advance_gate(s);
   }
 
   // --- Admission ---------------------------------------------------------------
@@ -436,7 +409,7 @@ class GroupEngine final : public engine::Dispatcher {
   /// members, though, admission is strictly touch-ordered (started_upto_):
   /// letting a later round claim a member's window slot before an earlier
   /// toucher launched would deadlock the window against the opening gate.
-  void launch_ready(engine::Outbox& /*out*/) REQUIRES(mutex_) {
+  void launch_ready() REQUIRES(mutex_) {
     for (std::size_t k = 0; k < rounds_.size(); ++k) {
       Round& r = rounds_[k];
       if (r.terminal || r.started || r.decided) continue;
@@ -456,12 +429,7 @@ class GroupEngine final : public engine::Dispatcher {
         ++unresolved_[m.value];
         advance_started(m.value);
       }
-      // Deferred: post() may execute inline (SimNet's default), and the
-      // posted start must run unlocked like every other entry point — the
-      // callers drain pending_starts_ after releasing the mutex. This is
-      // what lets the engine use a plain (analyzable) mutex instead of the
-      // recursive one it started with.
-      pending_starts_.emplace_back(k, r.coord_node);
+      pending_starts_.push_back(k);  // started unlocked, by drain_starts()
     }
   }
 
@@ -469,19 +437,16 @@ class GroupEngine final : public engine::Dispatcher {
   /// by each entry point (begin / dispatch / on_control) after unlocking.
   void drain_starts() EXCLUDES(mutex_) {
     for (;;) {
-      std::vector<std::pair<std::size_t, NodeId>> starts;
+      std::vector<std::size_t> starts;
       {
         common::MutexLock lock(mutex_);
         starts.swap(pending_starts_);
       }
       if (starts.empty()) return;
-      for (const auto& start : starts) {
-        const std::size_t k = start.first;
-        sched_->post(start.second, [this, k] {
-          engine::Outbox& out = sched_->outbox();
-          common::MutexLock lock(mutex_);
-          begin_round(k, out);
-        });
+      for (const std::size_t k : starts) {
+        engine::TfCommitRound* reactor = reactors_[k].get();
+        sched_->post(reactor->coordinator_node(),
+                     [this, reactor] { reactor->start(sched_->outbox()); });
       }
     }
   }
@@ -494,359 +459,91 @@ class GroupEngine final : public engine::Dispatcher {
     }
   }
 
-  /// Phase 1 on the group coordinator's context: assemble and broadcast the
-  /// opening. Group partials carry height 0 / zero prev-hash — their chain
-  /// position is OrdServ's to assign — so unlike the global pipeline there
-  /// is no log-head dependence and the opening bytes are batch-determined.
-  /// The sealed opening is cached: a restart re-broadcasts the identical
-  /// envelope, keeping every replayed byte stable.
-  void begin_round(std::size_t k, engine::Outbox& out) REQUIRES(mutex_) {
-    Round& r = rounds_[k];
-    if (r.decided || r.outcome.has_value()) return;
-    if (cluster_->is_crashed(r.group.coordinator)) return;
-    Server& coord = cluster_->server(r.group.coordinator);
-
-    auto batch = r.batch;  // pristine copy: deterministic re-runs
-    commit::order_batch(batch);
-    std::vector<txn::Transaction> txns = commit::batch_txns(batch);
-    r.coordinator =
-        std::make_unique<commit::TfCommitCoordinator>(r.group.members, r.group_keys);
-    commit::Block partial = commit::TfCommitCoordinator::make_partial_block(
-        /*height=*/0, crypto::Digest::zero(), std::move(txns), r.group.members);
-    commit::GetVoteMsg get_vote = r.coordinator->start(std::move(partial), std::move(batch));
-    get_vote.round = r.epoch;
-    get_vote.spec = speculate_;
-    if (!r.opening_cached) {
-      r.opening_env = transport_->seal(coord.keypair(), r.coord_node, "gtf_get_vote",
-                                       engine::frame_payload(r.epoch, get_vote.serialize()));
-      r.opening_cached = true;
-    }
-    for (std::size_t i = 0; i < r.group.members.size(); ++i) {
-      if (i > 0) transport_->count_copy(r.opening_env);
-      out.send(r.coord_node, server_node(r.group.members[i].value), r.opening_env);
-    }
-  }
-
   // --- Dispatch ----------------------------------------------------------------
 
   void dispatch_impl(NodeId src, NodeId dst, const Envelope& env, engine::Outbox& out,
                      bool replay, std::optional<bool> verdict) EXCLUDES(mutex_) {
+    std::size_t k = 0;
+    bool admitted = false;
     {
       common::MutexLock lock(mutex_);
-      dispatch_locked(src, dst, env, out, replay, verdict);
+      admitted = admit(src, dst, env, replay, k);
     }
+    if (admitted) deliver(k, src, dst, env, out, verdict);
     drain_starts();  // completions inside the handler may admit new rounds
   }
 
-  void dispatch_locked(NodeId src, NodeId dst, const Envelope& env, engine::Outbox& out,
-                       bool replay, std::optional<bool> verdict) REQUIRES(mutex_) {
+  /// Dedup and the opening gate: false when the envelope is dropped or held.
+  bool admit(NodeId src, NodeId dst, const Envelope& env, bool replay, std::size_t& k)
+      REQUIRES(mutex_) {
     const auto ep = engine::peek_epoch(env.payload);
-    if (!ep.has_value()) return;
+    if (!ep.has_value()) return false;
     const auto rit = epoch_to_round_.find(*ep);
-    if (rit == epoch_to_round_.end()) return;
-    const std::size_t k = rit->second;
-    Round& r = rounds_[k];
-    if (!replay && !dedup_.first(src, dst, env.type, *ep)) return;
-    if (env.type == "gtf_get_vote" && dst.kind == NodeId::Kind::kServer) {
+    if (rit == epoch_to_round_.end()) return false;
+    k = rit->second;
+    if (!replay && !dedup_.first(src, dst, env.type, *ep)) return false;
+    if (env.type == "tf_get_vote" && dst.kind == NodeId::Kind::kServer) {
+      const Round& r = rounds_[k];
       const std::uint32_t s = dst.id;
       const auto tp = r.touch_pos.find(s);
       if (tp != r.touch_pos.end()) {
-        if (r.done_at[s] != 0) return;  // stale: round already resolved here
+        if (r.done_at[s] != 0) return false;  // stale: round already resolved here
         if (tp->second > gate_upto_[s]) {
-          held_[s].push_back(Held{src, dst, env});
-          return;
+          held_[s].push_back(Held{src, dst, env, k});
+          return false;
         }
       }
     }
-    deliver(k, src, dst, env, out, verdict);
+    return true;
   }
 
   void deliver(std::size_t k, NodeId src, NodeId dst, const Envelope& env,
-               engine::Outbox& out, std::optional<bool> verdict) REQUIRES(mutex_) {
-    if (dst.kind == NodeId::Kind::kServer && cluster_->is_crashed(ServerId{dst.id})) {
-      return;
-    }
-    const bool authentic = verdict.has_value() ? *verdict : transport_->open(env, env.type);
-    try {
-      const BytesView body = engine::unframe_payload(env.payload);
-      if (env.type == "gtf_get_vote") {
-        handle_opening(k, dst, body, authentic, out);
-      } else if (is_gtf_vote_type(env.type)) {
-        handle_vote(k, src, dst, body, authentic, out);
-      } else if (env.type == "gtf_challenge") {
-        handle_challenge(k, dst, body, authentic, out);
-      } else if (env.type == "gtf_response") {
-        handle_response(k, src, dst, body, authentic, out);
-      } else if (env.type == "gtf_seq") {
-        handle_entry(k, dst, body, authentic, out);
-      } else if (env.type == "gtf_refuse") {
-        handle_refuse(k, dst, authentic, out);
-      }
-    } catch (const DecodeError&) {
-      return;  // malformed frame from an untrusted boundary: drop
-    }
-    if (engine::poll_transition_crash(*cluster_, *sched_, dst, env.type)) {
+               engine::Outbox& out, std::optional<bool> verdict) EXCLUDES(mutex_) {
+    const bool crashed =
+        engine::deliver_checked(*cluster_, *sched_, dst, env, verdict, [&](bool authentic) {
+          const bool sequencing = env.type == "gtf_seq" || env.type == "gtf_refuse";
+          if (!sequencing) reactors_[k]->on_deliver(src, dst, env, authentic, out);
+          if (!sequencing && env.type != "tf_get_vote") return;
+          {
+            common::MutexLock lock(mutex_);
+            if (env.type == "gtf_seq") {
+              handle_entry(k, dst, engine::unframe_payload(env.payload), authentic, out);
+            } else if (env.type == "gtf_refuse") {
+              handle_refuse(k, dst, authentic, out);
+            } else {
+              note_opened(k, dst.id);
+            }
+          }
+          // The round moved on at dst: its gate may admit a held opening.
+          if (dst.kind == NodeId::Kind::kServer) flush_held(dst.id, out);
+        });
+    if (crashed) {
+      common::MutexLock lock(mutex_);
       handle_crash(dst);
-    }
-  }
-
-  // --- Handlers ----------------------------------------------------------------
-
-  /// Phase 2 at member dst: vote, durable-log-first.
-  void handle_opening(std::size_t k, NodeId dst, BytesView body, bool authentic,
-                      engine::Outbox& out) REQUIRES(mutex_) {
-    Round& r = rounds_[k];
-    const std::uint32_t s = dst.id;
-    if (!r.member_slot.count(s)) return;
-    Server& server = cluster_->server(ServerId{s});
-    commit::VoteMsg empty_vote;
-    Bytes vote_bytes = empty_vote.serialize();
-    std::uint64_t base = 0;
-    if (authentic) {
-      if (const auto msg = commit::GetVoteMsg::deserialize(body)) {
-        if (!server.tf_cohort().has_pending(msg->round, msg->partial_block)) {
-          // First sight — or a rebuild after a crash wiped the volatile
-          // round state. Recomputation is deterministic against the restored
-          // durable state, and vote_once is idempotent per (epoch, base):
-          // replaying yields the logged bytes, so no base ever equivocates.
-          // Keying on the *recomputed* base matters after a crash: the
-          // latest pre-crash vote may stack on speculative assumptions that
-          // have since been decided differently — re-sending it would leave
-          // the coordinator waiting forever for a corrected re-vote the
-          // wiped pending stack can no longer produce.
-          commit::CohortFaults faults = server.faults().cohort;
-          if (!verify_touching_requests(*transport_, server, msg->requests)) {
-            faults.always_vote_abort = true;  // refuse forged requests
-          }
-          commit::VoteMsg vote = server.tf_cohort().handle_get_vote(*msg, faults);
-          server.add_mht_time_us(server.tf_cohort().last_root_compute_us());
-          base = vote.base_key();
-          vote_bytes = server.vote_once(r.epoch, base, "gtf_vote", vote.serialize());
-        } else if (const Bytes* logged = server.logged_vote(r.epoch)) {
-          // Duplicate opening for a live round: re-send the latest logged
-          // vote verbatim.
-          vote_bytes = *logged;
-          if (const auto prev = commit::VoteMsg::deserialize(*logged)) {
-            base = prev->base_key();
-          }
-        }
-      }
-    }
-    if (speculate_ && r.opened_at[s] == 0) {
-      r.opened_at[s] = 1;
-      advance_gate(s);
-    }
-    Envelope vote_env =
-        transport_->seal(server.keypair(), server_node(s), gtf_vote_type(base),
-                         engine::frame_payload(r.epoch, vote_bytes));
-    out.send(server_node(s), r.coord_node, std::move(vote_env));
-    flush_held(s, out);  // a speculative gate may have advanced
-  }
-
-  /// Phase 3 at the round's coordinator: collect votes in slot order.
-  void handle_vote(std::size_t k, NodeId src, NodeId dst, BytesView body, bool authentic,
-                   engine::Outbox& out) REQUIRES(mutex_) {
-    Round& r = rounds_[k];
-    if (dst != r.coord_node) return;
-    const auto sit = r.member_slot.find(src.id);
-    if (sit == r.member_slot.end()) return;
-    const std::size_t slot = sit->second;
-    if (r.vote_in[slot] || r.outcome.has_value() || r.refused) return;
-    // An unauthenticated or malformed vote is never ingested; the slot is
-    // conservatively filled with an involved abort so the round terminates
-    // with a deny.
-    commit::VoteMsg vote;
-    vote.cohort = ServerId{src.id};
-    vote.involved = true;
-    vote.abort_reason = "vote envelope failed authentication";
-    if (authentic) {
-      if (const auto msg = commit::VoteMsg::deserialize(body)) vote = *msg;
-    }
-    if (!speculate_) {
-      r.votes[slot] = std::move(vote);
-      r.vote_in[slot] = 1;
-      ++r.votes_seen;
-      maybe_fire(k, out);
-    } else {
-      r.buffered_votes[slot][vote.base_key()] = std::move(vote);
-      try_accept(k, out);
-    }
-  }
-
-  /// Speculation: whether this vote's base assumptions match the decided
-  /// truth. Engine-side analogue of the pipeline's SpecContext checks — the
-  /// assumptions reference group epochs, resolved against engine rounds, and
-  /// the base-root identity is pinned against the decided per-shard roots.
-  bool spec_vote_valid(const commit::VoteMsg& vote) const REQUIRES(mutex_) {
-    for (const commit::SpecAssumption& a : vote.spec_assumed) {
-      const auto rit = epoch_to_round_.find(a.epoch);
-      if (rit == epoch_to_round_.end()) return false;
-      const Round& ar = rounds_[rit->second];
-      if (!ar.decided) return false;
-      const bool applied = ar.outcome.has_value() && ar.outcome->cosign_valid &&
-                           ar.outcome->block.committed();
-      if (applied != a.applied) return false;
-    }
-    if (vote.spec_base_root.has_value() && vote.cohort.value < n_) {
-      const auto& root = shard_roots_[vote.cohort.value];
-      if (root.has_value() && !(*root == *vote.spec_base_root)) return false;
-    }
-    return true;
-  }
-
-  bool base_resolved(const Round& r) const REQUIRES(mutex_) {
-    for (const auto& [s, pos] : r.touch_pos) {
-      if (decided_upto_[s] < pos) return false;
-    }
-    return true;
-  }
-
-  void try_accept(std::size_t k, engine::Outbox& out) REQUIRES(mutex_) {
-    Round& r = rounds_[k];
-    if (!speculate_ || r.outcome.has_value() || r.refused || !r.challenges.empty()) return;
-    if (!r.started || !base_resolved(r)) return;
-    for (std::size_t slot = 0; slot < r.group.members.size(); ++slot) {
-      auto& candidates = r.buffered_votes[slot];
-      if (r.vote_in[slot]) {
-        candidates.clear();
-        continue;
-      }
-      for (auto it = candidates.begin(); it != candidates.end();) {
-        if (spec_vote_valid(it->second)) {
-          r.votes[slot] = std::move(it->second);
-          r.vote_in[slot] = 1;
-          ++r.votes_seen;
-          candidates.clear();
-          break;
-        }
-        // Mis-speculated base: discard; the member's decision handler has
-        // produced (or will produce) the corrected re-vote.
-        ++spec_revotes_;
-        it = candidates.erase(it);
-      }
-    }
-    maybe_fire(k, out);
-  }
-
-  /// Phase 3 fires once the last member vote is in. Group blocks need no
-  /// rebase: their signed chain position is 0 by construction.
-  void maybe_fire(std::size_t k, engine::Outbox& out) REQUIRES(mutex_) {
-    Round& r = rounds_[k];
-    if (r.votes_seen != r.group.members.size() || !r.challenges.empty()) return;
-    if (r.outcome.has_value() || r.refused) return;
-    // A speculative accept (mark_decided -> try_accept) can complete the vote
-    // set while the coordinator is down; its Server object no longer exists.
-    // Recovery restarts the round, so simply refuse to fire phase 3 here.
-    if (cluster_->is_crashed(r.group.coordinator)) return;
-    Server& coord = cluster_->server(r.group.coordinator);
-    r.challenges = r.coordinator->on_votes(r.votes, coord.faults().coordinator);
-    if (r.challenges.size() != 1 && r.challenges.size() != r.group.members.size()) {
-      // A broadcast is one message; a per-cohort fan-out is |group| messages.
-      // Anything else is a malformed coordinator — refuse the round instead
-      // of indexing into the vector by cohort slot.
-      refuse_round(k, "coordinator challenge fan-out mismatch (" +
-                          std::to_string(r.challenges.size()) + " messages for " +
-                          std::to_string(r.group.members.size()) + " cohorts)",
-                   out);
-      advance_sequencing(out);
-      return;
-    }
-    r.challenge_envs.clear();
-    r.challenge_envs.reserve(r.challenges.size());
-    for (const auto& ch : r.challenges) {
-      r.challenge_envs.push_back(
-          transport_->seal(coord.keypair(), r.coord_node, "gtf_challenge",
-                           engine::frame_payload(r.epoch, ch.serialize())));
-    }
-    for (std::size_t i = 0; i < r.group.members.size(); ++i) {
-      const std::size_t slot = r.challenges.size() == 1 ? 0 : i;
-      if (r.challenges.size() == 1 && i > 0) transport_->count_copy(r.challenge_envs[0]);
-      out.send(r.coord_node, server_node(r.group.members[i].value),
-               r.challenge_envs[slot]);
-    }
-  }
-
-  /// Phase 4 at member dst: verify the completed block and respond once.
-  void handle_challenge(std::size_t k, NodeId dst, BytesView body, bool authentic,
-                        engine::Outbox& out) REQUIRES(mutex_) {
-    Round& r = rounds_[k];
-    const std::uint32_t s = dst.id;
-    if (!r.member_slot.count(s)) return;
-    Server& server = cluster_->server(ServerId{s});
-    commit::ResponseMsg resp;
-    resp.cohort = server.id();
-    if (authentic) {
-      if (const auto msg = commit::ChallengeMsg::deserialize(body)) {
-        if (server.tf_cohort().partial_of(r.epoch) == nullptr &&
-            server.logged_vote(r.epoch) != nullptr) {
-          // Recovering cohort: a stray duplicate challenge outran the
-          // replayed opening that rebuilds its round state. Stay silent —
-          // the replay stream re-sends the challenge in causal order.
-          return;
-        }
-        resp = server.tf_cohort().handle_challenge(r.epoch, *msg, server.faults().cohort);
-        if (!resp.refused) {
-          // Durable respond-once: the deterministic CoSi nonce must never
-          // sign two distinct challenges, even across a crash.
-          const auto cb = msg->challenge.to_bytes_be();
-          if (!server.respond_once(r.epoch, Bytes(cb.begin(), cb.end()))) {
-            resp = commit::ResponseMsg{};
-            resp.cohort = server.id();
-            resp.refused = true;
-            resp.refusal_reason = "already responded to a different challenge this round";
-          }
-        }
-      } else {
-        resp.refused = true;
-        resp.refusal_reason = "malformed challenge payload";
-      }
-    } else {
-      resp.refused = true;
-      resp.refusal_reason = "challenge envelope failed authentication";
-    }
-    Envelope resp_env =
-        transport_->seal(server.keypair(), server_node(s), "gtf_response",
-                         engine::frame_payload(r.epoch, resp.serialize()));
-    out.send(server_node(s), r.coord_node, std::move(resp_env));
-  }
-
-  /// Phase 5 at the coordinator: aggregate the co-sign, decide, sequence.
-  void handle_response(std::size_t k, NodeId src, NodeId dst, BytesView body,
-                       bool authentic, engine::Outbox& out) REQUIRES(mutex_) {
-    Round& r = rounds_[k];
-    if (dst != r.coord_node) return;
-    const auto sit = r.member_slot.find(src.id);
-    if (sit == r.member_slot.end()) return;
-    const std::size_t slot = sit->second;
-    if (!r.resp_in[slot]) {
-      commit::ResponseMsg resp;
-      resp.cohort = ServerId{src.id};
-      resp.refused = true;
-      resp.refusal_reason = "response envelope failed authentication";
-      if (authentic) {
-        if (const auto msg = commit::ResponseMsg::deserialize(body)) resp = *msg;
-      }
-      r.responses[slot] = std::move(resp);
-      r.resp_in[slot] = 1;
-      ++r.resps_seen;
-    }
-    if (r.resps_seen == r.group.members.size() && !r.outcome.has_value() && !r.refused) {
-      r.outcome = r.coordinator->on_responses(r.responses);
-      mark_decided(k, out);
-      advance_sequencing(out);
     }
   }
 
   // --- Sequencing --------------------------------------------------------------
 
-  void mark_decided(std::size_t k, engine::Outbox& out) REQUIRES(mutex_) {
-    Round& r = rounds_[k];
-    if (r.decided) return;
-    r.decided = true;
-    if (speculate_) {
-      for (const ServerId m : r.group.members) advance_decided(m.value);
-      for (std::size_t j = 0; j < rounds_.size(); ++j) try_accept(j, out);
+  /// Marks round k decided and returns the started, undecided rounds whose
+  /// speculative base is now resolved.
+  std::vector<std::size_t> mark_decided(std::size_t k) REQUIRES(mutex_) {
+    rounds_[k].decided = true;
+    std::vector<std::size_t> resolvable;
+    if (!speculate_) return resolvable;
+    for (const ServerId m : rounds_[k].group.members) advance_decided(m.value);
+    for (std::size_t j = 0; j < rounds_.size(); ++j) {
+      const Round& q = rounds_[j];
+      if (q.started && !q.decided && base_resolved_locked(q)) resolvable.push_back(j);
     }
+    return resolvable;
+  }
+
+  bool base_resolved_locked(const Round& r) const REQUIRES(mutex_) {
+    for (const auto& [s, pos] : r.touch_pos) {
+      if (decided_upto_[s] < pos) return false;
+    }
+    return true;
   }
 
   void advance_decided(std::uint32_t s) REQUIRES(mutex_) {
@@ -854,8 +551,8 @@ class GroupEngine final : public engine::Dispatcher {
     while (decided_upto_[s] < tr.size()) {
       const Round& q = rounds_[tr[decided_upto_[s]]];
       if (!q.decided) break;
-      if (q.outcome.has_value() && q.outcome->cosign_valid && q.outcome->block.committed()) {
-        if (const crypto::Digest* root = q.outcome->block.root_of(ServerId{s})) {
+      if (q.applied) {
+        if (const crypto::Digest* root = q.block.root_of(ServerId{s})) {
           shard_roots_[s] = *root;
         }
       }
@@ -867,35 +564,19 @@ class GroupEngine final : public engine::Dispatcher {
   /// that keeps the sequenced stream (heights, chain, dependency metadata)
   /// schedule-independent even when later groups decide first.
   void advance_sequencing(engine::Outbox& out) REQUIRES(mutex_) {
-    // Re-entrancy guard: refuse_round → mark_decided → try_accept can land
-    // back here while the loop below is mid-iteration; a nested walk would
-    // advance next_seq_ under the outer loop's ++ and skip a round.
-    if (advancing_) return;
-    advancing_ = true;
     while (next_seq_ < rounds_.size()) {
-      Round& r = rounds_[next_seq_];
-      if (r.terminal || r.refused) {
-        ++next_seq_;
-        continue;
+      const Round& r = rounds_[next_seq_];
+      if (!r.terminal && !r.refused) {
+        if (!r.decided) break;
+        sequence_round(next_seq_, out);
       }
-      if (!r.outcome.has_value()) break;
-      if (!r.outcome->cosign_valid) {
-        // An unsignable block never reaches OrdServ; the members learn the
-        // round is over (and who to blame) via the refusal broadcast.
-        refuse_round(next_seq_, "co-sign did not verify", out);
-        ++next_seq_;
-        continue;
-      }
-      sequence_round(next_seq_, out);
       ++next_seq_;
     }
-    advancing_ = false;
   }
 
   void sequence_round(std::size_t k, engine::Outbox& out) REQUIRES(mutex_) {
     Round& r = rounds_[k];
-    const std::uint64_t height = seq_->submit(r.outcome->block, r.group);
-    r.sequenced = true;
+    const std::uint64_t height = seq_->submit(r.block, r.group);
     r.entry = seq_->at(height);  // locked accessor: submit() may race
     r.target = n_;
     // The gtf_seq envelope is OrdServ speaking; modeled as trusted
@@ -918,7 +599,6 @@ class GroupEngine final : public engine::Dispatcher {
   void refuse_round(std::size_t k, std::string fault, engine::Outbox& out)
       REQUIRES(mutex_) {
     Round& r = rounds_[k];
-    if (r.refused || r.sequenced) return;
     r.refused = true;
     r.fault = std::move(fault);
     r.target = r.group.members.size();  // only members processed the round
@@ -926,11 +606,7 @@ class GroupEngine final : public engine::Dispatcher {
     // speculation their pending stack, must resolve) with the completed
     // block as evidence.
     commit::DecisionMsg msg;
-    if (r.outcome.has_value()) {
-      msg.final_block = r.outcome->block;
-    } else if (r.coordinator != nullptr) {
-      msg.final_block = r.coordinator->block();
-    }
+    msg.final_block = r.block;
     const Server* signer = cluster_->is_crashed(r.group.coordinator)
                                ? lowest_live_server()
                                : &cluster_->server(r.group.coordinator);
@@ -938,14 +614,12 @@ class GroupEngine final : public engine::Dispatcher {
       r.refuse_env = transport_->seal(signer->keypair(),
                                       server_node(signer->id().value), "gtf_refuse",
                                       engine::frame_payload(r.epoch, msg.serialize()));
-      r.refuse_env_cached = true;
       for (std::size_t i = 0; i < r.group.members.size(); ++i) {
         if (i > 0) transport_->count_copy(r.refuse_env);
         out.send(r.refuse_env.sender, server_node(r.group.members[i].value),
                  r.refuse_env);
       }
     }
-    mark_decided(k, out);
     if (r.done_count >= r.target && !r.completed) {
       r.completed = true;
       ++completed_;
@@ -961,6 +635,11 @@ class GroupEngine final : public engine::Dispatcher {
 
   // --- Delivery ----------------------------------------------------------------
 
+  struct PendingEntry {
+    std::size_t round;
+    SequencedBlock entry;
+  };
+
   /// A sequenced entry at server dst: buffered by height, drained in chain
   /// order against the server's own log.
   void handle_entry(std::size_t k, NodeId dst, BytesView body, bool authentic,
@@ -968,21 +647,10 @@ class GroupEngine final : public engine::Dispatcher {
     if (!authentic || dst.kind != NodeId::Kind::kServer) return;
     const std::uint32_t s = dst.id;
     const auto entry = decode_entry(body);
-    if (!entry.has_value()) return;
-    Round& r = rounds_[k];
-    if (r.done_at[s] != 0) return;
-    pending_entries_[s].emplace(entry->block.height, PendingEntry{k, *entry});
-    drain_entries(s, out);
-  }
-
-  struct PendingEntry {
-    std::size_t round;
-    SequencedBlock entry;
-  };
-
-  void drain_entries(std::uint32_t s, engine::Outbox& out) REQUIRES(mutex_) {
-    Server& server = cluster_->server(ServerId{s});
+    if (!entry.has_value() || rounds_[k].done_at[s] != 0) return;
     auto& pending = pending_entries_[s];
+    pending.emplace(entry->block.height, PendingEntry{k, *entry});
+    const Server& server = cluster_->server(ServerId{s});
     while (!pending.empty()) {
       auto it = refusals_[s].has_value() ? pending.begin()
                                          : pending.find(server.log().size());
@@ -1020,29 +688,26 @@ class GroupEngine final : public engine::Dispatcher {
         // replay); the round is done at this server either way.
       }
     }
-    resolve_member_decision(k, s, applied_to_shard, out);
-    mark_done(k, s, out);
-    sched_->notify_applied(s, r.epoch);
+    finish_at(k, s, applied_to_shard, out);
   }
 
-  /// The round is over at member s: feed the truth to its cohort so the
-  /// speculation stack pops and contradicted later votes come back re-signed.
-  void resolve_member_decision(std::size_t k, std::uint32_t s, bool applied,
-                               engine::Outbox& out) REQUIRES(mutex_) {
-    Round& r = rounds_[k];
-    if (!speculate_ || !r.member_slot.count(s)) return;
-    Server& server = cluster_->server(ServerId{s});
-    auto revotes = server.tf_cohort().resolve_decision(r.epoch, applied);
-    for (auto& rv : revotes) {
-      const std::uint64_t base = rv.vote.base_key();
-      const Bytes vb = server.vote_once(rv.round, base, "gtf_vote", rv.vote.serialize());
-      const auto rit = epoch_to_round_.find(rv.round);
-      if (rit == epoch_to_round_.end()) continue;
-      Envelope env = transport_->seal(server.keypair(), server_node(s),
-                                      gtf_vote_type(base).c_str(),
-                                      engine::frame_payload(rv.round, vb));
-      out.send(server_node(s), rounds_[rit->second].coord_node, std::move(env));
+  /// Round k is over at server s. A member's cohort learns the truth first,
+  /// so its speculation stack pops and contradicted later votes come back
+  /// re-signed; then the round's window slot and gate advance.
+  void finish_at(std::size_t k, std::uint32_t s, bool applied, engine::Outbox& out)
+      REQUIRES(mutex_) {
+    if (speculate_ && rounds_[k].touch_pos.count(s)) {
+      engine::TfCommitRound::resolve_speculation(
+          *transport_, cluster_->server(ServerId{s}), rounds_[k].epoch, applied,
+          [this](std::uint64_t epoch) -> std::optional<NodeId> {
+            const auto it = epoch_to_round_.find(epoch);
+            if (it == epoch_to_round_.end()) return std::nullopt;
+            return reactors_[it->second]->coordinator_node();
+          },
+          out);
     }
+    mark_done(k, s);
+    sched_->notify_applied(s, rounds_[k].epoch);
   }
 
   /// A refusal broadcast at member s: no chain entry, but the round is over.
@@ -1051,14 +716,14 @@ class GroupEngine final : public engine::Dispatcher {
     if (!authentic || dst.kind != NodeId::Kind::kServer) return;
     Round& r = rounds_[k];
     const std::uint32_t s = dst.id;
-    if (!r.member_slot.count(s) || r.done_at[s] != 0) return;
-    resolve_member_decision(k, s, /*applied=*/false, out);
-    mark_done(k, s, out);
-    sched_->notify_applied(s, r.epoch);
+    if (!r.touch_pos.count(s) || r.done_at[s] != 0) return;
+    finish_at(k, s, /*applied=*/false, out);
   }
 
-  void mark_done(std::size_t k, std::uint32_t s, engine::Outbox& out,
-                 bool propagate = true) REQUIRES(mutex_) {
+  /// Round k is over at server s: free its window slot and pass the gate.
+  /// `propagate` admits newly fitting rounds (recovery reconciles first and
+  /// admits once at the end).
+  void mark_done(std::size_t k, std::uint32_t s, bool propagate = true) REQUIRES(mutex_) {
     Round& r = rounds_[k];
     if (r.done_at[s] != 0) return;
     r.done_at[s] = 1;
@@ -1069,10 +734,7 @@ class GroupEngine final : public engine::Dispatcher {
       ++completed_;
     }
     advance_gate(s);
-    if (propagate) {
-      flush_held(s, out);
-      launch_ready(out);
-    }
+    if (propagate) launch_ready();
   }
 
   // --- Crash / recovery --------------------------------------------------------
@@ -1084,13 +746,20 @@ class GroupEngine final : public engine::Dispatcher {
     pending_entries_[node.id].clear();
   }
 
-  void handle_recover(NodeId node, engine::Outbox& out) REQUIRES(mutex_) {
+  /// Restores server `node` and replays what its log lacks of the sequenced
+  /// stream and refusals. Returns the in-flight rounds whose reactors must
+  /// catch it up — in round order, to run after unlocking: the rounds it
+  /// coordinates restart, the rounds it is an unfinished member of re-send
+  /// their opening (and pending challenge).
+  std::vector<engine::TfCommitRound*> handle_recover(NodeId node, engine::Outbox& out)
+      REQUIRES(mutex_) {
+    std::vector<engine::TfCommitRound*> catch_up;
     const std::uint32_t s = node.id;
-    if (node.kind != NodeId::Kind::kServer || s >= n_) return;
+    if (node.kind != NodeId::Kind::kServer || s >= n_) return catch_up;
     if (!cluster_->recover_server(ServerId{s})) {
       // Tampered round log: the replacement refuses to restore. Stay dead.
       sched_->crash_node(node);
-      return;
+      return catch_up;
     }
     dedup_.forget_dst(node);
     held_[s].clear();
@@ -1104,10 +773,10 @@ class GroupEngine final : public engine::Dispatcher {
     for (std::size_t k = 0; k < rounds_.size(); ++k) {
       Round& r = rounds_[k];
       if (r.terminal) continue;
-      if (r.sequenced && r.entry->block.height < applied) {
-        mark_done(k, s, out, /*propagate=*/false);
+      if (r.entry.has_value() && r.entry->block.height < applied) {
+        mark_done(k, s, /*propagate=*/false);
       }
-      if (r.done_at.size() > s && r.done_at[s] == 0) r.opened_at[s] = 0;
+      if (r.done_at[s] == 0) r.opened_at[s] = 0;
     }
     gate_upto_[s] = 0;
     advance_gate(s);
@@ -1120,69 +789,40 @@ class GroupEngine final : public engine::Dispatcher {
 
     // Catch-up replay, in causal order over the FIFO replay stream:
     // sequenced entries this log is missing (height order), then refusals,
-    // then the in-flight rounds' openings and challenges. Replayed openings
-    // still pass the touch-order gates; re-sent votes are ordinary sends the
-    // receivers dedup.
-    std::vector<std::pair<std::uint64_t, std::size_t>> missing;
-    for (std::size_t k = 0; k < rounds_.size(); ++k) {
-      const Round& r = rounds_[k];
-      if (!r.terminal && r.sequenced && r.entry->block.height >= applied) {
-        missing.emplace_back(r.entry->block.height, k);
+    // then the in-flight rounds (the reactors' replays follow, after
+    // unlocking). Replayed openings still pass the touch-order gates;
+    // re-sent votes are ordinary sends the receivers dedup.
+    for (const Round& r : rounds_) {  // round order is height order
+      if (r.entry.has_value() && r.entry->block.height >= applied) {
+        out.send_replay(r.entry_env.sender, node, r.entry_env);
       }
     }
-    std::sort(missing.begin(), missing.end());
-    for (const auto& [height, k] : missing) {
-      out.send_replay(rounds_[k].entry_env.sender, node, rounds_[k].entry_env);
-    }
-    for (std::size_t k = 0; k < rounds_.size(); ++k) {
-      const Round& r = rounds_[k];
-      if (r.refused && r.refuse_env_cached && r.member_slot.count(s) &&
-          r.done_at[s] == 0) {
+    for (const Round& r : rounds_) {
+      if (!r.refuse_env.type.empty() && r.touch_pos.count(s) && r.done_at[s] == 0) {
         out.send_replay(r.refuse_env.sender, node, r.refuse_env);
       }
     }
     for (std::size_t k = 0; k < rounds_.size(); ++k) {
-      Round& r = rounds_[k];
+      const Round& r = rounds_[k];
       if (r.terminal || !r.started || r.refused) continue;
       if (!r.decided && r.group.coordinator.value == s) {
         // The recovered node coordinates this round: forget its epoch in the
         // at-most-once filter (the re-broadcast opening must reach every
-        // member again) and restart it deterministically — the same batch,
-        // recorded votes, and nonces reproduce the identical block.
+        // member again) and let the reactor restart it deterministically —
+        // the same batch, recorded votes, and nonces reproduce the
+        // identical block.
         dedup_.forget_epoch(r.epoch);
-        restart_round(k, out);
-        continue;
-      }
-      if (r.member_slot.count(s) && r.done_at[s] == 0) {
+        catch_up.push_back(reactors_[k].get());
+      } else if (r.touch_pos.count(s) && r.done_at[s] == 0) {
         // Replay the opening even for already-decided rounds: the member's
         // wiped cohort state (pending stack, round partials) is rebuilt in
         // touch order, which the gates on the later rounds' openings — and
         // the challenge straggler guard — rely on.
-        out.send_replay(r.coord_node, node, r.opening_env);
-        const std::size_t slot = r.member_slot.at(s);
-        if (!r.challenge_envs.empty() && !r.resp_in[slot]) {
-          const std::size_t ci = r.challenge_envs.size() == 1 ? 0 : slot;
-          out.send_replay(r.coord_node, node, r.challenge_envs[ci]);
-        }
+        catch_up.push_back(reactors_[k].get());
       }
     }
-    launch_ready(out);
-  }
-
-  void restart_round(std::size_t k, engine::Outbox& out) REQUIRES(mutex_) {
-    Round& r = rounds_[k];
-    const std::size_t members = r.group.members.size();
-    r.votes.assign(members, {});
-    r.vote_in.assign(members, 0);
-    for (auto& b : r.buffered_votes) b.clear();
-    r.votes_seen = 0;
-    r.challenges.clear();
-    r.challenge_envs.clear();
-    r.responses.assign(members, {});
-    r.resp_in.assign(members, 0);
-    r.resps_seen = 0;
-    r.outcome.reset();
-    begin_round(k, out);
+    launch_ready();
+    return catch_up;
   }
 
   void reset_validator(std::uint32_t s) REQUIRES(mutex_) {
@@ -1209,9 +849,14 @@ class GroupEngine final : public engine::Dispatcher {
   std::size_t depth_;          // confined(ctor): immutable after construction
   bool speculate_;             // confined(ctor): immutable after construction
 
-  common::Mutex mutex_;
+  /// One reactor per round (null for rounds refused at admission). The
+  /// vector never changes after construction; the reactors synchronize by
+  /// their own per-node contract.
+  std::vector<std::unique_ptr<engine::TfCommitRound>> reactors_;  // confined(ctor)
+  std::unordered_map<std::uint64_t, std::size_t> epoch_to_round_;  // confined(ctor)
+
+  mutable common::Mutex mutex_;
   std::vector<Round> rounds_ GUARDED_BY(mutex_);
-  std::unordered_map<std::uint64_t, std::size_t> epoch_to_round_ GUARDED_BY(mutex_);
   engine::Dedup dedup_ GUARDED_BY(mutex_);
 
   /// Per server: rounds touching it, in round (= admission) order.
@@ -1238,14 +883,12 @@ class GroupEngine final : public engine::Dispatcher {
   std::vector<std::optional<DeliveryRefusal>> refusals_
       GUARDED_BY(mutex_);  ///< per server
 
-  /// Round starts admitted under the lock, posted by drain_starts() after it
-  /// is released (a post may execute inline and re-enter dispatch).
-  std::vector<std::pair<std::size_t, NodeId>> pending_starts_ GUARDED_BY(mutex_);
+  /// Rounds admitted under the lock, started by drain_starts() after it is
+  /// released (a post may execute inline and re-enter dispatch).
+  std::vector<std::size_t> pending_starts_ GUARDED_BY(mutex_);
 
   std::size_t next_seq_ GUARDED_BY(mutex_){0};  ///< next round to submit
-  bool advancing_ GUARDED_BY(mutex_){false};    ///< advance_sequencing guard
   std::size_t completed_ GUARDED_BY(mutex_){0};
-  std::size_t spec_revotes_ GUARDED_BY(mutex_){0};
   Clock::time_point start_wall_;  // confined(driver): begin()/collect() only
 };
 

@@ -1,22 +1,19 @@
 // Engine-routed group commit (§4.6): multi-coordinator dispatch.
 //
-// Each batch's ServerGroup runs its own TFCommit round on the engine's
-// message reactors, under any Scheduler (direct/inproc, SimNet) — there is no
-// single global coordinator. Per-group epochs compose with the cluster's
-// pipeline_depth and speculate knobs *independently per server*: disjoint
-// groups pipeline and speculate past each other without interference, while
-// overlapping (cross-group) transactions are serialized by the Sequencer's
-// dependency metadata and the per-server touch-order gates.
+// Each batch's ServerGroup runs its own TFCommit round — an
+// engine::TfCommitRound placed on the group's members with unchained blocks,
+// the same reactor the global pipeline runs — under any Scheduler, with no
+// single global coordinator. The group engine owns only OrdServ policy:
+// per-group epochs, touch-order admission and opening gates (so
+// pipeline_depth and speculate compose *independently per server* while
+// overlapping groups serialize), the round-order sequencing barrier, and
+// validated delivery of the sequenced stream.
 //
-// Votes, CoSi responses, and delivered sequenced entries go through the
-// servers' durable RoundLogs (vote_once / respond_once / record_decision), so
-// a group-mode commit survives a crash: recovery replays the sequenced stream
-// plus any in-flight group rounds and converges on the same bit-identical
-// stream the uncrashed run produces.
-//
-// The sequential lock-step reference driver lives in group_commit.hpp
-// (GroupCommitRunner); the two drivers produce bit-identical sequenced
-// streams for the same batches.
+// Votes, CoSi responses, and delivered entries go through the servers'
+// durable RoundLogs (vote_once / respond_once / record_decision), so
+// recovery replays the sequenced stream plus any in-flight rounds and
+// converges on the stream the uncrashed run produces — bit-identical to the
+// sequential lock-step reference, GroupCommitRunner (group_commit.hpp).
 #pragma once
 
 #include "engine/scheduler.hpp"

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "fides/cluster.hpp"
+#include "ordserv/group_engine.hpp"
 #include "workload/ycsb.hpp"
 
 namespace fides {
@@ -97,14 +98,24 @@ TEST(Transport, RejectsSenderSpoofing) {
   EXPECT_FALSE(t.open(env, "msg"));
 }
 
-TEST(Transport, CryptoDisabledStillCounts) {
-  Transport t;
-  const auto kp = crypto::KeyPair::deterministic(1);
-  t.set_crypto_enabled(false);
-  Envelope env = t.seal(kp, NodeId::server(ServerId{0}), "msg", to_bytes("x"));
-  EXPECT_TRUE(t.open(env, "msg"));
-  EXPECT_EQ(t.stats().messages, 1u);
-  EXPECT_EQ(t.stats().signatures_created, 0u);
+TEST(Cluster, UnsignedDataPathStillCountsAndRoundsStillSign) {
+  // sign_data_path = false: begin/read/write and their replies are counted
+  // as messages but carry no signature either way, while the commit round
+  // that follows signs and verifies as always.
+  ClusterConfig cfg = small_config();
+  cfg.sign_data_path = false;
+  Cluster cluster(cfg);
+  Client& client = cluster.make_client();
+  const auto txn = simple_txn(cluster, client, {0, 1}, "a");
+  const Transport::Stats& stats = cluster.transport().stats();
+  EXPECT_EQ(stats.messages, 10u);  // 2 begins, 2 reads + replies, 2 writes + acks
+  EXPECT_EQ(stats.signatures_created, 0u);
+  EXPECT_EQ(stats.signatures_verified, 0u);
+
+  const auto metrics = cluster.run_block({txn});
+  EXPECT_EQ(metrics.decision, ledger::Decision::kCommit);
+  EXPECT_GT(stats.signatures_created, 0u);
+  EXPECT_GT(stats.signatures_verified, 0u);
 }
 
 TEST(Cluster, TfCommitRoundCommitsAndReplicatesLog) {
@@ -166,6 +177,116 @@ TEST(Cluster, ConflictingSecondTransactionAborts) {
   ASSERT_EQ(log.size(), 2u);
   EXPECT_FALSE(log.at(1).committed());
   EXPECT_TRUE(log.at(1).cosign.has_value());
+}
+
+// Regression: a coordinator whose challenge fan-out is neither a broadcast
+// (1 message) nor one per cohort (n) drove the reactor's per-cohort
+// challenge indexing past the end of the envelope vector. The round must be
+// refused instead: unsigned, nothing appended or sequenced, and the rounds
+// after it unaffected.
+TEST(Cluster, MalformedChallengeFanOutRefusesGlobalRound) {
+  for (const bool simulated : {false, true}) {
+    for (const std::uint32_t depth : {1u, 4u}) {
+      const std::string what =
+          std::string(simulated ? "simnet" : "in-process") + " depth " + std::to_string(depth);
+      ClusterConfig cfg = small_config();
+      cfg.pipeline_depth = depth;
+      cfg.speculate = depth > 1;
+      if (simulated) cfg.network.mode = sim::NetworkMode::kSimulated;
+      Cluster cluster(cfg);
+      Client& client = cluster.make_client();
+      const auto a = simple_txn(cluster, client, {0, 1, 2}, "a");
+      const auto b = simple_txn(cluster, client, {3, 4}, "b");
+
+      // 3 cohorts, 2 challenges.
+      cluster.server(ServerId{0}).faults().coordinator.drop_last_challenge = true;
+      const PipelineResult refused = cluster.run_blocks({{a}, {b}});
+      ASSERT_EQ(refused.rounds.size(), 2u) << what;
+      for (const RoundMetrics& m : refused.rounds) {
+        EXPECT_FALSE(m.cosign_valid) << what;
+        EXPECT_EQ(m.decision, ledger::Decision::kAbort) << what;
+      }
+      for (std::uint32_t i = 0; i < cluster.num_servers(); ++i) {
+        EXPECT_EQ(cluster.server(ServerId{i}).log().size(), 0u) << what << " S" << i;
+      }
+
+      cluster.server(ServerId{0}).faults().coordinator.drop_last_challenge = false;
+      const RoundMetrics next = cluster.run_block({simple_txn(cluster, client, {0, 1}, "c")});
+      EXPECT_TRUE(next.cosign_valid) << what;
+      EXPECT_EQ(next.decision, ledger::Decision::kCommit) << what;
+      for (std::uint32_t i = 0; i < cluster.num_servers(); ++i) {
+        EXPECT_EQ(cluster.server(ServerId{i}).log().size(), 1u) << what << " S" << i;
+      }
+    }
+  }
+}
+
+TEST(Cluster, MalformedChallengeFanOutRefusesGroupRound) {
+  for (const bool simulated : {false, true}) {
+    for (const std::uint32_t depth : {1u, 4u}) {
+      const std::string what =
+          std::string(simulated ? "simnet" : "in-process") + " depth " + std::to_string(depth);
+      ClusterConfig cfg = small_config();
+      cfg.pipeline_depth = depth;
+      cfg.speculate = depth > 1;
+      if (simulated) cfg.network.mode = sim::NetworkMode::kSimulated;
+      Cluster cluster(cfg);
+      Client& client = cluster.make_client();
+      // Group {0,1,2} is coordinated by the faulty S0; group {1,2} by S1.
+      const auto a = simple_txn(cluster, client, {0, 1, 2}, "a");
+      const auto b = simple_txn(cluster, client, {4, 5}, "b");
+      cluster.server(ServerId{0}).faults().coordinator.drop_last_challenge = true;
+
+      ordserv::Sequencer seq;
+      const ordserv::GroupRunResult result = cluster.run_group_blocks(seq, {{a}, {b}});
+      ASSERT_EQ(result.rounds.size(), 2u) << what;
+      EXPECT_EQ(result.rounds[0].fault,
+                "coordinator challenge fan-out mismatch (2 messages for 3 cohorts)")
+          << what;
+      EXPECT_FALSE(result.rounds[0].cosign_valid) << what;
+      EXPECT_TRUE(result.rounds[1].cosign_valid) << what;
+      EXPECT_EQ(result.rounds[1].decision, ledger::Decision::kCommit) << what;
+      ASSERT_EQ(seq.size(), 1u) << what;  // only the honest round was sequenced
+      EXPECT_EQ(result.rounds[1].global_height, 0u) << what;
+      for (std::uint32_t i = 0; i < cluster.num_servers(); ++i) {
+        EXPECT_EQ(cluster.server(ServerId{i}).log().size(), 1u) << what << " S" << i;
+      }
+    }
+  }
+}
+
+TEST(Cluster, SpeculativeGroupRoundsOnParallelSchedulerMatchLockStep) {
+  // Group-round reactors run outside the group engine's lock, so under a
+  // multi-threaded in-process scheduler different coordinators' handlers,
+  // posted starts and base resolutions run concurrently. The sequenced
+  // stream and every replicated ledger must still equal a depth-1,
+  // one-thread run.
+  const auto run = [](std::uint32_t depth, bool spec, std::uint32_t threads) {
+    ClusterConfig cfg = small_config();
+    cfg.pipeline_depth = depth;
+    cfg.speculate = spec;
+    cfg.num_threads = threads;
+    Cluster cluster(cfg);
+    Client& client = cluster.make_client();
+    std::vector<std::vector<commit::SignedEndTxn>> batches;
+    batches.push_back({simple_txn(cluster, client, {0, 1}, "a")});  // {0,1}
+    batches.push_back({simple_txn(cluster, client, {2}, "b")});     // {2}
+    batches.push_back({simple_txn(cluster, client, {4, 5}, "c")});  // {1,2}
+    batches.push_back({simple_txn(cluster, client, {3}, "d")});     // {0}
+    batches.push_back({simple_txn(cluster, client, {6, 7, 8}, "e")});
+    ordserv::Sequencer seq;
+    cluster.run_group_blocks(seq, std::move(batches));
+    std::vector<Bytes> fp;
+    fp.reserve(seq.size() + cluster.num_servers());
+    for (const ordserv::SequencedBlock& e : seq.stream()) fp.push_back(e.block.serialize());
+    for (std::uint32_t i = 0; i < cluster.num_servers(); ++i) {
+      fp.push_back(cluster.server(ServerId{i}).log().head_hash().to_bytes());
+    }
+    return fp;
+  };
+  const auto base = run(1, false, 1);
+  EXPECT_EQ(run(4, true, 4), base);
+  EXPECT_EQ(run(4, false, 4), base);
 }
 
 TEST(Cluster, TwoPhaseCommitRoundWorks) {

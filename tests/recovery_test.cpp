@@ -8,9 +8,9 @@
 //         to one that never crashed, and a tampered log refuses to restore
 //         (the vote-once / no-equivocation lock).
 //   (iii) The crash-point matrix — for every reactor state transition ×
-//         protocol (TFCommit, 2PC, checkpoint) × pipeline depth {1,2,4},
-//         crash one server exactly at that transition over SimNet, recover
-//         it mid-run, and assert the final ledgers (sizes, head hashes —
+//         protocol (TFCommit, 2PC, checkpoint, group commit) × pipeline
+//         depth, crash one server exactly at that transition over SimNet,
+//         recover it mid-run, and assert the final ledgers (sizes, head hashes —
 //         which cover the co-sign bits — and Merkle roots) are bit-identical
 //         to an uncrashed run, with zero vote equivocations.
 //   (iv)  The paper's headline contrast — a dead TFCommit coordinator is
@@ -27,6 +27,7 @@
 #include <cstdlib>
 
 #include "ledger/round_log.hpp"
+#include "ordserv/group_engine.hpp"
 #include "sim/simnet.hpp"
 #include "workload/ycsb.hpp"
 
@@ -377,6 +378,120 @@ TEST(SpeculativeRecovery, NeverDoubleLogsAVotePerEpochAndBase) {
   }
   EXPECT_TRUE(saw_multiple_bases)
       << "expected at least one re-vote under a distinct base somewhere";
+}
+
+// --- Group commit (§4.6) under the crash-point matrix --------------------------
+
+/// Group batches over 4 servers (item i lives on server i % 4; a group's
+/// coordinator is its lowest member): S1 coordinates {1,2} twice, S3 is a
+/// member of two groups and coordinates none, and {2,3} / {0,1} bridge
+/// earlier groups so the stream carries cross-group dependencies.
+std::vector<std::vector<commit::SignedEndTxn>> mint_group_batches(const ClusterConfig& cfg) {
+  Cluster mint(cfg);
+  Client& client = mint.make_client();
+  auto txn = [&](std::vector<ItemId> items, const std::string& tag) {
+    ClientTxn t = client.begin();
+    for (const ItemId item : items) {
+      client.read(t, item);
+      client.write(t, item, to_bytes(tag + "-" + std::to_string(item)));
+    }
+    return client.end(std::move(t));
+  };
+  std::vector<std::vector<commit::SignedEndTxn>> batches;
+  batches.push_back({txn({1, 2}, "a")});  // {1,2}, coordinator S1
+  batches.push_back({txn({0, 3}, "b")});  // {0,3}, disjoint
+  batches.push_back({txn({5, 6}, "c")});  // {1,2} again
+  batches.push_back({txn({6, 7}, "d")});  // {2,3}: bridges both groups
+  batches.push_back({txn({4, 9}, "e")});  // {0,1}: bridges both groups
+  return batches;
+}
+
+struct GroupStreamFingerprint {
+  std::vector<Bytes> blocks;  ///< serialized sequenced blocks, height order
+  std::vector<std::vector<std::uint64_t>> deps;
+  std::vector<crypto::Digest> head_hashes;   // per server
+  std::vector<crypto::Digest> merkle_roots;  // per server
+  std::vector<std::string> faults;           // per round
+
+  friend bool operator==(const GroupStreamFingerprint&,
+                         const GroupStreamFingerprint&) = default;
+};
+
+/// Runs the batches as group rounds over SimNet. Returns the stream
+/// fingerprint and the schedule's trace hash (which folds every crash and
+/// recovery, so it tells whether a configured crash point actually fired).
+std::pair<GroupStreamFingerprint, crypto::Digest> run_group(
+    ClusterConfig cfg, const std::vector<std::vector<commit::SignedEndTxn>>& batches,
+    const std::string& what) {
+
+  Cluster cluster(cfg);
+  cluster.make_client();
+  ordserv::Sequencer seq;
+  const ordserv::GroupRunResult result = cluster.run_group_blocks(seq, batches);
+  GroupStreamFingerprint fp;
+  for (const ordserv::SequencedBlock& e : seq.stream()) {
+    fp.blocks.push_back(e.block.serialize());
+    fp.deps.push_back(e.depends_on);
+  }
+  for (std::uint32_t i = 0; i < cluster.num_servers(); ++i) {
+    EXPECT_FALSE(cluster.is_crashed(ServerId{i})) << what << ": S" << i << " still down";
+    EXPECT_FALSE(result.delivery_refusals[i].has_value()) << what << ": S" << i;
+    const Server& s = cluster.server(ServerId{i});
+    fp.head_hashes.push_back(s.log().head_hash());
+    fp.merkle_roots.push_back(s.shard().merkle_root());
+  }
+  for (const ordserv::GroupRoundResult& r : result.rounds) {
+    fp.faults.push_back(r.fault);
+    EXPECT_TRUE(r.vote_equivocators.empty()) << what << ": a server equivocated";
+  }
+  return {fp, cluster.simnet()->trace_hash()};
+}
+
+TEST(CrashMatrix, GroupCommitEveryTransition) {
+  // Transition-triggered crashes at a member that coordinates nothing (S3)
+  // and at a group coordinator (S1): the restored server rebuilds its
+  // cohort state from its round log and the replayed stream, a restored
+  // coordinator restarts its rounds, and the sequenced stream must come out
+  // bit-identical to the uncrashed run.
+  const std::vector<CrashPoint> points = {
+      {"tf_get_vote", 3},   // member dies after voting
+      {"tf_get_vote", 1},   // coordinator dies after voting in its own round
+      {"tf_vote", 1},       // coordinator dies collecting votes
+      {"tf_challenge", 3},  // member dies after responding
+      {"tf_challenge", 1},  // coordinator dies after responding
+      {"tf_response", 1},   // coordinator dies aggregating
+      {"gtf_seq", 3},       // member dies after applying a sequenced entry
+      {"gtf_seq", 1},       // coordinator dies after applying one
+  };
+  ClusterConfig base_cfg = recovery_config(Protocol::kTfCommit, 1);
+  const auto batches = mint_group_batches(base_cfg);
+  const GroupStreamFingerprint base = run_group(base_cfg, batches, "uncrashed").first;
+  ASSERT_EQ(base.blocks.size(), batches.size());
+
+  for (const std::uint32_t depth : {1u, 4u}) {
+    for (const bool spec : {false, true}) {
+      ClusterConfig cfg = recovery_config(Protocol::kTfCommit, depth);
+      cfg.speculate = spec;
+      const std::string mode =
+          " depth=" + std::to_string(depth) + (spec ? " spec" : "");
+      const auto [uncrashed, uncrashed_trace] = run_group(cfg, batches, "uncrashed" + mode);
+      EXPECT_TRUE(uncrashed == base) << "diverged before any crash:" << mode;
+      for (const CrashPoint& p : points) {
+        ClusterConfig crashed = cfg;
+        CrashFault cf;
+        cf.server = p.server;
+        cf.after_type = p.type;
+        cf.after_count = 1;
+        cf.downtime_us = 1500;
+        crashed.crashes.push_back(cf);
+        const std::string what =
+            std::string(p.type) + "@S" + std::to_string(p.server) + mode;
+        const auto [fp, trace] = run_group(crashed, batches, what);
+        EXPECT_TRUE(fp == base) << "stream diverged after crash at " << what;
+        EXPECT_FALSE(trace == uncrashed_trace) << "crash point never fired: " << what;
+      }
+    }
+  }
 }
 
 // --- (ii) Direct-mode crash/recover API ---------------------------------------
