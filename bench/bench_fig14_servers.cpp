@@ -13,6 +13,7 @@
 // run faster on multi-core hardware (FIDES_THREADS controls N; see
 // bench_common.hpp).
 #include <algorithm>
+#include <utility>
 
 #include "bench_common.hpp"
 #include "workload/ycsb.hpp"
@@ -122,8 +123,18 @@ void batch_verify_section(bench::BenchReport& report) {
 
   std::printf("\nBatched verification: %u servers, %zu rounds of 100 txns, %u threads\n",
               servers, rounds, threads);
-  const EngineRun off = run_engine(servers, threads, rounds, 100, /*batch_verify=*/false);
-  const EngineRun on = run_engine(servers, threads, rounds, 100, /*batch_verify=*/true);
+  // Each side runs kTrials times, interleaved, and keeps its fastest run: a
+  // round takes only tens of ms, so one burst of load from another process
+  // could otherwise decide the wall-clock ratio. Runs are deterministic, so
+  // every trial reaches the same ledger.
+  constexpr int kTrials = 3;
+  EngineRun off, on;
+  for (int t = 0; t < kTrials; ++t) {
+    EngineRun o = run_engine(servers, threads, rounds, 100, /*batch_verify=*/false);
+    EngineRun b = run_engine(servers, threads, rounds, 100, /*batch_verify=*/true);
+    if (t == 0 || o.measured_us_per_round < off.measured_us_per_round) off = std::move(o);
+    if (t == 0 || b.measured_us_per_round < on.measured_us_per_round) on = std::move(b);
+  }
 
   const bool identical = off.decision == on.decision && off.log_heads == on.log_heads &&
                          off.merkle_roots == on.merkle_roots;

@@ -6,10 +6,11 @@ namespace fides::crypto {
 
 namespace {
 
-/// -m^{-1} mod 2^64 by Newton iteration (m odd). Five iterations double the
-/// number of correct bits each time: 5 -> 10 -> 20 -> 40 -> 80 >= 64.
+/// -m^{-1} mod 2^64 by Newton iteration (m odd). inv = m is already an
+/// inverse to 3 bits (m*m ≡ 1 mod 8), and each iteration doubles the number
+/// of correct bits: 3 -> 6 -> ... -> 192 >= 64.
 std::uint64_t neg_inv64(std::uint64_t m) {
-  std::uint64_t inv = m;  // correct to 5 bits for odd m (m*m ≡ 1 mod 16... classical trick: inv = m works to 3 bits)
+  std::uint64_t inv = m;
   for (int i = 0; i < 6; ++i) inv *= 2 - m * inv;
   return ~inv + 1;  // negate mod 2^64
 }
@@ -80,9 +81,9 @@ Fe MontgomeryField::mont_mul(const U256& a, const U256& b) const {
   }
 
   U256 res = U256::from_limbs(t[0], t[1], t[2], t[3]);
-  // Final conditional subtraction: result < 2m is guaranteed by CIOS when
-  // m < R/4, which holds for 256-bit moduli with top word < 2^64 (t[4] is
-  // 0 or 1 here; subtract if overflow or res >= m).
+  // Final conditional subtraction: CIOS leaves t < 2m for any odd m < R with
+  // inputs below m, so t[4] is the 257th bit and one subtraction of m (when
+  // t[4] is set or res >= m) fully reduces.
   U256 reduced;
   const std::uint64_t borrow = u256_sub(reduced, res, m_);
   if (t[4] != 0 || borrow == 0) return Fe{reduced};

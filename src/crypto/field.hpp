@@ -1,8 +1,10 @@
 // Modular arithmetic in Montgomery form.
 //
-// One `MontgomeryField` instance wraps one odd modulus (we instantiate two:
-// the secp256k1 base-field prime p and the group order n). Elements are kept
-// in Montgomery representation; multiplication uses the CIOS (coarsely
+// One `MontgomeryField` instance wraps one odd modulus. Fides instantiates it
+// once, for the secp256k1 group order n (Schnorr and CoSi scalars); the base
+// field mod p has its own pseudo-Mersenne type in secp256k1_field.hpp. It
+// also serves as the tests' independent oracle for that type. Elements are
+// kept in Montgomery representation; multiplication uses the CIOS (coarsely
 // integrated operand scanning) algorithm with 4x64-bit limbs.
 #pragma once
 
@@ -10,8 +12,9 @@
 
 namespace fides::crypto {
 
-/// A field element in Montgomery form. Only meaningful together with the
-/// MontgomeryField that produced it; mixing fields is a programming error.
+/// A field element, always fully reduced. Its representation belongs to the
+/// field that produced it (Montgomery form for MontgomeryField, the plain
+/// integer for Secp256k1Field); mixing fields is a programming error.
 struct Fe {
   U256 v;
 

@@ -7,8 +7,7 @@ namespace fides::crypto {
 namespace {
 
 // secp256k1 domain parameters (SEC 2), little-endian 64-bit limbs.
-constexpr U256 kP = U256::from_limbs(0xFFFFFFFEFFFFFC2FULL, 0xFFFFFFFFFFFFFFFFULL,
-                                     0xFFFFFFFFFFFFFFFFULL, 0xFFFFFFFFFFFFFFFFULL);
+constexpr U256 kP = Secp256k1Field::kP;
 constexpr U256 kN = U256::from_limbs(0xBFD25E8CD0364141ULL, 0xBAAEDCE6AF48A03BULL,
                                      0xFFFFFFFFFFFFFFFEULL, 0xFFFFFFFFFFFFFFFFULL);
 constexpr U256 kGx = U256::from_limbs(0x59F2815B16F81798ULL, 0x029BFCDB2DCE28D9ULL,
@@ -75,7 +74,7 @@ const Curve& Curve::instance() {
   return curve;
 }
 
-Curve::Curve() : fp_(kP), fn_(kN), b7_(fp_.to_mont(U256(7))) {
+Curve::Curve() : fn_(kN), b7_(fp_.to_mont(U256(7))) {
   g_.x = fp_.to_mont(kGx);
   g_.y = fp_.to_mont(kGy);
   g_.z = fp_.one();

@@ -1,8 +1,10 @@
 // secp256k1 elliptic-curve group, implemented from scratch.
 //
 // Curve: y^2 = x^3 + 7 over F_p, p = 2^256 - 2^32 - 977, with prime group
-// order n. Points use Jacobian projective coordinates in Montgomery form;
-// affine conversion happens only at (de)serialization boundaries.
+// order n. Points use Jacobian projective coordinates over the specialized
+// base field (secp256k1_field.hpp: plain, fully reduced limbs with a
+// pseudo-Mersenne reduction); affine conversion happens only at
+// (de)serialization boundaries.
 //
 // This is the prime-order group underlying Schnorr signatures (§2.1) and
 // Collective Signing (§2.2). The implementation favours clarity and
@@ -15,7 +17,7 @@
 #include <span>
 #include <vector>
 
-#include "crypto/field.hpp"
+#include "crypto/secp256k1_field.hpp"
 #include "crypto/sha256.hpp"
 
 namespace fides::crypto {
@@ -42,14 +44,14 @@ struct AffinePoint {
   static std::optional<AffinePoint> deserialize(BytesView b);
 };
 
-/// Singleton-style curve context holding the two Montgomery fields (mod p
-/// and mod n) plus the generator. Construction is cheap but not free; use
-/// Curve::instance() to share one.
+/// Singleton-style curve context holding the base field (mod p), the
+/// Montgomery scalar field (mod n) and the generator. Construction is cheap
+/// but not free; use Curve::instance() to share one.
 class Curve {
  public:
   static const Curve& instance();
 
-  const MontgomeryField& fp() const { return fp_; }
+  const Secp256k1Field& fp() const { return fp_; }
   const MontgomeryField& fn() const { return fn_; }
   const U256& order() const { return fn_.modulus(); }
   const Point& generator() const { return g_; }
@@ -62,12 +64,12 @@ class Curve {
 
   /// Mixed addition p + q for a q already normalized to Z == 1 (madd-2007-bl,
   /// ~7M+4S vs ~11M+5S for the general add). Precondition: q.z is the
-  /// Montgomery one, or q is infinity.
+  /// field's one, or q is infinity.
   Point add_mixed(const Point& p, const Point& q) const;
 
   /// Normalizes every non-infinity point in `pts` to Z == 1 in place, using
-  /// the Montgomery trick: one field inversion for the whole span instead of
-  /// one per point. Infinities are left untouched (Z == 0).
+  /// Montgomery's batch-inversion trick: one field inversion for the whole
+  /// span instead of one per point. Infinities are left untouched (Z == 0).
   void batch_normalize(std::span<Point> pts) const;
 
   /// Affine conversion of a whole span with a single field inversion.
@@ -109,9 +111,9 @@ class Curve {
  private:
   Curve();
 
-  MontgomeryField fp_;
+  Secp256k1Field fp_;
   MontgomeryField fn_;
-  Fe b7_;  // curve constant 7 in Montgomery form
+  Fe b7_;  // curve constant 7
   Point g_;
   /// g_table_[i][j-1] == j * 16^i * G for j in 1..15, i in 0..63. Every entry
   /// is batch-normalized to Z == 1 at construction so table lookups feed the

@@ -2,6 +2,11 @@
 
 #include <cstring>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 #include "common/hex.hpp"
 
 namespace fides::crypto {
@@ -33,7 +38,9 @@ std::string Digest::hex() const { return hex_encode(view()); }
 
 Sha256::Sha256() : h_(kInit) {}
 
-void Sha256::process_block(const std::uint8_t* p) {
+namespace detail {
+
+void compress_portable(Sha256State& state, const std::uint8_t* p) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = static_cast<std::uint32_t>(p[4 * i]) << 24 |
@@ -47,8 +54,8 @@ void Sha256::process_block(const std::uint8_t* p) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3];
-  std::uint32_t e = h_[4], f = h_[5], g = h_[6], h = h_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
@@ -67,14 +74,94 @@ void Sha256::process_block(const std::uint8_t* p) {
     a = t1 + t2;
   }
 
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
-  h_[5] += f;
-  h_[6] += g;
-  h_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+
+// Reads CPUID directly: not every compiler this builds with accepts "sha"
+// in __builtin_cpu_supports.
+bool accelerated_available() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  const unsigned kSse41 = 1u << 19;  // leaf 1, ECX
+  const unsigned kSha = 1u << 29;    // leaf 7 subleaf 0, EBX
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0 || (ecx & kSse41) == 0) return false;
+  return __get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) != 0 && (ebx & kSha) != 0;
+}
+
+// The SHA-NI round instructions keep the state as two vectors, ABEF and
+// CDGH; sha256rnds2 runs two rounds, so each group of four message words
+// takes two of them. sha256msg1/msg2 extend the message schedule four words
+// at a time: W[t..t+3] = msg2(msg1(W[t-16..], W[t-12..]) + W[t-7..], W[t-4..]).
+__attribute__((target("sha,sse4.1"))) void compress_accelerated(Sha256State& state,
+                                                                 const std::uint8_t* p) {
+  const __m128i bswap = _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  const __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+  const __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+  const __m128i abef_in = abef;
+  const __m128i cdgh_in = cdgh;
+
+  __m128i msg[4];
+  for (std::size_t i = 0; i < 4; ++i) {
+    const __m128i block = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16 * i));
+    msg[i] = _mm_shuffle_epi8(block, bswap);
+  }
+#pragma GCC unroll 16
+  for (std::size_t r = 0; r < 16; ++r) {
+    __m128i& w = msg[r & 3];
+    if (r >= 4) {
+      const __m128i& w1 = msg[(r + 1) & 3];
+      const __m128i& w2 = msg[(r + 2) & 3];
+      const __m128i& w3 = msg[(r + 3) & 3];
+      w = _mm_sha256msg2_epu32(
+          _mm_add_epi32(_mm_sha256msg1_epu32(w, w1), _mm_alignr_epi8(w3, w2, 4)), w3);
+    }
+    const __m128i wk =
+        _mm_add_epi32(w, _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kK[4 * r])));
+    // rnds2(cdgh, abef, k) returns ABEF two rounds on; the ABEF it was given
+    // is then the CDGH state.
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+  }
+  abef = _mm_add_epi32(abef, abef_in);
+  cdgh = _mm_add_epi32(cdgh, cdgh_in);
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]), _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#else
+
+bool accelerated_available() { return false; }
+
+void compress_accelerated(Sha256State& state, const std::uint8_t* p) {
+  compress_portable(state, p);
+}
+
+#endif
+
+}  // namespace detail
+
+void Sha256::process_block(const std::uint8_t* p) {
+  static const bool accelerated = detail::accelerated_available();
+  if (accelerated) {
+    detail::compress_accelerated(h_, p);
+  } else {
+    detail::compress_portable(h_, p);
+  }
 }
 
 void Sha256::update(BytesView data) {
@@ -102,14 +189,16 @@ void Sha256::update(BytesView data) {
 
 Digest Sha256::finalize() {
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(BytesView(&pad, 1));
-  const std::uint8_t zero = 0x00;
-  while (buf_len_ != 56) update(BytesView(&zero, 1));
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  // Bypass total_len_ accounting for the length field itself.
-  std::memcpy(buf_.data() + 56, len_be, 8);
+  // 0x80, zeros up to byte 56 of a block, then the 64-bit big-endian length.
+  // With more than 56 bytes buffered the length spills into one extra block.
+  buf_[buf_len_++] = 0x80;
+  if (buf_len_ > 56) {
+    std::memset(buf_.data() + buf_len_, 0, 64 - buf_len_);
+    process_block(buf_.data());
+    buf_len_ = 0;
+  }
+  std::memset(buf_.data() + buf_len_, 0, 56 - buf_len_);
+  for (int i = 0; i < 8; ++i) buf_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   process_block(buf_.data());
 
   Digest d;

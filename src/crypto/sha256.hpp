@@ -3,6 +3,10 @@
 // This is the one-way, collision-resistant hash the paper assumes for Merkle
 // hash trees (§2.3), block hash pointers (§3.1), and the CoSi challenge
 // (§2.2). Streaming interface plus one-shot helpers.
+//
+// The compression function has two kernels: the x86 SHA extensions
+// (SHA-NI), used when the CPU reports them at run time, and a portable one
+// for every other host. Both produce the same digests.
 #pragma once
 
 #include <array>
@@ -28,6 +32,24 @@ struct Digest {
   bool is_zero() const { return *this == Digest{}; }
 };
 
+namespace detail {
+
+using Sha256State = std::array<std::uint32_t, 8>;
+
+/// The FIPS 180-4 compression of one 64-byte block into `state`, in portable
+/// C++. Runs on every host; exposed so tests can check the accelerated
+/// kernel against it.
+void compress_portable(Sha256State& state, const std::uint8_t* block);
+
+/// True when the CPU has the SHA extensions (always false off x86).
+bool accelerated_available();
+
+/// The same compression on the SHA extensions. Call only when
+/// accelerated_available() is true.
+void compress_accelerated(Sha256State& state, const std::uint8_t* block);
+
+}  // namespace detail
+
 class Sha256 {
  public:
   Sha256();
@@ -39,7 +61,7 @@ class Sha256 {
  private:
   void process_block(const std::uint8_t* p);
 
-  std::array<std::uint32_t, 8> h_;
+  detail::Sha256State h_;
   std::array<std::uint8_t, 64> buf_;
   std::size_t buf_len_{0};
   std::uint64_t total_len_{0};

@@ -54,8 +54,8 @@ std::uint64_t u256_sub(U256& dst, const U256& a, const U256& b);
 std::array<std::uint64_t, 8> u256_mul_wide(const U256& a, const U256& b);
 
 /// a mod m computed by binary long division. Slow path: used only at
-/// context setup and for reducing hash outputs; hot-path multiplication uses
-/// Montgomery form (field.hpp).
+/// context setup and for reducing hash outputs; hot-path multiplication goes
+/// through the field types (field.hpp, secp256k1_field.hpp).
 U256 u256_mod(const U256& a, const U256& m);
 
 /// (hi:lo) mod m where hi:lo is a 512-bit value.

@@ -232,8 +232,10 @@ void SocketScheduler::queue_frame(Conn& conn, const Bytes& frame) {
 
 bool SocketScheduler::flush_conn(Conn& conn) {
   while (conn.wpos < conn.wbuf.size()) {
-    const ssize_t n = ::write(conn.fd, conn.wbuf.data() + conn.wpos,
-                              conn.wbuf.size() - conn.wpos);
+    // MSG_NOSIGNAL: a peer that died mid-round must surface as EPIPE and a
+    // dropped conn, not as a SIGPIPE that kills this process.
+    const ssize_t n = ::send(conn.fd, conn.wbuf.data() + conn.wpos,
+                             conn.wbuf.size() - conn.wpos, MSG_NOSIGNAL);
     if (n > 0) {
       conn.wpos += static_cast<std::size_t>(n);
       continue;

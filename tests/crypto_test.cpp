@@ -1,7 +1,10 @@
-// Unit tests for the crypto substrate: SHA-256, U256, Montgomery fields,
+// Unit tests for the crypto substrate: SHA-256, U256, the two fields,
 // secp256k1 group law, Schnorr signatures, CoSi collective signing.
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "common/rng.hpp"
 #include "common/serde.hpp"
 #include "crypto/cosi.hpp"
 #include "crypto/schnorr.hpp"
@@ -45,6 +48,74 @@ TEST(Sha256, PairMatchesConcatenation) {
   const Digest a = sha256(to_bytes("a"));
   const Digest b = sha256(to_bytes("b"));
   EXPECT_EQ(sha256_pair(a, b), sha256(concat({a.view(), b.view()})));
+}
+
+TEST(Sha256, PaddingBoundaryVectors) {
+  // Lengths around the 56-byte length-field boundary and the 64-byte block
+  // boundary, of the message 'a' * len (digests from an independent
+  // implementation).
+  const std::pair<std::size_t, const char*> kVectors[] = {
+      {0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+      {56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+      {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+      {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+      {65, "635361c48bb9eab14198e76ea8ab7f1a41685d6ad62aa9146d301d4f17eb0ae0"},
+      {119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
+      {120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"},
+      {1000, "41edece42d63e8d9bf515a9ba6932e1c20cbc9f5a5d134645adb5db1b9737ea3"},
+  };
+  for (const auto& [len, hex] : kVectors) {
+    EXPECT_EQ(sha256(to_bytes(std::string(len, 'a'))).hex(), hex) << "length " << len;
+  }
+}
+
+TEST(Sha256, UpdateSplitAtEveryOffset) {
+  Bytes msg(130);
+  for (std::size_t i = 0; i < msg.size(); ++i) msg[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  const Digest whole = sha256(msg);
+  const BytesView v(msg);
+  for (std::size_t cut = 0; cut <= msg.size(); ++cut) {
+    Sha256 h;
+    h.update(v.first(cut));
+    h.update(v.subspan(cut));
+    EXPECT_EQ(h.finalize(), whole) << "split at " << cut;
+  }
+}
+
+TEST(Sha256, PortableCompressionKnownAnswer) {
+  // The padded single block of "abc": the portable kernel runs on every
+  // host, whichever kernel Sha256 dispatches to.
+  std::array<std::uint8_t, 64> block{};
+  block[0] = 'a';
+  block[1] = 'b';
+  block[2] = 'c';
+  block[3] = 0x80;
+  block[63] = 24;  // bit length
+  detail::Sha256State state = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                               0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  detail::compress_portable(state, block.data());
+  const detail::Sha256State expect = {0xba7816bf, 0x8f01cfea, 0x414140de, 0x5dae2223,
+                                      0xb00361a3, 0x96177a9c, 0xb410ff61, 0xf20015ad};
+  EXPECT_EQ(state, expect);
+}
+
+TEST(Sha256, AcceleratedCompressionMatchesPortable) {
+  if (!detail::accelerated_available()) {
+    GTEST_SKIP() << "CPU lacks the SHA extensions; only the portable kernel runs here";
+  }
+  Rng rng(0x5A256);
+  std::array<std::uint8_t, 64> block{};
+  for (int trial = 0; trial < 10000; ++trial) {
+    detail::Sha256State state;
+    for (auto& word : state) word = static_cast<std::uint32_t>(rng.next_u64());
+    for (auto& byte : block) byte = static_cast<std::uint8_t>(rng.next_u64());
+    detail::Sha256State portable = state;
+    detail::Sha256State accelerated = state;
+    detail::compress_portable(portable, block.data());
+    detail::compress_accelerated(accelerated, block.data());
+    ASSERT_EQ(accelerated, portable) << "trial " << trial;
+  }
 }
 
 TEST(Digest, ZeroAndComparison) {
@@ -123,12 +194,43 @@ TEST(U256, BitLength) {
   EXPECT_EQ(U256::from_limbs(0, 0, 0, 1).bit_length(), 192);
 }
 
-// --- Montgomery field ----------------------------------------------------------
+// --- Fields ------------------------------------------------------------------
 
+/// The secp256k1 base field under test, and two independent oracles: the
+/// generic Montgomery field for the same prime, and plain 512-bit remainder.
 class FieldTest : public ::testing::Test {
  protected:
   const MontgomeryField& fn() { return Curve::instance().fn(); }
-  const MontgomeryField& fp() { return Curve::instance().fp(); }
+  const Secp256k1Field& fp() { return Curve::instance().fp(); }
+  static const MontgomeryField& mont_p() {
+    static const MontgomeryField field(Secp256k1Field::kP);
+    return field;
+  }
+  static U256 p_minus(std::uint64_t k) {
+    U256 out;
+    u256_sub(out, Secp256k1Field::kP, U256(k));
+    return out;
+  }
+
+  /// Checks every operation on (a, b) against both oracles. a, b < p.
+  void expect_matches_oracles(const U256& a, const U256& b, bool with_inverse) {
+    const auto& f = fp();
+    const auto& m = mont_p();
+    const U256& p = Secp256k1Field::kP;
+    const Fe fa = f.to_mont(a), fb = f.to_mont(b);
+    const Fe ma = m.to_mont(a), mb = m.to_mont(b);
+    SCOPED_TRACE("a=" + a.hex() + " b=" + b.hex());
+    EXPECT_EQ(f.from_mont(f.mul(fa, fb)), u512_mod(u256_mul_wide(a, b), p));
+    EXPECT_EQ(f.from_mont(f.mul(fa, fb)), m.from_mont(m.mul(ma, mb)));
+    EXPECT_EQ(f.from_mont(f.sqr(fa)), u512_mod(u256_mul_wide(a, a), p));
+    EXPECT_EQ(f.from_mont(f.sqr(fa)), m.from_mont(m.sqr(ma)));
+    EXPECT_EQ(f.from_mont(f.add(fa, fb)), m.from_mont(m.add(ma, mb)));
+    EXPECT_EQ(f.from_mont(f.sub(fa, fb)), m.from_mont(m.sub(ma, mb)));
+    EXPECT_EQ(f.from_mont(f.neg(fa)), m.from_mont(m.neg(ma)));
+    if (with_inverse && !a.is_zero()) {
+      EXPECT_EQ(f.from_mont(f.inverse(fa)), m.from_mont(m.inverse(ma)));
+    }
+  }
 };
 
 TEST_F(FieldTest, ToFromMontRoundTrip) {
@@ -159,18 +261,97 @@ TEST_F(FieldTest, InverseIsMultiplicative) {
 
 TEST_F(FieldTest, InverseOfZeroThrows) {
   EXPECT_THROW(fp().inverse(fp().zero()), std::domain_error);
+  EXPECT_THROW(mont_p().inverse(mont_p().zero()), std::domain_error);
 }
 
 TEST_F(FieldTest, PowFermatLittle) {
   // a^(p-1) == 1 mod p for prime p.
-  const Fe a = fp().to_mont(U256(0xABCDEF));
-  U256 exp;
-  u256_sub(exp, fp().modulus(), U256(1));
-  EXPECT_EQ(fp().pow(a, exp), fp().one());
+  const Fe a = mont_p().to_mont(U256(0xABCDEF));
+  EXPECT_EQ(mont_p().pow(a, p_minus(1)), mont_p().one());
 }
 
 TEST_F(FieldTest, RejectsEvenModulus) {
   EXPECT_THROW(MontgomeryField(U256(10)), std::invalid_argument);
+}
+
+TEST_F(FieldTest, BaseFieldMatchesOraclesOnRandomPairs) {
+  // Limbs are drawn mostly uniform, but often 0, 1 or all-ones, so sums,
+  // differences and folds hit their carry and borrow edges too. The
+  // inverse (the slow oracle) runs on every 8th pair.
+  Rng rng(0xF1E1D);
+  const auto limb = [&rng]() -> std::uint64_t {
+    switch (rng.uniform(8)) {
+      case 0: return 0;
+      case 1: return 1;
+      case 2: return ~0ULL;
+      default: return rng.next_u64();
+    }
+  };
+  const auto element = [&]() {
+    U256 x;
+    for (auto& w : x.w) w = limb();
+    return u256_less(x, Secp256k1Field::kP) ? x : u256_mod(x, Secp256k1Field::kP);
+  };
+  for (int i = 0; i < 100000; ++i) {
+    expect_matches_oracles(element(), element(), i % 8 == 0);
+    if (HasFailure()) break;
+  }
+}
+
+TEST_F(FieldTest, BaseFieldEdgeCases) {
+  const U256 p1 = p_minus(1);
+  const U256 edges[] = {U256(0), U256(1), U256(2), p1, p_minus(2),
+                        U256::from_limbs(0, 0, 0, 1ULL << 63), U256(Secp256k1Field::kC)};
+  for (const U256& a : edges) {
+    for (const U256& b : edges) expect_matches_oracles(a, b, true);
+  }
+  // The second fold of a·b carries out of 2^256: lo + hi·C lands just below
+  // 2^257, so top·C pushes the low limbs over (a = floor((2^257-1)/C)·2^16,
+  // b = 2^240).
+  const U256 a = U256::from_limbs(0x88081CCFD90A0000ULL, 0xB74C83E874FC95D9ULL,
+                                  0x214190D414C6469CULL, 0x0001FFFFF85E001DULL);
+  const U256 b = U256::from_limbs(0, 0, 0, 1ULL << 48);
+  expect_matches_oracles(a, b, true);
+  EXPECT_EQ(fp().from_mont(fp().mul(fp().to_mont(a), fp().to_mont(b))), U256(0x1f53b56ccULL));
+}
+
+TEST_F(FieldTest, BaseFieldReducesEveryInput) {
+  const auto& f = fp();
+  const U256& p = Secp256k1Field::kP;
+  const U256 all_ones = U256::from_limbs(~0ULL, ~0ULL, ~0ULL, ~0ULL);
+  // to_mont accepts any 256-bit integer.
+  EXPECT_TRUE(f.is_zero(f.to_mont(p)));
+  EXPECT_EQ(f.from_mont(f.to_mont(p_minus(1))), p_minus(1));
+  U256 p_plus_1;
+  u256_add(p_plus_1, p, U256(1));
+  EXPECT_EQ(f.from_mont(f.to_mont(p_plus_1)), U256(1));
+  EXPECT_EQ(f.from_mont(f.to_mont(all_ones)), u256_mod(all_ones, p));
+  EXPECT_EQ(f.from_mont(f.to_mont(all_ones)), U256(Secp256k1Field::kC - 1));
+  // Results landing exactly on p come back as 0, never as p.
+  const Fe one = f.one();
+  const Fe p1 = f.to_mont(p_minus(1));
+  EXPECT_TRUE(f.is_zero(f.add(one, p1)));
+  EXPECT_TRUE(f.is_zero(f.add(p1, one)));
+  EXPECT_TRUE(f.is_zero(f.sub(p1, p1)));
+  EXPECT_EQ(f.sub(f.zero(), one), p1);
+  EXPECT_EQ(f.neg(one), p1);
+  EXPECT_EQ(f.mul(p1, p1), one);  // (-1)^2
+  EXPECT_EQ(f.sqr(p1), one);
+  EXPECT_EQ(f.add(p1, p1), f.to_mont(p_minus(2)));
+}
+
+TEST_F(FieldTest, AdditionChainInverseMatchesFermat) {
+  Rng rng(0x1417);
+  for (int i = 0; i < 200; ++i) {
+    U256 a;
+    for (auto& w : a.w) w = rng.next_u64();
+    a = u256_mod(a, Secp256k1Field::kP);
+    if (a.is_zero()) continue;
+    const Fe by_chain = fp().inverse(fp().to_mont(a));
+    const Fe by_pow = mont_p().pow(mont_p().to_mont(a), p_minus(2));
+    ASSERT_EQ(fp().from_mont(by_chain), mont_p().from_mont(by_pow)) << a.hex();
+    ASSERT_EQ(fp().mul(by_chain, fp().to_mont(a)), fp().one());
+  }
 }
 
 // --- secp256k1 ------------------------------------------------------------------
