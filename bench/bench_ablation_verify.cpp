@@ -4,16 +4,23 @@
 // signatures:
 //   single     — the pre-Strauss shape: s·G via the fixed-base table plus a
 //                plain double-and-add c·P, then a general add.
-//   mul_add    — one interleaved Strauss/wNAF ladder (what verify() runs).
+//   mul_add    — one GLV-split Strauss ladder of at most 129 doublings
+//                (what verify() runs).
 //   batched_N  — schnorr::batch_verify over batches of N: one RLC aggregate
 //                MSM amortizing the ladder doublings across the whole batch.
 //
 // Unlike the Google-Benchmark ablations, this emits a fides-bench-v1 report
 // directly (--json <path> / FIDES_BENCH_JSON): wall-clock rates land in the
-// info group — tracked in the bench trajectory, never gated.
+// info group of the bench trajectory.
+//
+// Gate: single and mul_add each run three times, interleaved, and each side
+// keeps its fastest run. The bench exits 1 unless mul_add is at least 1.5x
+// faster than single. The ratio of two paths timed back to back on one host
+// holds across hosts where their absolute times do not.
 //
 // Knobs: FIDES_ABLATION_REPS (default 40) scales how many verifications each
 // mode times.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -75,7 +82,7 @@ int main(int argc, char** argv) {
 
   // single: the two independent scalar multiplications verify() used before
   // the joint ladder — kept here as the ablation baseline.
-  {
+  const auto time_single = [&]() -> double {
     std::size_t good = 0;
     const auto t0 = Clock::now();
     for (std::size_t i = 0; i < reps; ++i) {
@@ -92,15 +99,11 @@ int main(int argc, char** argv) {
       good += curve.equal(lhs, rhs) ? 1 : 0;
     }
     const double secs = seconds_since(t0);
-    if (good != reps) {
-      std::printf("ERROR: single-mode verification failed (%zu/%zu)\n", good, reps);
-      return 1;
-    }
-    emit("single", reps, secs);
-  }
+    return good == reps ? secs : -1.0;
+  };
 
-  // mul_add: the shipped verify() — one Strauss/wNAF ladder per signature.
-  {
+  // mul_add: the shipped verify() — one GLV-split Strauss ladder.
+  const auto time_mul_add = [&]() -> double {
     std::size_t good = 0;
     const auto t0 = Clock::now();
     for (std::size_t i = 0; i < reps; ++i) {
@@ -108,12 +111,23 @@ int main(int argc, char** argv) {
       good += crypto::verify(s.pk, s.message, s.sig) ? 1 : 0;
     }
     const double secs = seconds_since(t0);
-    if (good != reps) {
-      std::printf("ERROR: mul_add-mode verification failed (%zu/%zu)\n", good, reps);
+    return good == reps ? secs : -1.0;
+  };
+
+  double best_single = 0;
+  double best_mul_add = 0;
+  for (int round = 0; round < 3; ++round) {
+    const double single = time_single();
+    const double mul_add = time_mul_add();
+    if (single < 0 || mul_add < 0) {
+      std::printf("ERROR: %s-mode verification failed\n", single < 0 ? "single" : "mul_add");
       return 1;
     }
-    emit("mul_add", reps, secs);
+    best_single = round == 0 ? single : std::min(best_single, single);
+    best_mul_add = round == 0 ? mul_add : std::min(best_mul_add, mul_add);
   }
+  emit("single", reps, best_single);
+  emit("mul_add", reps, best_mul_add);
 
   // batched_N: RLC aggregate over batches of N — one MSM per batch.
   for (const std::size_t batch : {16UL, 64UL}) {
@@ -141,5 +155,13 @@ int main(int argc, char** argv) {
   }
 
   bench::finish_report(report, argc, argv);
+
+  const double speedup = best_mul_add > 0 ? best_single / best_mul_add : 0.0;
+  constexpr double kMinSpeedup = 1.5;
+  std::printf("mul_add speedup over single: %.2fx (gate: >= %.2fx)\n", speedup, kMinSpeedup);
+  if (speedup < kMinSpeedup) {
+    std::printf("FAIL: mul_add is less than %.2fx faster than single\n", kMinSpeedup);
+    return 1;
+  }
   return 0;
 }

@@ -1,5 +1,7 @@
 #include "crypto/schnorr.hpp"
 
+#include <algorithm>
+
 #include "common/serde.hpp"
 
 namespace fides::crypto {
@@ -119,13 +121,31 @@ bool aggregate_holds(std::span<const BatchItem> items, std::span<const U256> z,
   std::vector<Point> points;
   scalars.reserve(idx.size() * 2);
   points.reserve(idx.size() * 2);
+  // Items under one key share their P: Σ (zᵢcᵢ)·P collapses to one term
+  // (Σ zᵢcᵢ)·P, so a batch from a few signers pays for a few key terms.
+  struct KeyTerm {
+    std::size_t item;  // first item under this key
+    Fe scalar;
+  };
+  std::vector<KeyTerm> key_terms;
   for (const std::size_t i : idx) {
     const Fe zi = fn.to_mont(z[i]);
     s_agg = fn.add(s_agg, fn.mul(zi, fn.to_mont(items[i].sig->s)));
     scalars.push_back(z[i]);
     points.push_back(r_points[i]);
-    scalars.push_back(fn.from_mont(fn.mul(zi, fn.to_mont(c[i]))));
-    points.push_back(p_points[i]);
+    const Fe zc = fn.mul(zi, fn.to_mont(c[i]));
+    auto term = std::find_if(key_terms.begin(), key_terms.end(), [&](const KeyTerm& t) {
+      return items[t.item].pk->point == items[i].pk->point;
+    });
+    if (term == key_terms.end()) {
+      key_terms.push_back(KeyTerm{i, zc});
+    } else {
+      term->scalar = fn.add(term->scalar, zc);
+    }
+  }
+  for (const KeyTerm& t : key_terms) {
+    scalars.push_back(fn.from_mont(t.scalar));
+    points.push_back(p_points[t.item]);
   }
   const U256 neg_s = fn.from_mont(fn.neg(s_agg));
   return curve.msm(neg_s, scalars, points).is_infinity();

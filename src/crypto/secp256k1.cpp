@@ -1,5 +1,6 @@
 #include "crypto/secp256k1.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace fides::crypto {
@@ -15,30 +16,70 @@ constexpr U256 kGx = U256::from_limbs(0x59F2815B16F81798ULL, 0x029BFCDB2DCE28D9U
 constexpr U256 kGy = U256::from_limbs(0x9C47D08FFB10D4B8ULL, 0xFD17B448A6855419ULL,
                                       0x5DA4FBFC0E1108A8ULL, 0x483ADA7726A3C465ULL);
 
-/// Width-5 wNAF recoding: k == Σ out[i] * 2^i with out[i] odd in [-15, 15]
-/// or zero, and no two adjacent nonzero digits. At most 257 digits.
-std::vector<std::int8_t> wnaf5(const U256& k) {
-  std::vector<std::int8_t> out;
-  out.reserve(257);
+/// Digits per ladder term: the wNAF of a GLV half (below 2^128) has at most
+/// 129 digits, so the shared ladder runs at most 129 doublings.
+constexpr int kLadderDigits = 129;
+/// wNAF widths: per-point terms use 8 odd multiples (built per call), the
+/// fixed base uses 64 (built once).
+constexpr int kPointWindow = 5;
+constexpr int kGWindow = 8;
+
+/// One ladder term: signed wNAF digits over a table of odd multiples, where
+/// table[j] == (2j+1)·Q for the term's point Q.
+struct LadderTerm {
+  const Point* table{nullptr};
+  std::array<std::int8_t, kLadderDigits> digits{};
+  int length{0};  // index of the highest nonzero digit, plus one
+};
+
+/// Width-w NAF recoding of a magnitude k: k == Σ digits[i]·2^i, every digit
+/// zero or odd in (−2^(w−1), 2^(w−1)), nonzero digits at least w apart.
+/// Digits are negated when `negate` is set, so the term denotes −k.
+void wnaf(const U256& k, int w, bool negate, LadderTerm& term) {
+  if (k.bit_length() >= kLadderDigits - 1) {
+    throw std::logic_error("wnaf: scalar half out of range");
+  }
+  const std::uint64_t mask = (1ULL << w) - 1;
+  const int half = 1 << (w - 1);
   U256 d = k;
-  while (!d.is_zero()) {
-    std::int8_t digit = 0;
+  for (int i = 0; !d.is_zero(); ++i) {
     if (d.w[0] & 1) {
-      const int val = static_cast<int>(d.w[0] & 31);
-      digit = static_cast<std::int8_t>(val > 16 ? val - 32 : val);
+      int digit = static_cast<int>(d.w[0] & mask);
+      if (digit >= half) digit -= 1 << w;
       if (digit > 0) {
         u256_sub(d, d, U256(static_cast<std::uint64_t>(digit)));
       } else {
         u256_add(d, d, U256(static_cast<std::uint64_t>(-digit)));
       }
+      term.digits[i] = static_cast<std::int8_t>(negate ? -digit : digit);
+      term.length = i + 1;
     }
-    out.push_back(digit);
     d.w[0] = (d.w[0] >> 1) | (d.w[1] << 63);
     d.w[1] = (d.w[1] >> 1) | (d.w[2] << 63);
     d.w[2] = (d.w[2] >> 1) | (d.w[3] << 63);
     d.w[3] >>= 1;
   }
-  return out;
+}
+
+/// 1P, 3P, ..., (2·size−1)P into `out`, unnormalized. With C the Z of 2P,
+/// the map (x, y) ↦ (x·C², y·C³) takes the curve to y² = x³ + 7·C⁶, where
+/// 2P becomes (X, Y, 1). The chain of +2P runs there as mixed additions (the
+/// a = 0 formulas never read the curve constant); an entry's Z on the real
+/// curve is its Z there times C.
+void odd_multiples(const Curve& c, const Point& p, std::span<Point> out) {
+  if (p.is_infinity()) {
+    std::fill(out.begin(), out.end(), p);
+    return;
+  }
+  const auto& f = c.fp();
+  const Point d = c.dbl(p);
+  const Fe cz2 = f.sqr(d.z);
+  const Point d_iso{d.x, d.y, f.one()};
+  Point acc{f.mul(p.x, cz2), f.mul(p.y, f.mul(cz2, d.z)), p.z};
+  for (std::size_t j = 0; j < out.size(); ++j) {
+    if (j > 0) acc = c.add_mixed(acc, d_iso);
+    out[j] = Point{acc.x, acc.y, f.mul(acc.z, d.z)};
+  }
 }
 
 }  // namespace
@@ -74,7 +115,7 @@ const Curve& Curve::instance() {
   return curve;
 }
 
-Curve::Curve() : fn_(kN), b7_(fp_.to_mont(U256(7))) {
+Curve::Curve() : fn_(kN), b7_(fp_.to_mont(U256(7))), beta_(fp_.to_mont(glv::kBeta)) {
   g_.x = fp_.to_mont(kGx);
   g_.y = fp_.to_mont(kGy);
   g_.z = fp_.one();
@@ -97,6 +138,10 @@ Curve::Curve() : fn_(kN), b7_(fp_.to_mont(U256(7))) {
   for (int i = 0; i < 64; ++i) {
     for (int j = 0; j < 15; ++j) g_table_[i][j] = flat[static_cast<std::size_t>(i) * 15 + j];
   }
+
+  odd_multiples(*this, g_, g_odd_);
+  batch_normalize(g_odd_);
+  for (std::size_t j = 0; j < g_odd_.size(); ++j) g_lambda_odd_[j] = endomorphism(g_odd_[j]);
 }
 
 Point Curve::infinity() const {
@@ -259,6 +304,47 @@ Point Curve::mul_g(const U256& k) const {
   return acc;
 }
 
+GlvSplit Curve::glv_split(const U256& k) const {
+  if (!u256_less(k, kN)) throw std::invalid_argument("glv_split: scalar not reduced mod n");
+  // A scalar already below 2^128 is its own short split. The lattice
+  // rounding would spread it over two ~2^127 halves and double its adds
+  // (batch_verify's 128-bit coefficients are all of this kind).
+  if (k.w[2] == 0 && k.w[3] == 0) return GlvSplit{k, U256(0), false, false};
+  // c = round(k·g / 2^384): the top two limbs of the 512-bit product, plus
+  // bit 383 for the rounding.
+  const auto round_shift = [](const U256& x, const U256& g) {
+    const auto t = u256_mul_wide(x, g);
+    U256 c = U256::from_limbs(t[6], t[7], 0, 0);
+    u256_add(c, c, U256(t[5] >> 63));
+    return c;
+  };
+  const U256 c1 = round_shift(k, glv::kG1);
+  const U256 c2 = round_shift(k, glv::kG2);
+  const auto& f = fn_;
+  // k2 = c1·(−b1) − c2·b2 and k1 = k − k2·λ, all mod n.
+  const Fe k2 = f.sub(f.mul(f.to_mont(c1), f.to_mont(glv::kMinusB1)),
+                      f.mul(f.to_mont(c2), f.to_mont(glv::kB2)));
+  const Fe k1 = f.sub(f.to_mont(k), f.mul(k2, f.to_mont(glv::kLambda)));
+  // A residue above n/2 stands for the negative half n − r.
+  const auto signed_half = [&](const Fe& r, U256& mag, bool& neg) {
+    mag = f.from_mont(r);
+    U256 minus;
+    u256_sub(minus, kN, mag);
+    neg = u256_less(minus, mag);
+    if (neg) mag = minus;
+  };
+  GlvSplit out;
+  signed_half(k1, out.k1, out.neg1);
+  signed_half(k2, out.k2, out.neg2);
+  return out;
+}
+
+Point Curve::endomorphism(const Point& p) const {
+  Point r = p;
+  r.x = fp_.mul(beta_, p.x);
+  return r;
+}
+
 Point Curve::mul_add(const U256& a, const U256& b, const Point& p) const {
   return msm(a, std::span<const U256>(&b, 1), std::span<const Point>(&p, 1));
 }
@@ -268,47 +354,58 @@ Point Curve::msm(const U256& g_scalar, std::span<const U256> scalars,
   if (scalars.size() != points.size()) {
     throw std::invalid_argument("msm: scalars/points length mismatch");
   }
-  // wnaf5 recoding assumes its input never borrows past 2^256 when a window
-  // digit is subtracted, which holds exactly for scalars reduced mod n
-  // (n < 2^256 - 15). Enforce the precondition instead of silently wrapping.
   for (const U256& s : scalars) {
     if (!u256_less(s, kN)) {
       throw std::invalid_argument("msm: scalar not reduced mod n");
     }
   }
   const std::size_t n = points.size();
-  // Odd multiples 1P, 3P, ..., 15P per point (width-5 wNAF), all normalized
-  // with a single inversion so every ladder add is a mixed add.
-  std::vector<Point> tables(n * 8);
+  constexpr std::size_t kOdd = std::size_t{1} << (kPointWindow - 2);
+  // Odd multiples of every point, normalized with a single inversion so
+  // every ladder add is a mixed add.
+  std::vector<Point> tables(n * kOdd);
   for (std::size_t i = 0; i < n; ++i) {
-    tables[i * 8] = points[i];
-    const Point p2 = dbl(points[i]);
-    for (std::size_t j = 1; j < 8; ++j) {
-      tables[i * 8 + j] = add(tables[i * 8 + j - 1], p2);
-    }
+    odd_multiples(*this, points[i], std::span<Point>(tables).subspan(i * kOdd, kOdd));
   }
   batch_normalize(tables);
-  std::vector<std::vector<std::int8_t>> nafs;
-  nafs.reserve(n);
-  for (const U256& s : scalars) nafs.push_back(wnaf5(s));
 
-  // One shared ladder serves every scalar: the doublings are paid once. The
-  // fixed-base contribution digit_j * 16^j * G is injected as (digit_j * G)
-  // at ladder position 4j — the remaining 4j doublings scale it into place.
-  Point acc = infinity();
-  for (int i = 256; i >= 0; --i) {
-    acc = dbl(acc);
-    for (std::size_t s = 0; s < n; ++s) {
-      const auto& naf = nafs[s];
-      if (static_cast<std::size_t>(i) >= naf.size() || naf[i] == 0) continue;
-      const int d = naf[i];
-      const Point& entry = tables[s * 8 + static_cast<std::size_t>((d > 0 ? d : -d) - 1) / 2];
-      acc = add_mixed(acc, d > 0 ? entry : negate(entry));
+  // 2^256 < 2n, so one subtraction reduces any g_scalar.
+  U256 g = g_scalar;
+  if (!u256_less(g, kN)) u256_sub(g, g, kN);
+
+  std::vector<LadderTerm> terms(2 * n + 2);
+  const auto add_terms = [&](std::size_t t, const GlvSplit& split, const Point* table,
+                             const Point* lambda_table, int w) {
+    terms[t].table = table;
+    wnaf(split.k1, w, split.neg1, terms[t]);
+    terms[t + 1].table = lambda_table;
+    wnaf(split.k2, w, split.neg2, terms[t + 1]);
+  };
+  add_terms(0, glv_split(g), g_odd_.data(), g_lambda_odd_.data(), kGWindow);
+  // λP's table costs one field multiplication per entry, paid only when
+  // the k2 half is nonzero.
+  std::vector<Point> lambda_tables(tables.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    const GlvSplit split = glv_split(scalars[i]);
+    if (!split.k2.is_zero()) {
+      for (std::size_t j = i * kOdd; j < (i + 1) * kOdd; ++j) {
+        lambda_tables[j] = endomorphism(tables[j]);
+      }
     }
-    if ((i & 3) == 0 && i <= 252) {
-      const int w = i / 4;
-      const unsigned digit = static_cast<unsigned>((g_scalar.w[w / 16] >> (4 * (w % 16))) & 0xF);
-      if (digit != 0) acc = add_mixed(acc, g_table_[0][digit - 1]);
+    add_terms(2 * i + 2, split, &tables[i * kOdd], &lambda_tables[i * kOdd], kPointWindow);
+  }
+  int top = 0;
+  for (const LadderTerm& t : terms) top = std::max(top, t.length);
+
+  // One shared ladder serves every term: the doublings are paid once.
+  Point acc = infinity();
+  for (int i = top - 1; i >= 0; --i) {
+    acc = dbl(acc);
+    for (const LadderTerm& t : terms) {
+      const int d = t.digits[static_cast<std::size_t>(i)];
+      if (d == 0) continue;
+      const Point& entry = t.table[(d > 0 ? d : -d) / 2];
+      acc = add_mixed(acc, d > 0 ? entry : negate(entry));
     }
   }
   return acc;

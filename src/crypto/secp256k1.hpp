@@ -13,6 +13,7 @@
 // resistance of co-located processes is out of the paper's scope.
 #pragma once
 
+#include <array>
 #include <optional>
 #include <span>
 #include <vector>
@@ -42,6 +43,38 @@ struct AffinePoint {
 
   Bytes serialize() const;
   static std::optional<AffinePoint> deserialize(BytesView b);
+};
+
+/// The GLV endomorphism of secp256k1 (Gallant, Lambert, Vanstone, CRYPTO
+/// 2001). β is a cube root of unity mod p and λ one mod n, paired so that
+/// λ·(x, y) == (β·x, y) for every point: a scalar multiple by λ costs one
+/// field multiplication. The lattice {(x, y) : x + y·λ ≡ 0 (mod n)} has the
+/// short basis (a1, b1), (a2, b2) with a1 == b2 and b1 < 0; g1 and g2 are
+/// round(2^384·b2 / n) and round(2^384·(−b1) / n), the fixed-point rounding
+/// constants of the split. crypto_test re-derives every relation.
+namespace glv {
+inline constexpr U256 kLambda = U256::from_limbs(0xDF02967C1B23BD72ULL, 0x122E22EA20816678ULL,
+                                                 0xA5261C028812645AULL, 0x5363AD4CC05C30E0ULL);
+inline constexpr U256 kBeta = U256::from_limbs(0xC1396C28719501EEULL, 0x9CF0497512F58995ULL,
+                                               0x6E64479EAC3434E9ULL, 0x7AE96A2B657C0710ULL);
+inline constexpr U256 kA1 = U256::from_limbs(0xE86C90E49284EB15ULL, 0x3086D221A7D46BCDULL, 0, 0);
+/// −b1 (b1 itself is negative).
+inline constexpr U256 kMinusB1 = U256::from_limbs(0x6F547FA90ABFE4C3ULL, 0xE4437ED6010E8828ULL,
+                                                  0, 0);
+inline constexpr U256 kA2 = U256::from_limbs(0x57C1108D9D44CFD8ULL, 0x14CA50F7A8E2F3F6ULL, 1, 0);
+inline constexpr U256 kB2 = kA1;
+inline constexpr U256 kG1 = U256::from_limbs(0xE893209A45DBB031ULL, 0x3DAA8A1471E8CA7FULL,
+                                             0xE86C90E49284EB15ULL, 0x3086D221A7D46BCDULL);
+inline constexpr U256 kG2 = U256::from_limbs(0x1571B4AE8AC47F71ULL, 0x221208AC9DF506C6ULL,
+                                             0x6F547FA90ABFE4C4ULL, 0xE4437ED6010E8828ULL);
+}  // namespace glv
+
+/// A scalar k split as k ≡ k1 + k2·λ (mod n). Each half is stored as a
+/// magnitude below 2^128 and a sign flag: half i stands for −ki when negi is
+/// set.
+struct GlvSplit {
+  U256 k1, k2;
+  bool neg1{false}, neg2{false};
 };
 
 /// Singleton-style curve context holding the base field (mod p), the
@@ -75,22 +108,35 @@ class Curve {
   /// Affine conversion of a whole span with a single field inversion.
   std::vector<AffinePoint> batch_to_affine(std::span<const Point> pts) const;
 
-  /// Scalar multiplication k*P, plain double-and-add MSB-first.
+  /// Scalar multiplication k*P, plain double-and-add MSB-first. This is the
+  /// reference the tests and benches check the fast paths against; no
+  /// protocol path calls it.
   Point mul(const U256& k, const Point& p) const;
 
-  /// Strauss–Shamir joint form a*G + b*P in one interleaved ladder: the G
-  /// side reuses the fixed-base window table (adds only), the P side walks a
-  /// width-5 wNAF over a batch-normalized odd-multiples table. One ladder's
-  /// worth of doublings serves both scalars — the Schnorr verification shape.
+  /// Splits k < n along the GLV lattice: c1 = round(k·b2 / n) and
+  /// c2 = round(k·(−b1) / n) by 2^384-scaled fixed point, then
+  /// k2 = −c1·b1 − c2·b2 and k1 = k − k2·λ (mod n). Both halves come out
+  /// below 2^128 in magnitude; a k already below 2^128 splits as (k, 0).
+  /// Throws std::invalid_argument if k >= n.
+  GlvSplit glv_split(const U256& k) const;
+
+  /// λ·P computed as (β·x, y, z).
+  Point endomorphism(const Point& p) const;
+
+  /// a*G + b*P, the Schnorr verification shape: msm over one point.
   /// `b` must be reduced mod n (throws std::invalid_argument otherwise).
   Point mul_add(const U256& a, const U256& b, const Point& p) const;
 
   /// Multi-scalar multiplication g_scalar*G + Σ scalars[i]*points[i] under a
-  /// single shared double ladder (Strauss). All per-point odd-multiple tables
-  /// are batch-normalized with one inversion, so every ladder add is a mixed
-  /// add. `scalars` and `points` must have equal length, and every entry of
-  /// `scalars` must be reduced mod n (the wNAF recoding is only correct for
-  /// k < 2^256 - 15); violations throw std::invalid_argument.
+  /// single shared double ladder (Strauss) of at most 129 steps. Every
+  /// scalar is GLV-split, so each point contributes two half-length terms:
+  /// width-5 wNAF digits over P's odd multiples 1P..15P and over λP's
+  /// (β·x, y) copies of them. All per-point tables are batch-normalized with
+  /// one inversion, so every ladder add is a mixed add. G's two halves walk
+  /// width-8 wNAF digits over the static tables of 1G..127G and λG's.
+  /// `scalars` and `points` must have equal length and every entry of
+  /// `scalars` must be reduced mod n; violations throw std::invalid_argument.
+  /// `g_scalar` may be any 256-bit value.
   Point msm(const U256& g_scalar, std::span<const U256> scalars,
             std::span<const Point> points) const;
 
@@ -115,10 +161,15 @@ class Curve {
   MontgomeryField fn_;
   Fe b7_;  // curve constant 7
   Point g_;
-  /// g_table_[i][j-1] == j * 16^i * G for j in 1..15, i in 0..63. Every entry
-  /// is batch-normalized to Z == 1 at construction so table lookups feed the
-  /// cheaper mixed addition.
+  Fe beta_;  // glv::kBeta in the base field
+  /// g_table_[i][j-1] == j * 16^i * G for j in 1..15, i in 0..63: mul_g's
+  /// comb. Every entry is batch-normalized to Z == 1 at construction so table
+  /// lookups feed the cheaper mixed addition.
   std::vector<std::array<Point, 15>> g_table_;
+  /// g_odd_[j] == (2j+1)·G and g_lambda_odd_[j] == (2j+1)·λG for j in 0..63,
+  /// normalized: the fixed-base tables of msm's width-8 G terms.
+  std::array<Point, 64> g_odd_;
+  std::array<Point, 64> g_lambda_odd_;
 };
 
 /// Reduces a 32-byte digest to a scalar in [0, n). Used for Schnorr/CoSi

@@ -1,5 +1,6 @@
 #include "ledger/round_log.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "common/serde.hpp"
@@ -118,10 +119,16 @@ std::optional<std::vector<RoundRecord>> FileRoundLog::replay() const {
   std::FILE* f = std::fopen(path_.c_str(), "rb");
   if (f == nullptr) return std::vector<RoundRecord>{};  // no file yet: empty log
 
+  // The file's size bounds every length field: a corrupt or torn header is
+  // rejected before it can size an allocation.
+  bool ok = std::fseek(f, 0, SEEK_END) == 0;
+  const long size = ok ? std::ftell(f) : -1;
+  ok = size >= 0 && std::fseek(f, 0, SEEK_SET) == 0;
+  std::uint64_t left = ok ? static_cast<std::uint64_t>(size) : 0;
+
   std::vector<RoundRecord> out;
   crypto::Digest chain;
-  bool ok = true;
-  for (;;) {
+  while (ok) {
     unsigned char hdr[4];
     const std::size_t got = std::fread(hdr, 1, sizeof hdr, f);
     if (got == 0) break;  // clean end of log
@@ -129,14 +136,16 @@ std::optional<std::vector<RoundRecord>> FileRoundLog::replay() const {
       ok = false;
       break;
     }
+    left -= std::min<std::uint64_t>(left, sizeof hdr);
     const std::uint32_t len = static_cast<std::uint32_t>(hdr[0]) |
                               (static_cast<std::uint32_t>(hdr[1]) << 8) |
                               (static_cast<std::uint32_t>(hdr[2]) << 16) |
                               (static_cast<std::uint32_t>(hdr[3]) << 24);
-    if (len > (1u << 28)) {  // implausible record: corrupt length field
+    if (std::uint64_t{len} + 32 > left) {  // record runs past the end of the file
       ok = false;
       break;
     }
+    left -= std::uint64_t{len} + 32;
     Bytes bytes(len);
     unsigned char stored[32];
     if (std::fread(bytes.data(), 1, len, f) != len ||

@@ -443,8 +443,8 @@ TEST_F(CurveTest, MsmMatchesSumOfMuls) {
 }
 
 TEST_F(CurveTest, MsmRejectsUnreducedScalars) {
-  // wnaf5 recoding is only correct for scalars < 2^256 - 15; msm enforces the
-  // stricter (and natural) precondition that wNAF scalars are reduced mod n.
+  // The GLV split is defined on residues mod n, so msm requires every
+  // per-point scalar to be reduced.
   const Point p = c.mul_g(U256(7));
   const std::vector<Point> points{p};
   std::vector<U256> scalars{c.order()};
@@ -453,6 +453,189 @@ TEST_F(CurveTest, MsmRejectsUnreducedScalars) {
   // One below n is fine.
   u256_sub(scalars[0], c.order(), U256(1));
   EXPECT_TRUE(c.equal(c.msm(U256(0), scalars, points), c.negate(p)));
+}
+
+// --- GLV endomorphism ----------------------------------------------------------
+
+/// n − x, for x <= n.
+U256 order_minus(const U256& x) {
+  U256 out;
+  u256_sub(out, Curve::instance().order(), x);
+  return out;
+}
+
+/// Scalars where the split or the ladder has a boundary: zero, one, λ and its
+/// negation, n − 1, the halves around n/2 and 2^128, and the basis vectors.
+std::vector<U256> glv_edge_scalars() {
+  const U256 two128 = U256::from_limbs(0, 0, 1, 0);
+  U256 two128_minus1, two128_plus1, half_n;
+  u256_sub(two128_minus1, two128, U256(1));
+  u256_add(two128_plus1, two128, U256(1));
+  const U256& n = Curve::instance().order();
+  half_n = U256::from_limbs((n.w[0] >> 1) | (n.w[1] << 63), (n.w[1] >> 1) | (n.w[2] << 63),
+                            (n.w[2] >> 1) | (n.w[3] << 63), n.w[3] >> 1);
+  U256 half_n_plus1;
+  u256_add(half_n_plus1, half_n, U256(1));
+  return {U256(0),       U256(1),       U256(2),
+          glv::kLambda,  order_minus(glv::kLambda),
+          order_minus(U256(1)),
+          two128_minus1, two128,        two128_plus1,
+          half_n,        half_n_plus1,
+          glv::kA1,      glv::kMinusB1, glv::kA2,
+          order_minus(glv::kA1), order_minus(glv::kMinusB1), order_minus(glv::kA2)};
+}
+
+/// The signed half (neg ? n − mag : mag) as a residue mod n.
+U256 signed_residue(const U256& mag, bool neg) {
+  return neg && !mag.is_zero() ? order_minus(mag) : mag;
+}
+
+/// (a + b·c) mod n, for a, b, c < n.
+U256 mul_add_mod_n(const U256& a, const U256& b, const U256& c) {
+  const auto& fn = Curve::instance().fn();
+  return fn.from_mont(fn.add(fn.to_mont(a), fn.mul(fn.to_mont(b), fn.to_mont(c))));
+}
+
+/// |x − y| as 512-bit values, little-endian limbs.
+std::array<std::uint64_t, 8> abs_diff512(std::array<std::uint64_t, 8> x,
+                                         std::array<std::uint64_t, 8> y) {
+  bool x_less = false;
+  for (int i = 7; i >= 0; --i) {
+    if (x[i] != y[i]) {
+      x_less = x[i] < y[i];
+      break;
+    }
+  }
+  if (x_less) std::swap(x, y);
+  std::array<std::uint64_t, 8> out{};
+  std::uint64_t borrow = 0;
+  for (int i = 0; i < 8; ++i) {
+    const unsigned __int128 d = static_cast<unsigned __int128>(x[i]) - y[i] - borrow;
+    out[i] = static_cast<std::uint64_t>(d);
+    borrow = static_cast<std::uint64_t>(d >> 64) & 1;
+  }
+  return out;
+}
+
+TEST_F(CurveTest, GlvConstantsMatchTheCurve) {
+  const auto& fn = c.fn();
+  const auto& fp = c.fp();
+  // λ and β are nontrivial cube roots of unity mod n and mod p.
+  const Fe lam = fn.to_mont(glv::kLambda);
+  EXPECT_FALSE(lam == fn.one());
+  EXPECT_EQ(fn.from_mont(fn.mul(fn.sqr(lam), lam)), U256(1));
+  const Fe beta = fp.to_mont(glv::kBeta);
+  EXPECT_FALSE(beta == fp.one());
+  EXPECT_EQ(fp.from_mont(fp.mul(fp.sqr(beta), beta)), U256(1));
+  // They pair up: the plain ladder's λ·G is (β·Gx, Gy).
+  const AffinePoint g = c.to_affine(c.generator());
+  const AffinePoint lg = c.to_affine(c.mul(glv::kLambda, c.generator()));
+  EXPECT_EQ(lg.x, fp.from_mont(fp.mul(beta, fp.to_mont(g.x))));
+  EXPECT_EQ(lg.y, g.y);
+  EXPECT_TRUE(c.equal(c.endomorphism(c.generator()), c.mul(glv::kLambda, c.generator())));
+  // Both basis vectors lie on the lattice: a1 + b1·λ ≡ 0 and a2 + b2·λ ≡ 0.
+  EXPECT_EQ(mul_add_mod_n(glv::kA1, order_minus(glv::kMinusB1), glv::kLambda), U256(0));
+  EXPECT_EQ(mul_add_mod_n(glv::kA2, glv::kB2, glv::kLambda), U256(0));
+  // They span it: det = a1·b2 − a2·b1 = a1·b2 + a2·(−b1) == n.
+  const auto det1 = u256_mul_wide(glv::kA1, glv::kB2);
+  const auto det2 = u256_mul_wide(glv::kA2, glv::kMinusB1);
+  U256 lo = U256::from_limbs(det1[0], det1[1], det1[2], det1[3]);
+  U256 lo2 = U256::from_limbs(det2[0], det2[1], det2[2], det2[3]);
+  U256 det;
+  EXPECT_EQ(u256_add(det, lo, lo2), 0u);
+  EXPECT_EQ(det, c.order());
+  // g1, g2 are the nearest integers to 2^384·b2/n and 2^384·(−b1)/n:
+  // |g·n − 2^384·b| <= n/2.
+  for (const auto& [g, b] : {std::pair{glv::kG1, glv::kB2}, std::pair{glv::kG2, glv::kMinusB1}}) {
+    std::array<std::uint64_t, 8> target{};
+    target[6] = b.w[0];
+    target[7] = b.w[1];
+    ASSERT_TRUE(b.w[2] == 0 && b.w[3] == 0);
+    const auto diff = abs_diff512(u256_mul_wide(g, c.order()), target);
+    for (int i = 4; i < 8; ++i) EXPECT_EQ(diff[i], 0u);
+    const U256 d = U256::from_limbs(diff[0], diff[1], diff[2], diff[3]);
+    U256 twice;
+    EXPECT_EQ(u256_add(twice, d, d), 0u);
+    EXPECT_TRUE(u256_less(twice, c.order())) << "g=" << g.hex();
+  }
+}
+
+TEST_F(CurveTest, GlvSplitRecombinesWithShortHalves) {
+  // k ≡ k1 + k2·λ (mod n) with both halves below 2^128 (the ladder's digit
+  // budget; the lattice argument only promises ~2^129), over 10^5 random
+  // full-width scalars, 128-bit scalars, and the edge cases.
+  std::vector<U256> ks = glv_edge_scalars();
+  Rng rng(0x61F);
+  for (int i = 0; i < 100000; ++i) {
+    U256 k = U256::from_limbs(rng.next_u64(), rng.next_u64(), rng.next_u64(), rng.next_u64());
+    if (i % 4 == 3) k.w[2] = k.w[3] = 0;
+    if (!u256_less(k, c.order())) u256_sub(k, k, c.order());
+    ks.push_back(k);
+  }
+  const U256 two128 = U256::from_limbs(0, 0, 1, 0);
+  for (const U256& k : ks) {
+    const GlvSplit s = c.glv_split(k);
+    ASSERT_TRUE(u256_less(s.k1, two128)) << "k=" << k.hex() << " k1=" << s.k1.hex();
+    ASSERT_TRUE(u256_less(s.k2, two128)) << "k=" << k.hex() << " k2=" << s.k2.hex();
+    ASSERT_EQ(mul_add_mod_n(signed_residue(s.k1, s.neg1), signed_residue(s.k2, s.neg2),
+                            glv::kLambda),
+              k)
+        << "k=" << k.hex();
+  }
+  EXPECT_THROW(c.glv_split(c.order()), std::invalid_argument);
+}
+
+TEST_F(CurveTest, MulAddMatchesReferenceOnGlvEdgeScalars) {
+  // Every pair of edge scalars, against two points: a random one, and G
+  // itself — where the ladder's per-point and fixed-base tables hold the
+  // same points and the mixed add meets its doubling and cancelling cases.
+  const std::vector<U256> edges = glv_edge_scalars();
+  const Point p = c.mul_g(scalar_from_digest(sha256(to_bytes("glv-edge-point"))));
+  for (const Point& q : {p, c.generator()}) {
+    std::vector<Point> bq;
+    for (const U256& b : edges) bq.push_back(c.mul(b, q));
+    for (const U256& a : edges) {
+      const Point ag = c.mul_g(a);
+      for (std::size_t j = 0; j < edges.size(); ++j) {
+        ASSERT_TRUE(c.equal(c.mul_add(a, edges[j], q), c.add(ag, bq[j])))
+            << "a=" << a.hex() << " b=" << edges[j].hex();
+      }
+    }
+  }
+  // a·G + (n − a)·G is infinity.
+  for (const U256& a : edges) {
+    if (a.is_zero()) continue;
+    EXPECT_TRUE(c.mul_add(a, order_minus(a), c.generator()).is_infinity()) << a.hex();
+  }
+}
+
+TEST_F(CurveTest, MsmMixesShortAndFullWidthScalars) {
+  // batch_verify's shape: 128-bit coefficients on some points and full-width
+  // scalars on others, in one ladder. Repeated points and λ-related points
+  // (whose tables coincide with another point's λ-table) are mixed in.
+  const Point p = c.mul_g(scalar_from_digest(sha256(to_bytes("msm-mix-p"))));
+  const std::vector<Point> points{p,
+                                  c.mul_g(scalar_from_digest(sha256(to_bytes("msm-mix-q")))),
+                                  p,
+                                  c.endomorphism(p),
+                                  c.generator(),
+                                  c.infinity()};
+  std::vector<U256> scalars;
+  Point expect = c.infinity();
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    U256 s = scalar_from_digest(sha256(to_bytes("msm-mix-s" + std::to_string(i))));
+    if (i % 2 == 0) s.w[2] = s.w[3] = 0;
+    scalars.push_back(s);
+    expect = c.add(expect, c.mul(s, points[i]));
+  }
+  for (const U256& g : glv_edge_scalars()) {
+    EXPECT_TRUE(c.equal(c.msm(g, scalars, points), c.add(c.mul_g(g), expect))) << g.hex();
+  }
+  // Any 256-bit g_scalar is accepted and taken mod n.
+  const U256 all_ones = U256::from_limbs(~0ULL, ~0ULL, ~0ULL, ~0ULL);
+  U256 reduced;
+  u256_sub(reduced, all_ones, c.order());
+  EXPECT_TRUE(c.equal(c.msm(all_ones, scalars, points), c.add(c.mul_g(reduced), expect)));
 }
 
 TEST_F(CurveTest, BatchToAffineMatchesToAffine) {
@@ -528,6 +711,21 @@ TEST(Schnorr, RejectsWrongKey) {
   const KeyPair b = KeyPair::deterministic(2);
   const Bytes msg = to_bytes("m");
   EXPECT_FALSE(verify(b.public_key(), msg, a.sign(msg)));
+}
+
+TEST(Schnorr, RejectsTwistedKey) {
+  // λ·P is a valid key with the same y as P. A ladder that mixed up a point's
+  // table with its λ-table would compute with the wrong one of the two.
+  const Curve& c = Curve::instance();
+  const KeyPair kp = KeyPair::deterministic(4);
+  const Bytes msg = to_bytes("m");
+  const Signature sig = kp.sign(msg);
+  ASSERT_TRUE(verify(kp.public_key(), msg, sig));
+  const PublicKey twisted{
+      c.to_affine(c.mul(glv::kLambda, c.from_affine(kp.public_key().point)))};
+  ASSERT_TRUE(c.on_curve(twisted.point));
+  ASSERT_EQ(twisted.point.y, kp.public_key().point.y);
+  EXPECT_FALSE(verify(twisted, msg, sig));
 }
 
 TEST(Schnorr, RejectsTamperedSignature) {
@@ -735,6 +933,28 @@ TEST_F(BatchVerifyTest, CoefficientSolveForgeryRejected) {
   EXPECT_EQ(verdicts[1], 0);
   for (std::size_t i = 2; i < entries.size(); ++i) {
     EXPECT_EQ(verdicts[i], 1) << "item " << i;
+  }
+}
+
+TEST_F(BatchVerifyTest, RepeatedKeyCorruptionAttributed) {
+  // 64 items under one key, then under three keys round-robin: the P-terms
+  // of each key merge into one term, and one corrupted item must still be
+  // pinned exactly.
+  for (const std::uint64_t num_keys : {1, 3}) {
+    entries.clear();
+    for (std::size_t i = 0; i < 64; ++i) {
+      const KeyPair kp = KeyPair::deterministic(77 + i % num_keys);
+      Bytes msg = to_bytes("same-key message " + std::to_string(i));
+      const Signature sig = kp.sign(msg);
+      entries.push_back(Entry{kp.public_key(), std::move(msg), sig});
+    }
+    ASSERT_EQ(batch_verify(items()), std::vector<unsigned char>(64, 1));
+    const std::size_t bad = 41;
+    entries[bad].message = to_bytes("tampered");
+    const auto verdicts = batch_verify(items());
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      EXPECT_EQ(verdicts[i], i == bad ? 0 : 1) << num_keys << " keys, item " << i;
+    }
   }
 }
 

@@ -19,6 +19,7 @@
 //         coordinator returns.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -98,6 +99,59 @@ TEST(RoundLog, FilePersistsAcrossReopenAndDetectsCorruption) {
   }
   ledger::FileRoundLog log(path);
   EXPECT_FALSE(log.replay().has_value());
+  std::remove(path.c_str());
+}
+
+TEST(RoundLog, FileReplayBoundsLengthFieldByFileSize) {
+  // A length field is checked against the bytes left in the file before the
+  // record buffer is allocated: a corrupt header claiming 2^28 - 1 bytes, or
+  // one byte more than the file holds, replays as nullopt instead of sizing
+  // an allocation from it. An exact-fit record still replays.
+  const std::string path =
+      ::testing::TempDir() + "fides_roundlog_len_" + std::to_string(::getpid()) + ".rlog";
+  std::remove(path.c_str());
+  { ledger::FileRoundLog(path).append(vote_record(5, "exact")); }
+  Bytes valid;
+  {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    for (int c; (c = std::fgetc(f)) != EOF;) valid.push_back(static_cast<std::uint8_t>(c));
+    std::fclose(f);
+  }
+  ASSERT_GT(valid.size(), 4u + 32u);
+  const auto replay_bytes = [&](const Bytes& bytes) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    EXPECT_NE(f, nullptr);
+    EXPECT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+    return ledger::FileRoundLog(path).replay();
+  };
+  const auto with_len = [](Bytes bytes, std::size_t at, std::uint32_t len) {
+    for (int i = 0; i < 4; ++i) bytes[at + i] = static_cast<std::uint8_t>(len >> (8 * i));
+    return bytes;
+  };
+  const std::uint32_t len = static_cast<std::uint32_t>(valid.size() - 4 - 32);
+
+  const auto exact = replay_bytes(valid);
+  ASSERT_TRUE(exact.has_value());
+  ASSERT_EQ(exact->size(), 1u);
+  EXPECT_EQ((*exact)[0], vote_record(5, "exact"));
+
+  // Replaying the 2^28 - 1 claim must not fault in a buffer of that size.
+  const auto peak_rss_kib = [] {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_maxrss;
+  };
+  const long peak_before = peak_rss_kib();
+  EXPECT_FALSE(replay_bytes(with_len(valid, 0, (1u << 28) - 1)).has_value());
+  EXPECT_LT(peak_rss_kib() - peak_before, 64L * 1024) << "replay allocated from a corrupt length";
+  EXPECT_FALSE(replay_bytes(with_len(valid, 0, len + 1)).has_value());
+  // The same two headers on a second record, after a valid first one.
+  Bytes two = valid;
+  two.insert(two.end(), valid.begin(), valid.end());
+  EXPECT_FALSE(replay_bytes(with_len(two, valid.size(), (1u << 28) - 1)).has_value());
+  EXPECT_FALSE(replay_bytes(with_len(two, valid.size(), len + 1)).has_value());
   std::remove(path.c_str());
 }
 
