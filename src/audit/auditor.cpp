@@ -1,5 +1,6 @@
 #include "audit/auditor.hpp"
 
+#include <algorithm>
 #include <unordered_map>
 
 namespace fides::audit {
@@ -18,7 +19,7 @@ struct ReplayItem {
 
 AuditReport Auditor::run() {
   AuditReport report;
-  const std::vector<ledger::Block> log = collect_and_select(report);
+  const std::span<const ledger::Block> log = select_log(report);
   if (log.empty()) return report;
   check_history(log, report);
   if (options_.datastore != DatastorePolicy::kNone) check_datastores(log, report);
@@ -26,11 +27,16 @@ AuditReport Auditor::run() {
 }
 
 std::vector<ledger::Block> Auditor::collect_and_select(AuditReport& report) {
-  // Step 1: gather every server's log.
-  std::vector<std::vector<ledger::Block>> logs;
+  const std::span<const ledger::Block> log = select_log(report);
+  return {log.begin(), log.end()};
+}
+
+std::span<const ledger::Block> Auditor::select_log(AuditReport& report) {
+  // Step 1: gather every server's log — views, not copies.
+  std::vector<std::span<const ledger::Block>> logs;
   logs.reserve(cluster_->num_servers());
   for (std::uint32_t i = 0; i < cluster_->num_servers(); ++i) {
-    logs.push_back(cluster_->server(ServerId{i}).audit_log());
+    logs.emplace_back(cluster_->server(ServerId{i}).audit_log());
   }
 
   // Step 2: validate and adopt. Detailed per-block issues feed attribution.
@@ -38,8 +44,7 @@ std::vector<ledger::Block> Auditor::collect_and_select(AuditReport& report) {
       ledger::select_correct_log(logs, cluster_->server_keys());
 
   for (const std::size_t bad : sel.invalid) {
-    const auto check =
-        ledger::validate_chain(logs[bad], cluster_->server_keys(), true);
+    const ledger::ChainCheckResult& check = sel.checks[bad];
     for (const auto& issue : check.issues) {
       const bool cosign_issue = issue.what.find("signature") != std::string::npos;
       report.violations.push_back(Violation{
@@ -75,16 +80,15 @@ std::vector<ledger::Block> Auditor::collect_and_select(AuditReport& report) {
   // Cross-check: two *valid* logs must agree block-for-block on their common
   // prefix; a divergence would mean one co-sign covers two different blocks
   // (atomicity violation, Lemma 5) — cryptographically impossible unless all
-  // servers collude, but we check rather than assume.
-  const auto& adopted = logs[*sel.chosen];
+  // servers collude, but we check rather than assume. Compares the digests
+  // validation already computed.
+  const std::vector<crypto::Digest>& adopted = sel.checks[*sel.chosen].digests;
   for (std::size_t i = 0; i < logs.size(); ++i) {
-    if (i == *sel.chosen) continue;
-    const bool valid = std::find(sel.invalid.begin(), sel.invalid.end(), i) ==
-                       sel.invalid.end();
-    if (!valid) continue;
-    const std::size_t common = std::min(adopted.size(), logs[i].size());
+    if (i == *sel.chosen || !sel.checks[i].ok) continue;
+    const std::vector<crypto::Digest>& other = sel.checks[i].digests;
+    const std::size_t common = std::min(adopted.size(), other.size());
     for (std::size_t b = 0; b < common; ++b) {
-      if (!(adopted[b].digest() == logs[i][b].digest())) {
+      if (!(adopted[b] == other[b])) {
         report.violations.push_back(Violation{
             ViolationKind::kAtomicityViolation, ServerId{static_cast<std::uint32_t>(i)},
             b, std::nullopt, "valid logs diverge: different blocks at the same height"});
@@ -94,8 +98,8 @@ std::vector<ledger::Block> Auditor::collect_and_select(AuditReport& report) {
   }
 
   report.adopted_log_source = ServerId{static_cast<std::uint32_t>(*sel.chosen)};
-  report.blocks_audited = adopted.size();
-  return adopted;
+  report.blocks_audited = logs[*sel.chosen].size();
+  return logs[*sel.chosen];
 }
 
 void Auditor::check_history(std::span<const ledger::Block> log, AuditReport& report) {

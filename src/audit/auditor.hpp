@@ -18,6 +18,13 @@
 // Atomicity (Lemma 5) and CoSi misbehaviour (Lemma 4) surface during step 2
 // as invalid co-signs / divergent blocks, or earlier inside TFCommit itself
 // (refusals, faulty-cosigner attribution).
+//
+// Cost of step 2: the auditor reads every server's log in place (no copies)
+// and validates them through one per-audit ledger::ChainMemo, so each
+// *distinct* block is hashed and co-sign-verified once per audit; the other
+// n-1 copies of an honest block are only compared memberwise against it. A
+// copy differing in any field is hashed and verified on its own. Attribution
+// and the cross-log check reuse the per-log validation results.
 #pragma once
 
 #include "audit/report.hpp"
@@ -50,7 +57,7 @@ class Auditor {
   // Individual phases, exposed for targeted tests and the examples.
 
   /// Steps 1-2. Populates tamper/incomplete/no-valid-log violations and
-  /// returns the adopted log (empty when none is valid).
+  /// returns a copy of the adopted log (empty when none is valid).
   std::vector<ledger::Block> collect_and_select(AuditReport& report);
 
   /// Step 3 over an adopted log.
@@ -74,6 +81,10 @@ class Auditor {
   static Timestamp block_version(const ledger::Block& block);
 
  private:
+  /// Steps 1-2 without copies: the adopted log as a view of its server's
+  /// audit_log() (empty when no log is valid).
+  std::span<const ledger::Block> select_log(AuditReport& report);
+
   /// Validates one already-fetched proof against a block's signed root.
   bool check_proof(ServerId server, const AuditItemProof& proof,
                    const Timestamp& version, const ledger::Block& block,

@@ -1,6 +1,7 @@
 #include "fides/server.hpp"
 
 #include "common/cpu_time.hpp"
+#include "ledger/chain_validation.hpp"
 #include "txn/occ.hpp"
 
 namespace fides {
@@ -68,14 +69,7 @@ WriteAck Server::handle_write(ClientId /*client*/, TxnId txn, ItemId item, Bytes
 Server::ApplyResult Server::apply_decision(const commit::DecisionMsg& msg,
                                            std::span<const crypto::PublicKey> all_server_keys) {
   const ledger::Block& block = msg.final_block;
-  if (!block.cosign || block.signers.empty()) return ApplyResult::kRejected;
-  std::vector<crypto::PublicKey> signer_keys;
-  signer_keys.reserve(block.signers.size());
-  for (const ServerId s : block.signers) {
-    if (s.value >= all_server_keys.size()) return ApplyResult::kRejected;
-    signer_keys.push_back(all_server_keys[s.value]);
-  }
-  if (!crypto::cosi_verify(block.signing_bytes(), *block.cosign, signer_keys)) {
+  if (ledger::verify_block_cosign(block, all_server_keys) != ledger::CosignVerdict::kOk) {
     return ApplyResult::kRejected;
   }
   if (block.height < log_.size()) return ApplyResult::kStale;
@@ -98,15 +92,8 @@ bool Server::handle_decision(const commit::DecisionMsg& msg,
 
 Server::ApplyResult Server::apply_sequenced(const ledger::Block& block,
                                             std::span<const crypto::PublicKey> all_server_keys) {
-  if (!block.cosign || block.signers.empty()) return ApplyResult::kRejected;
-  std::vector<crypto::PublicKey> signer_keys;
-  signer_keys.reserve(block.signers.size());
-  for (const ServerId s : block.signers) {
-    if (s.value >= all_server_keys.size()) return ApplyResult::kRejected;
-    signer_keys.push_back(all_server_keys[s.value]);
-  }
-  if (!crypto::cosi_verify(ledger::unchained_signing_bytes(block), *block.cosign,
-                           signer_keys)) {
+  if (ledger::verify_unchained_cosign(block, all_server_keys) !=
+      ledger::CosignVerdict::kOk) {
     return ApplyResult::kRejected;
   }
   if (block.height < log_.size()) return ApplyResult::kStale;

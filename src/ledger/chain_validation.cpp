@@ -1,14 +1,66 @@
 #include "ledger/chain_validation.hpp"
 
+#include <algorithm>
+
 namespace fides::ledger {
+
+namespace {
+
+/// The co-sign covers the block's declared signer set; resolve their keys
+/// from the full membership. An empty/bogus signer set or one naming an
+/// unknown server cannot validate. `record` renders the signed bytes, and
+/// runs only once the signer set checks out.
+template <typename Record>
+CosignVerdict verify_cosign_over(const Block& b,
+                                 std::span<const crypto::PublicKey> server_keys,
+                                 Record record) {
+  if (!b.cosign) return CosignVerdict::kMissing;
+  if (b.signers.empty()) return CosignVerdict::kBadSignerSet;
+  std::vector<crypto::PublicKey> keys;
+  keys.reserve(b.signers.size());
+  for (const ServerId s : b.signers) {
+    if (s.value >= server_keys.size()) return CosignVerdict::kBadSignerSet;
+    keys.push_back(server_keys[s.value]);
+  }
+  return crypto::cosi_verify(record(b), *b.cosign, keys) ? CosignVerdict::kOk
+                                                         : CosignVerdict::kBadSignature;
+}
+
+}  // namespace
+
+CosignVerdict verify_block_cosign(const Block& block,
+                                  std::span<const crypto::PublicKey> server_keys) {
+  return verify_cosign_over(block, server_keys,
+                            [](const Block& b) { return b.signing_bytes(); });
+}
+
+CosignVerdict verify_unchained_cosign(const Block& block,
+                                      std::span<const crypto::PublicKey> server_keys) {
+  return verify_cosign_over(block, server_keys,
+                            [](const Block& b) { return unchained_signing_bytes(b); });
+}
+
+ChainMemo::Entry& ChainMemo::entry(std::size_t position, const Block& block) {
+  if (position >= by_position_.size()) by_position_.resize(position + 1);
+  std::vector<Entry>& seen = by_position_[position];
+  for (Entry& e : seen) {
+    if (*e.block == block) return e;
+  }
+  seen.push_back(Entry{&block, block.digest(), std::nullopt});
+  return seen.back();
+}
 
 ChainCheckResult validate_chain(std::span<const Block> blocks,
                                 std::span<const crypto::PublicKey> server_keys,
-                                bool require_cosign) {
+                                bool require_cosign, ChainMemo* memo) {
+  ChainMemo own;
+  if (memo == nullptr) memo = &own;
   ChainCheckResult res;
+  res.digests.reserve(blocks.size());
   crypto::Digest expected_prev = crypto::Digest::zero();
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     const Block& b = blocks[i];
+    ChainMemo::Entry& e = memo->entry(i, b);
     if (b.height != i) {
       res.issues.push_back({i, "height " + std::to_string(b.height) +
                                    " does not match position " + std::to_string(i)});
@@ -18,51 +70,45 @@ ChainCheckResult validate_chain(std::span<const Block> blocks,
                                "the digest of the preceding block"});
     }
     if (require_cosign) {
-      if (!b.cosign) {
-        res.issues.push_back({i, "missing collective signature"});
-      } else {
-        // The co-sign covers the block's declared signer set; resolve their
-        // keys from the full membership. An empty/bogus signer set or one
-        // naming an unknown server cannot validate.
-        std::vector<crypto::PublicKey> keys;
-        keys.reserve(b.signers.size());
-        bool signers_ok = !b.signers.empty();
-        for (const ServerId s : b.signers) {
-          if (s.value >= server_keys.size()) {
-            signers_ok = false;
-            break;
-          }
-          keys.push_back(server_keys[s.value]);
-        }
-        if (!signers_ok) {
+      if (!e.cosign) e.cosign = verify_block_cosign(b, server_keys);
+      switch (*e.cosign) {
+        case CosignVerdict::kMissing:
+          res.issues.push_back({i, "missing collective signature"});
+          break;
+        case CosignVerdict::kBadSignerSet:
           res.issues.push_back({i, "block declares an invalid signer set"});
-        } else if (!crypto::cosi_verify(b.signing_bytes(), *b.cosign, keys)) {
+          break;
+        case CosignVerdict::kBadSignature:
           res.issues.push_back({i, "collective signature does not verify against "
                                    "the block contents"});
-        }
+          break;
+        case CosignVerdict::kOk:
+          break;
       }
     }
-    expected_prev = b.digest();
+    expected_prev = e.digest;
+    res.digests.push_back(e.digest);
   }
   res.ok = res.issues.empty();
   return res;
 }
 
-LogSelection select_correct_log(const std::vector<std::vector<Block>>& logs,
+LogSelection select_correct_log(std::span<const std::span<const Block>> logs,
                                 std::span<const crypto::PublicKey> server_keys) {
   LogSelection sel;
-  std::vector<bool> valid(logs.size(), false);
+  ChainMemo memo;
+  sel.checks.reserve(logs.size());
   for (std::size_t i = 0; i < logs.size(); ++i) {
-    const auto check = validate_chain(logs[i], server_keys, /*require_cosign=*/true);
-    valid[i] = check.ok;
-    if (!check.ok) sel.invalid.push_back(i);
+    sel.checks.push_back(
+        validate_chain(logs[i], server_keys, /*require_cosign=*/true, &memo));
+    if (!sel.checks[i].ok) sel.invalid.push_back(i);
   }
 
   // Among valid logs, the longest is complete (>= the correct server's log,
   // and validity rules out fabricated extensions).
   std::size_t best_len = 0;
   for (std::size_t i = 0; i < logs.size(); ++i) {
-    if (valid[i] && logs[i].size() >= best_len) {
+    if (sel.checks[i].ok && logs[i].size() >= best_len) {
       if (!sel.chosen || logs[i].size() > best_len) sel.chosen = i;
       best_len = std::max(best_len, logs[i].size());
     }
@@ -70,7 +116,7 @@ LogSelection select_correct_log(const std::vector<std::vector<Block>>& logs,
 
   if (sel.chosen) {
     for (std::size_t i = 0; i < logs.size(); ++i) {
-      if (valid[i] && logs[i].size() < best_len) sel.incomplete.push_back(i);
+      if (sel.checks[i].ok && logs[i].size() < best_len) sel.incomplete.push_back(i);
     }
   }
   return sel;

@@ -124,22 +124,11 @@ ChainCheckResult validate_chain_from(const Checkpoint& cp,
     if (!(b.prev_hash == expected_prev)) {
       res.issues.push_back({i, "broken hash pointer after checkpoint"});
     }
-    if (!b.cosign || b.signers.empty()) {
+    const CosignVerdict cosign = verify_block_cosign(b, server_keys);
+    if (cosign == CosignVerdict::kMissing || b.signers.empty()) {
       res.issues.push_back({i, "missing collective signature"});
-    } else {
-      std::vector<crypto::PublicKey> keys;
-      bool signers_ok = true;
-      for (const ServerId s : b.signers) {
-        if (s.value >= server_keys.size()) {
-          signers_ok = false;
-          break;
-        }
-        keys.push_back(server_keys[s.value]);
-      }
-      if (!signers_ok ||
-          !crypto::cosi_verify(b.signing_bytes(), *b.cosign, keys)) {
-        res.issues.push_back({i, "collective signature does not verify"});
-      }
+    } else if (cosign != CosignVerdict::kOk) {
+      res.issues.push_back({i, "collective signature does not verify"});
     }
     expected_prev = b.digest();
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "commit/batch.hpp"
+#include "ledger/chain_validation.hpp"
 #include "txn/occ.hpp"
 
 namespace fides::ordserv {
@@ -18,15 +19,15 @@ std::optional<std::string> StreamValidator::check(
   }
   if (!(b.prev_hash == expected_prev)) return "prev-hash chain broken";
 
-  if (!b.cosign || b.signers.empty()) return "missing group co-sign";
-  std::vector<crypto::PublicKey> keys;
-  keys.reserve(b.signers.size());
-  for (const ServerId s : b.signers) {
-    if (s.value >= all_server_keys.size()) return "signer out of range";
-    keys.push_back(all_server_keys[s.value]);
-  }
-  if (!crypto::cosi_verify(ledger::unchained_signing_bytes(b), *b.cosign, keys)) {
-    return "group co-sign does not verify";
+  switch (ledger::verify_unchained_cosign(b, all_server_keys)) {
+    case ledger::CosignVerdict::kMissing:
+      return "missing group co-sign";
+    case ledger::CosignVerdict::kBadSignerSet:
+      return b.signers.empty() ? "missing group co-sign" : "signer out of range";
+    case ledger::CosignVerdict::kBadSignature:
+      return "group co-sign does not verify";
+    case ledger::CosignVerdict::kOk:
+      break;
   }
 
   for (const std::uint64_t dep : entry.depends_on) {

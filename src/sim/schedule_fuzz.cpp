@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 
 #include "audit/auditor.hpp"
 #include "common/rng.hpp"
@@ -261,12 +262,8 @@ void fold(crypto::Digest& acc, BytesView data) {
   acc = crypto::sha256(w.data());
 }
 
-}  // namespace
-
-FuzzOutcome run_schedule(std::uint64_t seed, const FuzzOptions& options) {
-  FuzzOutcome out;
-  out.seed = seed;
-
+/// Runs the scenario and checks the invariants, filling `out` as it goes.
+void execute(std::uint64_t seed, const FuzzOptions& options, FuzzOutcome& out) {
   const Scenario scenario = derive_scenario(seed, options);
   out.scenario = scenario.description;
   out.byzantine = scenario.fault != Fault::kNone;
@@ -719,6 +716,24 @@ FuzzOutcome run_schedule(std::uint64_t seed, const FuzzOptions& options) {
     fold(acc, s.shard().merkle_root().view());
   }
   out.result_hash = acc;
+}
+
+}  // namespace
+
+FuzzOutcome run_schedule(std::uint64_t seed, const FuzzOptions& options) {
+  FuzzOutcome out;
+  out.seed = seed;
+  try {
+    execute(seed, options, out);
+  } catch (const std::logic_error& e) {
+    // The engine throws when a schedule leaves rounds incomplete at
+    // quiescence ("commit pipeline stalled"): a failed liveness property of
+    // this seed, recorded like any other violated invariant.
+    if (out.ok) {
+      out.ok = false;
+      out.failure = e.what();
+    }
+  }
   return out;
 }
 

@@ -34,7 +34,8 @@ struct FuzzOutcome {
   std::string failure;   ///< first violated invariant (empty when ok)
   std::string scenario;  ///< human-readable description of the scenario
 
-  crypto::Digest trace_hash;   ///< SimNet event trace (schedule identity)
+  crypto::Digest trace_hash;   ///< SimNet event trace (schedule identity);
+                               ///< zero when the commit pipeline stalled
   crypto::Digest result_hash;  ///< decisions + honest ledger fingerprint
 
   bool byzantine{false};  ///< a Byzantine deviation was injected
@@ -73,7 +74,9 @@ struct FuzzOptions {
   bool force_speculation{false};
 };
 
-/// Executes the scenario derived from `seed` and checks all invariants.
+/// Executes the scenario derived from `seed` and checks all invariants. A
+/// schedule that stalls the commit pipeline (the engine's std::logic_error)
+/// returns ok=false with the exception's message as `failure`.
 FuzzOutcome run_schedule(std::uint64_t seed, const FuzzOptions& options = {});
 
 }  // namespace fides::sim

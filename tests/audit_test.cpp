@@ -3,6 +3,8 @@
 // attributed to the right server at the right block/version.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "audit/auditor.hpp"
 #include "workload/ycsb.hpp"
 
@@ -301,6 +303,267 @@ TEST_F(LogFaultAuditTest, DivergentBlockAppendedByColluderDetected) {
   ASSERT_FALSE(bad.empty()) << report.to_string();
   EXPECT_EQ(bad[0].server, ServerId{1});
   EXPECT_EQ(bad[0].block, 3u);
+}
+
+// --- Differential: memoized log selection vs the per-log reference -----------------
+
+/// Reference oracle for validate_chain: no memo, no shared helper — every
+/// block of the log serialized, hashed and co-sign-verified on its own.
+ledger::ChainCheckResult reference_validate(std::span<const ledger::Block> blocks,
+                                            std::span<const crypto::PublicKey> server_keys) {
+  ledger::ChainCheckResult res;
+  crypto::Digest expected_prev = crypto::Digest::zero();
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    const ledger::Block& b = blocks[i];
+    if (b.height != i) {
+      res.issues.push_back({i, "height " + std::to_string(b.height) +
+                                   " does not match position " + std::to_string(i)});
+    }
+    if (!(b.prev_hash == expected_prev)) {
+      res.issues.push_back({i, "broken hash pointer: prev_hash does not match "
+                               "the digest of the preceding block"});
+    }
+    if (!b.cosign) {
+      res.issues.push_back({i, "missing collective signature"});
+    } else {
+      std::vector<crypto::PublicKey> keys;
+      keys.reserve(b.signers.size());
+      bool signers_ok = !b.signers.empty();
+      for (const ServerId s : b.signers) {
+        if (s.value >= server_keys.size()) {
+          signers_ok = false;
+          break;
+        }
+        keys.push_back(server_keys[s.value]);
+      }
+      if (!signers_ok) {
+        res.issues.push_back({i, "block declares an invalid signer set"});
+      } else if (!crypto::cosi_verify(b.signing_bytes(), *b.cosign, keys)) {
+        res.issues.push_back({i, "collective signature does not verify against "
+                                 "the block contents"});
+      }
+    }
+    expected_prev = b.digest();
+    res.digests.push_back(expected_prev);
+  }
+  res.ok = res.issues.empty();
+  return res;
+}
+
+struct ReferenceAudit {
+  ledger::LogSelection selection;
+  AuditReport report;
+};
+
+/// Reference oracle for Auditor::run() with the exhaustive policy: copy
+/// every log, validate each on its own, validate the invalid ones again for
+/// attribution, recompute digests for the cross-check, then replay and
+/// authenticate a copy of the adopted log.
+ReferenceAudit reference_audit(Cluster& cluster) {
+  const auto keys = cluster.server_keys();
+  std::vector<std::vector<ledger::Block>> logs;
+  logs.reserve(cluster.num_servers());
+  for (std::uint32_t i = 0; i < cluster.num_servers(); ++i) {
+    logs.push_back(cluster.server(ServerId{i}).audit_log());
+  }
+  ReferenceAudit ref;
+  ledger::LogSelection& sel = ref.selection;
+  std::vector<bool> valid(logs.size());
+  for (std::size_t i = 0; i < logs.size(); ++i) {
+    valid[i] = reference_validate(logs[i], keys).ok;
+    if (!valid[i]) sel.invalid.push_back(i);
+  }
+  std::size_t best_len = 0;
+  for (std::size_t i = 0; i < logs.size(); ++i) {
+    if (valid[i] && logs[i].size() >= best_len) {
+      if (!sel.chosen || logs[i].size() > best_len) sel.chosen = i;
+      best_len = std::max(best_len, logs[i].size());
+    }
+  }
+  if (sel.chosen) {
+    for (std::size_t i = 0; i < logs.size(); ++i) {
+      if (valid[i] && logs[i].size() < best_len) sel.incomplete.push_back(i);
+    }
+  }
+
+  AuditReport& report = ref.report;
+  for (const std::size_t bad : sel.invalid) {
+    const auto check = reference_validate(logs[bad], keys);
+    for (const auto& issue : check.issues) {
+      const bool cosign_issue = issue.what.find("signature") != std::string::npos;
+      report.violations.push_back(Violation{
+          cosign_issue ? ViolationKind::kInvalidCosign : ViolationKind::kTamperedLog,
+          ServerId{static_cast<std::uint32_t>(bad)}, issue.block_index, std::nullopt,
+          issue.what});
+    }
+  }
+  for (const std::size_t shorty : sel.incomplete) {
+    report.violations.push_back(
+        Violation{ViolationKind::kIncompleteLog,
+                  ServerId{static_cast<std::uint32_t>(shorty)}, logs[shorty].size(),
+                  std::nullopt,
+                  "log omits the tail: " + std::to_string(logs[shorty].size()) +
+                      " blocks vs " + std::to_string(logs[*sel.chosen].size()) +
+                      " in the adopted log"});
+  }
+  if (!sel.chosen) {
+    report.violations.push_back(
+        Violation{ViolationKind::kNoValidLog, std::nullopt, std::nullopt, std::nullopt,
+                  "every collected log fails validation; the >=1-correct-server "
+                  "assumption does not hold"});
+    return ref;
+  }
+  const auto& adopted = logs[*sel.chosen];
+  for (std::size_t i = 0; i < logs.size(); ++i) {
+    if (i == *sel.chosen || !valid[i]) continue;
+    const std::size_t common = std::min(adopted.size(), logs[i].size());
+    for (std::size_t b = 0; b < common; ++b) {
+      if (!(adopted[b].digest() == logs[i][b].digest())) {
+        report.violations.push_back(Violation{
+            ViolationKind::kAtomicityViolation, ServerId{static_cast<std::uint32_t>(i)},
+            b, std::nullopt, "valid logs diverge: different blocks at the same height"});
+        break;
+      }
+    }
+  }
+  report.adopted_log_source = ServerId{static_cast<std::uint32_t>(*sel.chosen)};
+  report.blocks_audited = adopted.size();
+
+  const std::vector<ledger::Block> copy = adopted;
+  Auditor auditor(cluster);
+  auditor.check_history(copy, report);
+  auditor.check_datastores(copy, report);
+  return ref;
+}
+
+std::vector<std::pair<std::size_t, std::string>> issue_list(
+    const ledger::ChainCheckResult& check) {
+  std::vector<std::pair<std::size_t, std::string>> out;
+  out.reserve(check.issues.size());
+  for (const auto& issue : check.issues) out.emplace_back(issue.block_index, issue.what);
+  return out;
+}
+
+/// Replaces block `height` of `server`'s log with an edited copy.
+void tamper(Cluster& cluster, std::uint32_t server, std::size_t height,
+            const std::function<void(ledger::Block&)>& edit) {
+  ledger::TamperProofLog& log = cluster.server(ServerId{server}).log();
+  ledger::Block b = log.at(height);
+  edit(b);
+  log.tamper_block(height, b);
+}
+
+struct Corruption {
+  std::string name;
+  std::function<void(Cluster&)> apply;
+};
+
+TEST(AuditDifferential, MemoizedSelectionMatchesPerLogReference) {
+  const std::vector<Corruption> cases = {
+      {"honest", [](Cluster&) {}},
+      {"txn value",
+       [](Cluster& c) {
+         tamper(c, 1, 2, [](ledger::Block& b) {
+           b.txns[0].rw.writes[0].new_value = to_bytes("evil");
+         });
+       }},
+      {"commit_ts",
+       [](Cluster& c) {
+         tamper(c, 2, 1, [](ledger::Block& b) { b.txns[0].commit_ts = Timestamp{999, 9}; });
+       }},
+      {"cosign.r",
+       [](Cluster& c) { tamper(c, 1, 3, [](ledger::Block& b) { b.cosign->r.w[0] ^= 1; }); }},
+      {"signer dropped",
+       [](Cluster& c) { tamper(c, 3, 2, [](ledger::Block& b) { b.signers.pop_back(); }); }},
+      {"unknown signer",
+       [](Cluster& c) {
+         tamper(c, 0, 2, [](ledger::Block& b) { b.signers[0] = ServerId{42}; });
+       }},
+      {"root",
+       [](Cluster& c) {
+         tamper(c, 2, 3, [](ledger::Block& b) {
+           b.roots[0].root = crypto::sha256(to_bytes("forged-root"));
+         });
+       }},
+      {"prev_hash",
+       [](Cluster& c) {
+         tamper(c, 1, 2, [](ledger::Block& b) {
+           b.prev_hash = crypto::sha256(to_bytes("forged-link"));
+         });
+       }},
+      {"height",
+       [](Cluster& c) { tamper(c, 3, 1, [](ledger::Block& b) { b.height = 7; }); }},
+      {"reorder", [](Cluster& c) { c.server(ServerId{2}).log().reorder(1, 3); }},
+      {"truncation", [](Cluster& c) { c.server(ServerId{0}).log().truncate_tail(3); }},
+      {"forged co-sign on an otherwise identical block",
+       [](Cluster& c) {
+         // Block 3's genuine co-sign, replayed onto block 2.
+         const auto replayed = c.server(ServerId{1}).log().at(3).cosign;
+         tamper(c, 1, 2, [&](ledger::Block& b) { b.cosign = replayed; });
+       }},
+      {"one tampered copy on two servers",
+       [](Cluster& c) {
+         for (const std::uint32_t s : {0u, 2u}) {
+           tamper(c, s, 1, [](ledger::Block& b) {
+             b.txns[0].rw.writes[0].new_value = to_bytes("shared-lie");
+           });
+         }
+       }},
+      {"block at two heights",
+       [](Cluster& c) {
+         ledger::TamperProofLog& log = c.server(ServerId{1}).log();
+         log.tamper_block(3, log.at(2));
+       }},
+      {"fabricated extension",
+       [](Cluster& c) {
+         ledger::TamperProofLog& log = c.server(ServerId{3}).log();
+         ledger::Block fake = log.at(log.size() - 1);
+         fake.height = log.size();
+         fake.prev_hash = log.head_hash();
+         log.append(fake);
+       }},
+      {"every log tampered",
+       [](Cluster& c) {
+         for (std::uint32_t s = 0; s < c.num_servers(); ++s) {
+           tamper(c, s, 0, [](ledger::Block& b) { b.height = 42; });
+         }
+       }},
+  };
+
+  for (const Corruption& corruption : cases) {
+    SCOPED_TRACE(corruption.name);
+    ClusterConfig cfg = config();
+    cfg.num_servers = 4;
+    Cluster cluster(cfg);
+    Client& client = cluster.make_client();
+    run_honest_history(cluster, client, 5);
+    corruption.apply(cluster);
+
+    const ReferenceAudit want = reference_audit(cluster);
+    std::vector<std::span<const ledger::Block>> logs;
+    logs.reserve(cluster.num_servers());
+    for (std::uint32_t i = 0; i < cluster.num_servers(); ++i) {
+      logs.emplace_back(cluster.server(ServerId{i}).audit_log());
+    }
+    const ledger::LogSelection got = ledger::select_correct_log(logs, cluster.server_keys());
+    EXPECT_EQ(got.chosen, want.selection.chosen);
+    EXPECT_EQ(got.invalid, want.selection.invalid);
+    EXPECT_EQ(got.incomplete, want.selection.incomplete);
+    EXPECT_EQ(got.checks.size(), logs.size());
+    for (std::size_t i = 0; i < std::min(got.checks.size(), logs.size()); ++i) {
+      const auto ref = reference_validate(logs[i], cluster.server_keys());
+      EXPECT_EQ(got.checks[i].ok, ref.ok) << "log " << i;
+      EXPECT_EQ(got.checks[i].digests, ref.digests) << "log " << i;
+      EXPECT_EQ(issue_list(got.checks[i]), issue_list(ref)) << "log " << i;
+    }
+
+    const AuditReport report = Auditor(cluster).run();
+    EXPECT_EQ(report.to_string(), want.report.to_string());
+    EXPECT_EQ(report.adopted_log_source, want.report.adopted_log_source);
+    EXPECT_EQ(report.blocks_audited, want.report.blocks_audited);
+    EXPECT_EQ(report.items_authenticated, want.report.items_authenticated);
+    EXPECT_EQ(report.clean(), corruption.name == "honest") << report.to_string();
+  }
 }
 
 // --- Serialization-graph unit coverage ----------------------------------------------

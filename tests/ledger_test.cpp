@@ -227,7 +227,8 @@ TEST_F(LedgerTest, SelectCorrectLogPicksLongestValid) {
   std::vector<std::vector<Block>> logs(3, chain);
   logs[1].resize(4);                                      // Lemma 7: truncated tail
   logs[2][1].txns[0].commit_ts = Timestamp{999, 9};       // Lemma 6: tampered
-  const auto sel = select_correct_log(logs, pks);
+  const std::vector<std::span<const Block>> views(logs.begin(), logs.end());
+  const auto sel = select_correct_log(views, pks);
   ASSERT_TRUE(sel.chosen.has_value());
   EXPECT_EQ(*sel.chosen, 0u);
   EXPECT_EQ(sel.incomplete, (std::vector<std::size_t>{1}));
@@ -237,7 +238,7 @@ TEST_F(LedgerTest, SelectCorrectLogPicksLongestValid) {
 TEST_F(LedgerTest, SelectCorrectLogAllInvalid) {
   auto chain = make_chain(3, keys);
   chain[0].decision = Decision::kAbort;  // breaks cosign everywhere
-  const std::vector<std::vector<Block>> logs(3, chain);
+  const std::vector<std::span<const Block>> logs(3, chain);
   const auto sel = select_correct_log(logs, pks);
   EXPECT_FALSE(sel.chosen.has_value());
   EXPECT_EQ(sel.invalid.size(), 3u);

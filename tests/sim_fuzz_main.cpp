@@ -2,11 +2,16 @@
 //
 // Executes N seeded schedules (network faults × Byzantine deviations over
 // SimNet) and checks every safety invariant after each one. On the first
-// violation it prints the seed, the scenario, and the event-trace hash, then
-// exits non-zero — the seed alone reproduces the failure:
+// violation it prints the seed, the scenario, the event-trace hash and the
+// command that replays it, then exits non-zero (with --keep-going it finishes
+// the sweep first, listing every failing seed). The seed plus the sweep's
+// flags reproduce the failure:
 //
-//   FIDES_SIM_SEED=<seed> ctest -R sim_fuzz_test        # or
-//   ./fides_simfuzz --base-seed <seed> --seeds 1
+//   ./fides_simfuzz --base-seed <seed> --seeds 1 [--pipeline] [--crash] [--spec]
+//   FIDES_SIM_SEED=<seed> ctest -R sim_fuzz_test   # flag-less sweeps only
+//
+// A schedule that stalls the commit pipeline counts as a failure like any
+// violated invariant.
 //
 // Usage: fides_simfuzz [--seeds N] [--base-seed B] [--keep-going] [--pipeline]
 //                      [--crash] [--spec]
@@ -93,11 +98,13 @@ int main(int argc, char** argv) {
     if (!out.ok) {
       ++failures;
       std::printf("FAIL seed=%" PRIu64 "\n  scenario: %s\n  invariant: %s\n"
-                  "  trace-hash: %s\n  reproduce: FIDES_SIM_SEED=%" PRIu64
-                  " ctest -R sim_fuzz_test   (or --base-seed %" PRIu64
-                  " --seeds 1)\n",
+                  "  trace-hash: %s\n  reproduce: %s --base-seed %" PRIu64
+                  " --seeds 1%s%s%s\n",
                   seed, out.scenario.c_str(), out.failure.c_str(),
-                  out.trace_hash.hex().c_str(), seed, seed);
+                  out.trace_hash.hex().c_str(), argv[0], seed,
+                  options.force_pipeline ? " --pipeline" : "",
+                  options.with_crash ? " --crash" : "",
+                  options.force_speculation ? " --spec" : "");
       if (!keep_going) return 1;
     }
     if ((seed - base + 1) % 100 == 0) {

@@ -385,6 +385,19 @@ TEST(ScheduleFuzz, DistinctSeedsExploreDistinctSchedules) {
   EXPECT_FALSE(a.trace_hash == b.trace_hash);
 }
 
+TEST(ScheduleFuzz, StalledPipelineIsAFailedOutcomeNotAnException) {
+  // This crash + speculation schedule leaves rounds incomplete at quiescence,
+  // and the engine throws "commit pipeline stalled". The harness records
+  // that as a failed outcome so a --keep-going sweep carries on.
+  sim::FuzzOptions options;
+  options.with_crash = true;
+  options.force_speculation = true;
+  sim::FuzzOutcome outcome;
+  EXPECT_NO_THROW(outcome = sim::run_schedule(101349, options));
+  EXPECT_EQ(outcome.seed, 101349u);
+  EXPECT_EQ(outcome.ok, outcome.failure.empty()) << outcome.failure;
+}
+
 TEST(ScheduleFuzz, SeedSweepHoldsAllInvariants) {
   // FIDES_SIM_SEED pins one schedule (reproduction workflow); FIDES_SIM_SEEDS
   // widens the sweep. The heavy sweep lives in the fides_simfuzz runner.
