@@ -57,7 +57,7 @@ EngineRun run_engine(std::uint32_t servers, std::uint32_t num_threads,
       batcher.enqueue(workload.run_transaction(client));
     }
     while (!batcher.empty()) {
-      const RoundMetrics metrics = cluster.run_tfcommit_block(batcher.next_batch());
+      const RoundMetrics metrics = cluster.run_block(batcher.next_batch());
       total_measured_us += metrics.measured_latency_us;
       run.decision = metrics.decision;
     }

@@ -1,8 +1,9 @@
-// Dispatcher-side plumbing shared by every engine driver — the global commit
-// pipeline (pipeline.cpp), the checkpoint dispatcher, and the group-commit
-// engine (ordserv/group_engine.cpp): receiver-side deduplication, inbox
-// batch verification, and the crash-point hooks that turn a configured
-// CrashFault into scheduler events.
+// Receiver-side plumbing of the one round dispatcher
+// (engine/round_dispatcher.hpp), which runs it the same way under both of
+// its placement policies (global rounds and group rounds) and for the
+// checkpoint round: the at-most-once filter, inbox batch verification, and
+// the trust boundary every delivery crosses, with the crash-point hook that
+// turns a configured CrashFault into scheduler events.
 #pragma once
 
 #include <optional>
@@ -32,40 +33,24 @@ class Dedup {
   }
 
   void forget_dst(NodeId dst) {
-    for (auto it = seen_.begin(); it != seen_.end();) {
-      if (std::get<1>(*it) == dst) {
-        it = seen_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    std::erase_if(seen_, [&](const auto& t) { return std::get<1>(t) == dst; });
   }
 
   void forget_epoch(std::uint64_t epoch) {
-    for (auto it = seen_.begin(); it != seen_.end();) {
-      if (std::get<3>(*it) == epoch) {
-        it = seen_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    std::erase_if(seen_, [&](const auto& t) { return std::get<3>(t) == epoch; });
   }
 
  private:
   std::set<std::tuple<NodeId, NodeId, std::string, std::uint64_t>> seen_;
 };
 
-/// A coordinator's vote/response inbox: no dispatcher gates or holds these
-/// types, so their open() verdicts may be computed ahead of dispatch.
-inline bool batchable_inbox(const std::string& type) {
-  return type == "tf_response" || type == "2pc_vote" || type.rfind("tf_vote", 0) == 0;
-}
-
 /// A scheduler drained one destination's queue: verify its batchable inbox
 /// as one RLC aggregate over the cluster pool, then hand every delivery, in
 /// order, to `dispatch_one(delivery, verdict)` — `verdict` is the cached
 /// open() result, or nullopt when the item must verify itself. Only the
-/// signature checks move; order, gating, and dedup are untouched.
+/// signature checks move; order, gating, and dedup are untouched. Batchable
+/// is a coordinator's vote/response inbox: no placement gates or holds those
+/// types, so their verdicts may be computed ahead of dispatch.
 template <typename DispatchOne>
 void dispatch_inbox_batch(Cluster& cluster, std::span<const Dispatcher::Delivery> batch,
                           NodeId dst, DispatchOne&& dispatch_one) {
@@ -77,7 +62,8 @@ void dispatch_inbox_batch(Cluster& cluster, std::span<const Dispatcher::Delivery
   std::vector<const Envelope*> envs;
   if (transport.batch_verify() && !dst_crashed) {
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (batchable_inbox(batch[i].env->type)) {
+      const std::string& type = batch[i].env->type;
+      if (type == "tf_response" || type == "2pc_vote" || type.rfind("tf_vote", 0) == 0) {
         slot[i] = envs.size();
         envs.push_back(batch[i].env);
       }
@@ -92,24 +78,12 @@ void dispatch_inbox_batch(Cluster& cluster, std::span<const Dispatcher::Delivery
   }
 }
 
-/// Transition-triggered crash points, shared by every dispatcher: after
-/// `dst` finished processing a delivery of `type`, fell a configured crash
-/// on it. Returns true if the node died.
-inline bool poll_transition_crash(Cluster& cluster, Scheduler& sched, NodeId dst,
-                                  const std::string& type) {
-  if (!sched.supports_crashes() || dst.kind != NodeId::Kind::kServer) return false;
-  const auto cf = cluster.poll_crash_point(dst.id, type);
-  if (!cf.has_value()) return false;
-  sched.crash_node(dst);
-  sched.schedule_recover(dst, cf->downtime_us);
-  return true;
-}
-
-/// One delivery across the trust boundary, shared by every dispatcher: a
-/// dead destination drops it (recovery re-supplies what still matters);
-/// otherwise `handle(authentic)` runs, with malformed bytes (DecodeError)
-/// dropped as if lost on the wire. Returns true when a transition crash
-/// point felled `dst` afterwards; the caller runs its crash bookkeeping.
+/// One delivery across the trust boundary: a dead destination drops it
+/// (recovery re-supplies what still matters); otherwise `handle(authentic)`
+/// runs, with malformed bytes (DecodeError) dropped as if lost on the wire.
+/// Afterwards a transition-triggered crash point may fell `dst` (a
+/// configured crash after processing a delivery of this type); returns true
+/// when it did, and the caller runs its crash bookkeeping.
 template <typename Handle>
 bool deliver_checked(Cluster& cluster, Scheduler& sched, NodeId dst, const Envelope& env,
                      std::optional<bool> verdict, Handle&& handle) {
@@ -123,20 +97,12 @@ bool deliver_checked(Cluster& cluster, Scheduler& sched, NodeId dst, const Envel
   } catch (const DecodeError&) {
     return false;
   }
-  return poll_transition_crash(cluster, sched, dst, env.type);
-}
-
-/// Engine-side crash bookkeeping (the substrate side — dropping deliveries
-/// — is the scheduler's). Arms the termination timer when the *global*
-/// coordinator died; group rounds have no termination story yet, so the
-/// group engine passes arm_termination = false.
-inline void apply_crash(Cluster& cluster, Scheduler& sched, NodeId node,
-                        bool arm_termination = true) {
-  cluster.crash_server(ServerId{node.id});
-  const double timeout = cluster.config().termination_timeout_us;
-  if (arm_termination && node.id == cluster.coordinator_id().value && timeout > 0) {
-    sched.schedule_failure_probe(node, timeout);
-  }
+  if (!sched.supports_crashes() || dst.kind != NodeId::Kind::kServer) return false;
+  const auto cf = cluster.poll_crash_point(dst.id, env.type);
+  if (!cf.has_value()) return false;
+  sched.crash_node(dst);
+  sched.schedule_recover(dst, cf->downtime_us);
+  return true;
 }
 
 }  // namespace fides::engine

@@ -1,36 +1,21 @@
 #include "engine/pipeline.hpp"
 
-#include <deque>
-#include <set>
-#include <stdexcept>
-#include <tuple>
+#include <algorithm>
 
-#include "common/mutex.hpp"
-#include "common/thread_annotations.hpp"
-#include "engine/dispatch_util.hpp"
-#include "engine/reactor.hpp"
+#include "engine/round_dispatcher.hpp"
 #include "sim/simnet.hpp"
 
 namespace fides::engine {
 
 namespace {
 
-/// Opening messages start a round at a cohort; they are the only messages
-/// that can causally overtake the previous round's decision, so they are
-/// the only ones the watermark gates.
-bool opens_round(const std::string& type) {
-  return type == "tf_get_vote" || type == "2pc_prepare";
-}
-
-/// Decision-shaped TFCommit messages. The speculative pipeline gates these
-/// per server (decisions apply strictly in round order — with the opening
-/// gate dropped, a later round's decision can otherwise overtake an earlier
-/// one on a reordering network and be lost as kFuture).
-bool is_tf_decision(const std::string& type) {
-  return type == "tf_decision" || type == "tf_term_decision";
-}
-
-class CommitPipeline final : public Dispatcher, public RoundObserver, public SpecContext {
+/// Global placement: every round runs on every server with the cluster's
+/// coordinator and extends one hash chain. On top of the shared core it
+/// owns the chained decided head, the lock-step coordinator rule, the
+/// in-order decision gate under speculation, cohort termination, the
+/// socket plane's kPeerApplied and rejoin heights, open-loop admission, and
+/// 2PC.
+class CommitPipeline final : public RoundDispatcher {
  public:
   /// `external_admission`: rounds additionally wait for admit_batch(k) —
   /// the open-loop driver's "batch k fully arrived at the coordinator"
@@ -39,78 +24,38 @@ class CommitPipeline final : public Dispatcher, public RoundObserver, public Spe
   CommitPipeline(Cluster& cluster, Protocol protocol,
                  std::vector<std::vector<commit::SignedEndTxn>> batches,
                  Scheduler& sched, bool external_admission = false)
-      : cluster_(&cluster),
-        sched_(&sched),
-        n_(cluster.num_servers()),
+      : RoundDispatcher(cluster, sched,
+                        std::max<std::uint32_t>(1, cluster.config().pipeline_depth),
+                        cluster.config().speculate && protocol == Protocol::kTfCommit),
         coord_(cluster.coordinator_id().value),
-        depth_(std::max<std::uint32_t>(1, cluster.config().pipeline_depth)),
-        speculate_(cluster.config().speculate && protocol == Protocol::kTfCommit),
         base_height_(cluster.server(cluster.coordinator_id()).log().size()),
-        watermark_(n_, 0),
-        opened_(n_, 0),
-        held_(n_),
         held_dec_(n_),
         dec_height_(base_height_),
         dec_head_(cluster.server(cluster.coordinator_id()).log().head_hash()),
-        shard_roots_(n_),
         batch_ready_(batches.size(), external_admission ? 0 : 1) {
-    // A server whose durable log is already past this pipeline's base (a
-    // restarted serverd process rejoining a socket run mid-stream) has, by
-    // construction, processed every decision up to its log head; its
-    // watermarks start there so the coordinator's replay stream — which
-    // resumes at that height — is not gated forever behind rounds this
-    // process will never see again. Single-process runs start every live
-    // server at base_height_, making this a no-op there.
-    for (std::uint32_t i = 0; i < n_; ++i) {
-      if (cluster.is_crashed(ServerId{i})) continue;
-      const std::size_t h = cluster.server(ServerId{i}).log().size();
-      if (h > base_height_) watermark_[i] = opened_[i] = h - base_height_;
-    }
-    if (speculate_) {
-      // Authoritative shard roots start from the live servers' trees; a
-      // committed block's Σroots advance them as rounds decide.
-      for (std::uint32_t i = 0; i < n_; ++i) {
-        if (!cluster.is_crashed(ServerId{i})) {
-          shard_roots_[i] = cluster.server(ServerId{i}).shard().merkle_root();
-        }
-      }
-    }
-    rounds_.reserve(batches.size());
     for (auto& batch : batches) {
       const std::uint64_t epoch = cluster.epochs().reserve();
-      RoundState rs;
-      rs.epoch = epoch;
       if (protocol == Protocol::kTfCommit) {
-        rs.reactor = std::make_unique<TfCommitRound>(cluster, RoundPlacement::global(cluster),
-                                                     epoch, std::move(batch), this,
-                                                     speculate_ ? this : nullptr);
+        add_round(std::make_unique<TfCommitRound>(cluster, RoundPlacement::global(cluster),
+                                                  epoch, std::move(batch), this,
+                                                  speculate_ ? this : nullptr));
       } else {
-        rs.reactor = std::make_unique<TwoPhaseRound>(cluster, epoch, std::move(batch), this);
+        add_round(std::make_unique<TwoPhaseRound>(cluster, epoch, std::move(batch), this));
       }
-      epoch_to_round_.emplace(epoch, rounds_.size());
-      rounds_.push_back(std::move(rs));
     }
-  }
-
-  PipelineResult run() {
-    // Event-loop schedulers that wait on remote processes (sockets) cannot
-    // rely on quiescence; they poll this predicate to know when every round
-    // completed. Quiescence-driven schedulers ignore it.
-    sched_->set_completion([this] {
-      common::MutexLock lock(mutex_);
-      return completed_ == rounds_.size();
-    });
-    begin();
-    sched_->run(*this);
-    return collect();
-  }
-
-  /// Starts the clock and admits whatever is ready. The open-loop driver
-  /// calls this itself because *its* dispatcher (the client session), not
-  /// the pipeline, must be what the scheduler runs.
-  void begin() {
-    t0_ = Clock::now();
-    launch_ready();
+    common::MutexLock lock(mutex_);
+    for (std::uint32_t i = 0; i < n_; ++i) {
+      if (cluster.is_crashed(ServerId{i})) continue;
+      // A server whose durable log is already past this pipeline's base (a
+      // restarted serverd rejoining a socket run mid-stream) processed every
+      // decision up to its log head, so the coordinator's replay stream —
+      // which resumes there — is not gated behind rounds it never sees
+      // again. Single-process runs start every live server at the base.
+      mark_durable_locked(i);
+      // Speculating, authoritative shard roots start from the live servers'
+      // trees; committed blocks' Σroots advance them.
+      if (speculate_) shard_roots_[i] = cluster.server(ServerId{i}).shard().merkle_root();
+    }
   }
 
   /// Open-loop admission signal: batch k is fully assembled at the
@@ -120,548 +65,180 @@ class CommitPipeline final : public Dispatcher, public RoundObserver, public Spe
       common::MutexLock lock(mutex_);
       if (k >= batch_ready_.size() || batch_ready_[k] != 0) return;
       batch_ready_[k] = 1;
+      admit_locked();
     }
-    launch_ready();
+    drain_starts();
   }
 
-  /// Fired (outside the pipeline lock) every time `server` finishes
-  /// processing round k's decision — the open-loop session's cue to send
-  /// client responses when `server` is the coordinator.
+  /// Fired (outside the lock) every time `server` finishes processing round
+  /// k's decision — the open-loop session's cue to send client responses
+  /// when `server` is the coordinator.
   void set_decision_hook(std::function<void(std::size_t, std::uint32_t)> hook) {
     decision_hook_ = std::move(hook);
   }
 
   PipelineResult collect() EXCLUDES(mutex_) {
-    PipelineResult result;
-    // Called at quiescence (nothing concurrent remains), but holding the
-    // lock for the whole harvest keeps the analysis exact and costs nothing;
-    // finalize() is pure metric folding and never re-enters the pipeline.
-    common::MutexLock lock(mutex_);
-    if (completed_ != rounds_.size()) {
-      throw std::logic_error("commit pipeline stalled: " +
-                             std::to_string(rounds_.size() - completed_) +
-                             " round(s) incomplete at quiescence");
+    {
+      common::MutexLock lock(mutex_);
+      require_complete_locked();
     }
-    const double one_way = cluster_->config().network.one_way_latency_us;
-    for (auto& rs : rounds_) {
-      rs.reactor->finalize();
-      RoundMetrics& m = rs.reactor->metrics();
-      m.threads_used = sched_->concurrency();
-      m.measured_latency_us =
-          std::chrono::duration<double, std::micro>(rs.wall_end - rs.wall_start).count();
-      // Direct mode: analytic network term (legs x one-way latency). Sim
-      // mode: the virtual time the round's schedule actually took.
-      const double net_term =
-          rs.has_virtual_time ? rs.virtual_end_us - rs.virtual_start_us
-                              : static_cast<double>(m.network_legs) * one_way;
-      m.modeled_latency_us = m.coordinator_us + m.cohort_critical_us + net_term;
-      result.rounds.push_back(std::move(m));
+    PipelineResult result;
+    for (std::size_t k = 0; k < reactors_.size(); ++k) {
+      result.rounds.push_back(round_metrics(k));
     }
     result.wall_us = since_us(t0_);
     return result;
   }
 
-  // --- Dispatcher -------------------------------------------------------------
-
-  void dispatch(NodeId src, NodeId dst, const Envelope& env, Outbox& out) override {
-    dispatch_impl(src, dst, env, out, /*replay=*/false);
-  }
-
-  void dispatch_replay(NodeId src, NodeId dst, const Envelope& env, Outbox& out) override {
-    dispatch_impl(src, dst, env, out, /*replay=*/true);
-  }
-
-  void dispatch_batch(std::span<const Delivery> batch, NodeId dst, Outbox& out) override {
-    dispatch_inbox_batch(*cluster_, batch, dst,
-                         [&](const Delivery& d, std::optional<bool> verdict) {
-                           dispatch_impl(d.src, dst, *d.env, out, /*replay=*/false, verdict);
-                         });
-  }
-
-  void on_control(const ControlEvent& ev, Outbox& out) override {
-    switch (ev.kind) {
-      case ControlEvent::Kind::kCrash:
-        handle_crash(ev.node);
-        break;
-      case ControlEvent::Kind::kRecover:
-        handle_recover(ev.node, out);
-        break;
-      case ControlEvent::Kind::kCoordinatorTimeout: {
-        // The probe raced recovery; only a still-dead coordinator triggers
-        // cohort-driven termination.
-        if (!cluster_->is_crashed(ServerId{ev.node.id})) break;
-        std::vector<RoundReactor*> term;
-        {
-          common::MutexLock lock(mutex_);
-          if (!speculate_) {
-            for (RoundState& rs : rounds_) {
-              if (rs.started && rs.processed < n_) term.push_back(rs.reactor.get());
-            }
-          } else {
-            // Speculative windows can hold several undecided rounds; their
-            // co-signed aborts must chain, so terminations run one at a time
-            // in round order (on_outcome starts the next).
-            term_mode_ = true;
-            if (RoundReactor* r = next_termination_locked()) term.push_back(r);
-          }
-        }
-        // Reactors run outside the lock, like every delivery path: their
-        // handlers call back into the observer/SpecContext, which locks.
-        for (RoundReactor* r : term) r->begin_termination(out);
-        break;
-      }
-      case ControlEvent::Kind::kPeerApplied: {
-        // A remote process reported that the server it hosts processed a
-        // round's decision. Control-plane input from the wire is untrusted:
-        // validate both coordinates before touching any table.
-        if (ev.node.kind != NodeId::Kind::kServer || ev.node.id >= n_) break;
-        bool known = false;
-        {
-          common::MutexLock lock(mutex_);
-          known = epoch_to_round_.find(ev.tag) != epoch_to_round_.end();
-        }
-        if (known) on_decision_processed(ev.tag, ev.node.id);
-        break;
-      }
-      case ControlEvent::Kind::kTimer:
-        break;  // client-session clocks; never routed to the pipeline
-    }
-  }
-
   // --- RoundObserver ----------------------------------------------------------
 
-  void on_decision_processed(std::uint64_t epoch, std::uint32_t server) override {
+  void on_decision_processed(std::uint64_t epoch, std::uint32_t server) override
+      EXCLUDES(mutex_) {
+    const auto it = epoch_to_round_.find(epoch);
+    if (it == epoch_to_round_.end() || server >= n_) return;
+    const std::size_t k = it->second;
     std::vector<Held> flush;
-    std::size_t new_watermark = 0;
-    std::size_t round_index = 0;
     bool fresh = false;
     {
       common::MutexLock lock(mutex_);
-      const auto it_ep = epoch_to_round_.find(epoch);
-      if (it_ep == epoch_to_round_.end() || server >= n_) return;
-      const std::size_t k = it_ep->second;
-      round_index = k;
-      // Decisions are processed in round order at every server (gated —
-      // round k+1's opening in lock-step mode, round k+1's decision under
-      // speculation), so the watermark is a count.
-      watermark_[server] = std::max<std::size_t>(watermark_[server], k + 1);
-      new_watermark = watermark_[server];
-      // Flush everything now admissible. The queue is scanned, not just its
-      // head: a reordering network can enqueue round k+2 ahead of k+1.
-      auto& hq = speculate_ ? held_dec_[server] : held_[server];
-      for (auto it = hq.begin(); it != hq.end();) {
-        if (it->round <= watermark_[server]) {
-          flush.push_back(std::move(*it));
-          it = hq.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      fresh = mark_processed_locked(k, server);
+      fresh = mark_done_locked(k, server);
+      // Every held decision whose predecessor is now processed here, in
+      // arrival order (a reordering network can queue k+2 ahead of k+1).
+      auto& hq = held_dec_[server];
+      const auto ready = std::stable_partition(hq.begin(), hq.end(), [&](const Held& h) {
+        return rounds_[h.round - 1].done_at[server] == 0;
+      });
+      flush.assign(std::make_move_iterator(ready), std::make_move_iterator(hq.end()));
+      hq.erase(ready, hq.end());
     }
-    launch_ready();
+    drain_starts();
     // Flushed messages run here, on `server`'s serialized context (this
-    // callback sits inside that server's decision handler), preserving the
-    // in-order processing the gate exists for.
-    for (Held& h : flush) {
-      RoundReactor* reactor = nullptr;
-      {
-        common::MutexLock lock(mutex_);
-        reactor = rounds_[h.round].reactor.get();
-      }
-      deliver(*reactor, h.src, h.dst, h.env, sched_->outbox());
-    }
-    if (speculate_) {
-      // Processing a decision implies the round's opening phase is behind
-      // this server (decided rounds never replay their openings, so the
-      // opening watermark must ride on the apply watermark or recovery
-      // would gate held openings forever).
-      note_opened(server, new_watermark - 1, sched_->outbox());
-    }
+    // callback sits inside its decision handler), keeping decisions — and
+    // then the openings they admit — in round order.
+    for (Held& h : flush) deliver(h.round, h.src, h.dst, h.env, sched_->outbox());
+    flush_held(server, sched_->outbox());
     if (fresh) {
       // First time this (round, server) pair completed: tell the substrate
       // (the socket scheduler forwards it to the coordinator process as a
       // kPeerApplied frame) and the open-loop session.
       sched_->notify_applied(server, epoch);
-      if (decision_hook_) decision_hook_(round_index, server);
-    }
-  }
-
-  void on_outcome(std::uint64_t epoch, const ledger::Block& block, bool appended,
-                  Outbox& out) override {
-    if (!speculate_) return;
-    RoundReactor* next = nullptr;
-    bool terminate = false;
-    {
-      common::MutexLock lock(mutex_);
-      const std::size_t k = epoch_to_round_.at(epoch);
-      RoundState& rs = rounds_[k];
-      if (rs.decided) return;  // a restarted round re-decides deterministically
-      rs.decided = true;
-      rs.applied = appended && block.committed();
-      if (appended) {
-        dec_height_ = block.height + 1;
-        dec_head_ = block.digest();
-      }
-      if (rs.applied) {
-        for (const auto& r : block.roots) {
-          if (r.server.value < n_) shard_roots_[r.server.value] = r.root;
-        }
-      }
-      ++decided_rounds_;
-      if (decided_rounds_ < rounds_.size()) {
-        RoundState& nrs = rounds_[decided_rounds_];
-        if (nrs.started && nrs.processed < n_) next = nrs.reactor.get();
-      }
-      terminate = term_mode_ && cluster_->is_crashed(ServerId{coord_});
-    }
-    // Outside the lock: the next round validates its buffered votes (and
-    // may fire its challenge) — or, mid-termination, the survivors take it
-    // over now that its chain position is pinned.
-    if (next != nullptr) {
-      if (terminate) {
-        next->begin_termination(out);
-      } else {
-        next->on_base_resolved(out);
-      }
+      if (decision_hook_) decision_hook_(k, server);
     }
   }
 
   // --- SpecContext ------------------------------------------------------------
 
-  SpecContext::ChainPos opening_base(std::uint64_t epoch) override {
-    common::MutexLock lock(mutex_);
+  ChainPos opening_base(std::uint64_t epoch) override EXCLUDES(mutex_) {
     const std::size_t k = epoch_to_round_.at(epoch);
-    const std::size_t undecided = k - std::min(decided_rounds_, k);
-    ChainPos pos;
+    common::MutexLock lock(mutex_);
+    const std::size_t undecided = static_cast<std::size_t>(std::count_if(
+        rounds_.begin(), rounds_.begin() + static_cast<std::ptrdiff_t>(k),
+        [](const Round& r) { return !r.decided; }));
     // Projection: every undecided round below appends one block. A rejected
     // block (invalid co-sign) makes later projected heights overshoot —
     // harmless, cohorts treat speculative heights as advisory and the
     // challenge carries the real position.
-    pos.height = dec_height_ + undecided;
-    pos.prev_hash = undecided == 0 ? dec_head_ : crypto::Digest::zero();
-    return pos;
+    return ChainPos{dec_height_ + undecided,
+                    undecided == 0 ? dec_head_ : crypto::Digest::zero()};
   }
 
-  bool base_resolved(std::uint64_t epoch) const override {
-    common::MutexLock lock(mutex_);
-    return decided_rounds_ >= epoch_to_round_.at(epoch);
-  }
-
-  std::optional<bool> applied(std::uint64_t epoch) const override {
-    common::MutexLock lock(mutex_);
-    const auto it = epoch_to_round_.find(epoch);
-    if (it == epoch_to_round_.end()) return std::nullopt;
-    const RoundState& rs = rounds_[it->second];
-    if (!rs.decided) return std::nullopt;
-    return rs.applied;
-  }
-
-  const crypto::Digest* shard_root(std::uint32_t server) const override {
-    // Called on the coordinator's serialized context, but on_outcome writes
-    // the roots from whichever worker decides the round — take the lock.
-    // The returned pointer stays valid: the vector is sized in the ctor and
-    // an engaged optional's payload address never changes on assignment.
-    common::MutexLock lock(mutex_);
-    if (server >= n_ || !shard_roots_[server].has_value()) return nullptr;
-    return &*shard_roots_[server];
-  }
-
-  SpecContext::ChainPos decided_base() const override {
+  ChainPos decided_base() const override EXCLUDES(mutex_) {
     common::MutexLock lock(mutex_);
     return ChainPos{dec_height_, dec_head_};
   }
 
  private:
-  struct RoundState {
-    std::unique_ptr<RoundReactor> reactor;
-    std::uint64_t epoch{0};
-    bool started{false};
-    std::uint32_t processed{0};               ///< servers that handled the decision
-    std::vector<unsigned char> processed_by;  ///< which ones (lazily sized to n)
-    bool decided{false};         ///< outcome exists (speculative bookkeeping)
-    bool applied{false};         ///< block committed with a valid co-sign
-    Clock::time_point wall_start;
-    Clock::time_point wall_end;
-    bool has_virtual_time{false};
-    double virtual_start_us{0};
-    double virtual_end_us{0};
-  };
-  struct Held {
-    NodeId src;
-    NodeId dst;
-    Envelope env;
-    std::size_t round{0};
-  };
+  // --- Placement policy -------------------------------------------------------
 
-  /// Records that `server` processed round k's decision; true on the first
-  /// call for this (round, server). Duplicates — a re-delivered kPeerApplied
-  /// frame, or recovery reconciliation racing the ACK it reconciles — are
-  /// absorbed instead of double-counting toward completion.
-  bool mark_processed_locked(std::size_t k, std::uint32_t server) REQUIRES(mutex_) {
-    RoundState& rs = rounds_[k];
-    if (rs.processed_by.empty()) rs.processed_by.assign(n_, 0);
-    if (rs.processed_by[server] != 0) return false;
-    rs.processed_by[server] = 1;
-    if (++rs.processed == n_) {
-      rs.wall_end = Clock::now();
-      if (const auto v = sched_->virtual_now_us()) rs.virtual_end_us = *v;
-      ++completed_;
-    }
-    return true;
+  bool may_launch_locked(std::size_t k) const override REQUIRES(mutex_) {
+    // Open-loop: the batch must have fully arrived at the coordinator.
+    // Lock-step: the coordinator's log head must already name round k's
+    // prev-hash; a speculative opening projects it instead.
+    return batch_ready_[k] != 0 &&
+           (speculate_ || k == 0 || rounds_[k - 1].done_at[coord_] != 0);
   }
 
-  /// `verdict`, when set, is the pre-computed open() result for this
-  /// envelope (from dispatch_batch's aggregate verification); deliver() then
-  /// skips its own signature check.
-  void dispatch_impl(NodeId src, NodeId dst, const Envelope& env, Outbox& out,
-                     bool replay, std::optional<bool> verdict = std::nullopt)
-      EXCLUDES(mutex_) {
-    const auto epoch = peek_epoch(env.payload);
-    if (!epoch.has_value()) return;  // not an engine frame; unreachable for sealed traffic
-    RoundReactor* reactor = nullptr;
-    std::size_t round_index = 0;
-    {
-      common::MutexLock lock(mutex_);
-      // Replay deliveries are the recovery catch-up stream: deliberate
-      // re-sends of tuples the filter has usually seen. Record them (so any
-      // further normal copy is still deduplicated) but never drop them.
-      const bool fresh = dedup_.first(src, dst, env.type, *epoch);
-      if (!fresh && !replay) return;
-      const auto it = epoch_to_round_.find(*epoch);
-      if (it == epoch_to_round_.end()) return;  // stale epoch from another run
-      const std::size_t k = it->second;
-      round_index = k;
-      // Engine traffic for round k proves its coordinator — possibly in
-      // another process — started it; a serverd's recovery scan needs the
-      // flag to know which rounds are live. No-op in single-process runs,
-      // where launch_ready set it before the first send.
-      rounds_[k].started = true;
-      if (dst.kind == NodeId::Kind::kServer) {
-        if (opens_round(env.type)) {
-          // Lock-step: hold round k's opening until k-1's decision applied
-          // (votes build on applied state). Speculating: hold only until
-          // the previous *opening* was processed — votes build on the
-          // pending overlay, but the stack must grow in round order.
-          if (speculate_ && watermark_[dst.id] > k) {
-            // The round is already over at this server (it processed the
-            // decision — a terminated round, or recovery replay): a late
-            // opening must not enter the pending stack.
-            return;
-          }
-          const std::size_t gate = speculate_ ? opened_[dst.id] : watermark_[dst.id];
-          if (gate < k) {
-            held_[dst.id].push_back(Held{src, dst, env, k});
-            return;
-          }
-        } else if (speculate_ && is_tf_decision(env.type) && watermark_[dst.id] < k) {
-          // With the opening gate dropped, decisions can overtake each
-          // other; they must still apply strictly in round order.
-          held_dec_[dst.id].push_back(Held{src, dst, env, k});
-          return;
-        }
-      }
-      reactor = rounds_[k].reactor.get();
-    }
-    deliver(*reactor, src, dst, env, out, verdict);
-    if (speculate_ && opens_round(env.type) && dst.kind == NodeId::Kind::kServer) {
-      note_opened(dst.id, round_index, out);
+  /// Speculating, decisions must still apply strictly in round order at each
+  /// server — with the opening gate relaxed, a later round's decision can
+  /// otherwise overtake an earlier one on a reordering network and be lost
+  /// as kFuture.
+  bool accept_locked(std::size_t k, NodeId src, NodeId dst, const Envelope& env) override
+      REQUIRES(mutex_) {
+    const bool decision = env.type == "tf_decision" || env.type == "tf_term_decision";
+    if (!speculate_ || !decision || k == 0 || rounds_[k - 1].done_at[dst.id] != 0) return true;
+    held_dec_[dst.id].push_back(Held{src, dst, env, k});
+    return false;
+  }
+
+  void on_decided_locked(std::size_t /*k*/, const ledger::Block& block, bool appended,
+                         Outbox& /*out*/) override REQUIRES(mutex_) {
+    if (speculate_ && appended) {
+      dec_height_ = block.height + 1;
+      dec_head_ = block.digest();
     }
   }
 
-  /// The cohort processed round k's opening: advance its opening watermark
-  /// and release the next held opening (recursing until the queue is in
-  /// step again — held entries can sit out of round order after reordering).
-  void note_opened(std::uint32_t server, std::size_t k, Outbox& out)
-      EXCLUDES(mutex_) {
-    std::optional<Held> next;
-    {
-      common::MutexLock lock(mutex_);
-      if (opened_[server] < k + 1) opened_[server] = k + 1;
-      auto& hq = held_[server];
-      for (auto it = hq.begin(); it != hq.end();) {
-        if (it->round < watermark_[server]) {
-          it = hq.erase(it);  // the round decided while its opening was held
-        } else if (it->round <= opened_[server]) {
-          next = std::move(*it);
-          hq.erase(it);
-          break;
-        } else {
-          ++it;
-        }
-      }
-    }
-    if (next.has_value()) {
-      RoundReactor* reactor = nullptr;
-      {
-        common::MutexLock lock(mutex_);
-        reactor = rounds_[next->round].reactor.get();
-      }
-      deliver(*reactor, next->src, next->dst, next->env, out);
-      note_opened(server, next->round, out);
+  bool terminating_locked() const override REQUIRES(mutex_) {
+    return term_mode_ && cluster_->is_crashed(ServerId{coord_});
+  }
+
+  void on_crash_locked(std::uint32_t s) override REQUIRES(mutex_) { held_dec_[s].clear(); }
+
+  void on_recover_locked(std::uint32_t s, Outbox& /*out*/) override REQUIRES(mutex_) {
+    held_dec_[s].clear();
+    // Reconcile completions the crash swallowed: every block the server
+    // re-ingested from its durable log is a decision it processed, though
+    // over sockets its kPeerApplied frame may have died with the process.
+    // Single-process substrates fire the observer in the same call stack as
+    // the append, so this finds nothing new there.
+    mark_durable_locked(s);
+  }
+
+  void mark_durable_locked(std::uint32_t s) REQUIRES(mutex_) {
+    const std::size_t durable = cluster_->server(ServerId{s}).log().size();
+    for (std::size_t k = 0; k < rounds_.size() && base_height_ + k < durable; ++k) {
+      mark_done_locked(k, s, /*admit=*/false);
     }
   }
 
-  void deliver(RoundReactor& reactor, NodeId src, NodeId dst, const Envelope& env,
-               Outbox& out, std::optional<bool> verdict = std::nullopt) {
-    if (deliver_checked(*cluster_, *sched_, dst, env, verdict, [&](bool authentic) {
-          reactor.on_deliver(src, dst, env, authentic, out);
-        })) {
-      handle_crash(dst);
+  void on_other_control(const ControlEvent& ev, Outbox& out) override EXCLUDES(mutex_) {
+    // A remote process reported that the server it hosts processed a round's
+    // decision. Control-plane input from the wire is untrusted;
+    // on_decision_processed validates both coordinates.
+    if (ev.kind == ControlEvent::Kind::kPeerApplied && ev.node.kind == NodeId::Kind::kServer) {
+      on_decision_processed(ev.tag, ev.node.id);
     }
-  }
-
-  void handle_crash(NodeId node) EXCLUDES(mutex_) {
-    apply_crash(*cluster_, *sched_, node);
-    common::MutexLock lock(mutex_);
-    if (node.kind == NodeId::Kind::kServer && node.id < n_) {
-      held_[node.id].clear();
-      held_dec_[node.id].clear();
-    }
-  }
-
-  void handle_recover(NodeId node, Outbox& out) EXCLUDES(mutex_) {
-    if (!cluster_->recover_server(ServerId{node.id})) {
-      // The durable log failed its integrity check: the server must not
-      // rejoin. Mark it dead on the substrate again (no recovery scheduled:
-      // it stays dead); the run surfaces the stall as a pipeline error.
-      sched_->crash_node(node);
+    // The probe raced recovery; only a still-dead coordinator triggers
+    // cohort-driven termination.
+    if (ev.kind != ControlEvent::Kind::kCoordinatorTimeout ||
+        !cluster_->is_crashed(ServerId{ev.node.id})) {
       return;
     }
-    std::vector<RoundReactor*> catch_up;
+    std::vector<RoundReactor*> term;
     {
       common::MutexLock lock(mutex_);
-      dedup_.forget_dst(node);
-      held_[node.id].clear();
-      held_dec_[node.id].clear();
-      // The apply watermark is *recovered from the durable log*: blocks the
-      // server re-ingested during restore are exactly the decisions it had
-      // processed, so pipelined depth-K runs resume where the log says.
-      const std::size_t durable = cluster_->server(ServerId{node.id}).log().size();
-      if (durable > base_height_) {
-        watermark_[node.id] =
-            std::max<std::size_t>(watermark_[node.id], durable - base_height_);
-      }
-      // Reconcile completions the crash swallowed: every round below the
-      // recovered watermark was durably applied by this server, but over
-      // sockets its kPeerApplied frame may have died with the process (a
-      // serverd killed between the durable append and the ACK reaching the
-      // coordinator). Single-process substrates fire the observer in the
-      // same call stack as the append, so this loop finds nothing there.
-      for (std::size_t k = 0; k < watermark_[node.id] && k < rounds_.size(); ++k) {
-        mark_processed_locked(k, node.id);
-      }
-      // The pending-opening stack died with the node; the replay stream
-      // re-supplies openings from the watermark up, and the gate must make
-      // it re-process them in round order.
-      opened_[node.id] = watermark_[node.id];
-      if (node.id == coord_) {
-        // A restarted round re-asks everything; let the re-asks through.
-        for (const RoundState& rs : rounds_) {
-          if (rs.started && rs.processed < n_) dedup_.forget_epoch(rs.epoch);
-        }
-      }
-      // Catch up only the rounds this server has not yet processed — its
-      // watermark (recovered above) already covers everything durable, and
-      // re-driving a processed round would double-count it at the observer.
-      for (std::size_t k = watermark_[node.id]; k < rounds_.size(); ++k) {
-        const RoundState& rs = rounds_[k];
-        if (!rs.started || rs.processed >= n_) continue;
-        catch_up.push_back(rs.reactor.get());
+      // Speculative windows can hold several undecided rounds; their
+      // co-signed aborts must chain, so terminations run one at a time in
+      // round order (on_outcome starts the next).
+      if (speculate_) term_mode_ = true;
+      for (std::size_t k = 0; k < rounds_.size(); ++k) {
+        const Round& r = rounds_[k];
+        if (!r.started || r.completed || (speculate_ && r.decided)) continue;
+        term.push_back(reactors_[k].get());
+        if (speculate_) break;
       }
     }
-    for (RoundReactor* r : catch_up) r->on_recover(node.id, out);
-    launch_ready();
+    for (RoundReactor* r : term) r->begin_termination(out);
   }
 
-  /// First started round that has no outcome yet is next in line for
-  /// termination; the rest follow one by one as on_outcome advances the
-  /// decided chain (their abort blocks must extend it).
-  RoundReactor* next_termination_locked() REQUIRES(mutex_) {
-    for (RoundState& rs : rounds_) {
-      if (!rs.started || rs.processed >= n_ || rs.decided) continue;
-      return rs.reactor.get();
-    }
-    return nullptr;
-  }
-
-  /// Starts every admissible round. Starts execute on the coordinator's
-  /// serialized context (posted to its queue): start() reads the
-  /// coordinator's log head, which only its own decision handlers mutate.
-  void launch_ready() EXCLUDES(mutex_) {
-    std::vector<std::size_t> starts;
-    {
-      common::MutexLock lock(mutex_);
-      while (next_to_start_ < rounds_.size() && can_start_locked(next_to_start_)) {
-        rounds_[next_to_start_].started = true;
-        starts.push_back(next_to_start_++);
-      }
-    }
-    const NodeId coord_node = NodeId::server(ServerId{coord_});
-    for (const std::size_t k : starts) {
-      sched_->post(coord_node, [this, k] {
-        RoundReactor* reactor = nullptr;
-        {
-          common::MutexLock lock(mutex_);
-          rounds_[k].wall_start = Clock::now();
-          if (const auto v = sched_->virtual_now_us()) {
-            rounds_[k].has_virtual_time = true;
-            rounds_[k].virtual_start_us = *v;
-          }
-          reactor = rounds_[k].reactor.get();
-        }
-        reactor->start(sched_->outbox());
-      });
-    }
-  }
-
-  bool can_start_locked(std::size_t k) const REQUIRES(mutex_) {
-    // Open-loop admission: the batch must have fully arrived at the
-    // coordinator (always true for closed-loop pipelines).
-    if (batch_ready_[k] == 0) return false;
-    // A dead coordinator admits nothing; admission resumes with recovery.
-    if (cluster_->is_crashed(ServerId{coord_})) return false;
-    // Coordinator gate (lock-step only): its log head must already name
-    // round k's prev-hash. A speculative opening projects the position, so
-    // admission is bounded by the depth window alone.
-    if (!speculate_ && k > 0 && watermark_[coord_] < k) return false;
-    // Depth gate: started-but-incomplete rounds stay under the limit.
-    return k - completed_ < depth_;
-  }
-
-  Cluster* cluster_;         // confined(ctor): immutable after construction
-  Scheduler* sched_;         // confined(ctor): immutable after construction
-  std::uint32_t n_;          // confined(ctor): immutable after construction
   std::uint32_t coord_;      // confined(ctor): immutable after construction
-  std::uint32_t depth_;      // confined(ctor): immutable after construction
-  bool speculate_;           ///< TFCommit only -- confined(ctor)
   std::size_t base_height_;  ///< height at pipeline start -- confined(ctor)
-
-  mutable common::Mutex mutex_;
-  std::vector<RoundState> rounds_ GUARDED_BY(mutex_);
-  std::unordered_map<std::uint64_t, std::size_t> epoch_to_round_ GUARDED_BY(mutex_);
-  Dedup dedup_ GUARDED_BY(mutex_);
-  std::vector<std::size_t> watermark_
-      GUARDED_BY(mutex_);  ///< per server: decisions processed
-  std::vector<std::size_t> opened_
-      GUARDED_BY(mutex_);  ///< per server: openings processed (spec)
-  std::vector<std::deque<Held>> held_
-      GUARDED_BY(mutex_);  ///< per server: gated openings
   std::vector<std::deque<Held>> held_dec_
       GUARDED_BY(mutex_);  ///< per server: gated decisions (spec)
-  std::size_t next_to_start_ GUARDED_BY(mutex_){0};
-  std::size_t completed_ GUARDED_BY(mutex_){0};
-
-  // Decided-chain registry (speculation): what the coordinator knows once a
-  // round's outcome exists — the chain head every later opening projects
-  // from, and the authoritative per-shard roots vote tags validate against.
+  // Decided chain head (speculation): what every later opening projects from.
   std::uint64_t dec_height_ GUARDED_BY(mutex_){0};
   crypto::Digest dec_head_ GUARDED_BY(mutex_);
-  std::size_t decided_rounds_ GUARDED_BY(mutex_){0};
-  std::vector<std::optional<crypto::Digest>> shard_roots_ GUARDED_BY(mutex_);
   bool term_mode_ GUARDED_BY(mutex_){false};  ///< terminations in progress
-
-  Clock::time_point t0_;  // confined(driver): begin()/collect() only, outside run()
   std::vector<unsigned char> batch_ready_
       GUARDED_BY(mutex_);  ///< open-loop admission flags
   // confined(setup): installed before the scheduler runs, never reassigned
@@ -881,73 +458,6 @@ class ClientSession final : public Dispatcher {
   double span_us_{0};                           // confined(actor)
 };
 
-/// Single-round dispatcher for the checkpoint CoSi round.
-class CheckpointDispatch final : public Dispatcher {
- public:
-  CheckpointDispatch(Cluster& cluster, CheckpointRound& round, Scheduler& sched)
-      : cluster_(&cluster), round_(&round), sched_(&sched) {}
-
-  void dispatch(NodeId src, NodeId dst, const Envelope& env, Outbox& out) override {
-    dispatch_impl(src, dst, env, out, /*replay=*/false);
-  }
-
-  void dispatch_replay(NodeId src, NodeId dst, const Envelope& env, Outbox& out) override {
-    dispatch_impl(src, dst, env, out, /*replay=*/true);
-  }
-
-  void on_control(const ControlEvent& ev, Outbox& out) override {
-    switch (ev.kind) {
-      case ControlEvent::Kind::kCrash:
-        apply_crash(*cluster_, *sched_, ev.node);
-        break;
-      case ControlEvent::Kind::kRecover:
-        if (!cluster_->recover_server(ServerId{ev.node.id})) {
-          sched_->crash_node(ev.node);
-          return;
-        }
-        {
-          common::MutexLock lock(mutex_);
-          dedup_.forget_dst(ev.node);
-          if (ev.node.id == cluster_->coordinator_id().value) {
-            dedup_.forget_epoch(round_->epoch());
-          }
-        }
-        round_->on_recover(ev.node.id, out);
-        break;
-      case ControlEvent::Kind::kCoordinatorTimeout:
-        break;  // the checkpoint is an optimization: it simply waits
-      case ControlEvent::Kind::kPeerApplied:
-      case ControlEvent::Kind::kTimer:
-        break;  // commit-pipeline / client-session events; not ours
-    }
-  }
-
- private:
-  void dispatch_impl(NodeId src, NodeId dst, const Envelope& env, Outbox& out,
-                     bool replay) {
-    const auto epoch = peek_epoch(env.payload);
-    if (!epoch.has_value()) return;
-    {
-      // Concurrent in-process workers dispatch for different destinations;
-      // the dedup set is the one piece of state they share.
-      common::MutexLock lock(mutex_);
-      const bool fresh = dedup_.first(src, dst, env.type, *epoch);
-      if (!fresh && !replay) return;
-    }
-    if (deliver_checked(*cluster_, *sched_, dst, env, std::nullopt, [&](bool authentic) {
-          round_->on_deliver(src, dst, env, authentic, out);
-        })) {
-      apply_crash(*cluster_, *sched_, dst);
-    }
-  }
-
-  Cluster* cluster_;        // confined(ctor): immutable after construction
-  CheckpointRound* round_;  // confined(ctor): immutable after construction
-  Scheduler* sched_;        // confined(ctor): immutable after construction
-  common::Mutex mutex_;
-  Dedup dedup_ GUARDED_BY(mutex_);
-};
-
 }  // namespace
 
 PipelineResult run_commit_rounds(Cluster& cluster, Protocol protocol,
@@ -955,7 +465,8 @@ PipelineResult run_commit_rounds(Cluster& cluster, Protocol protocol,
                                  Scheduler& sched) {
   if (batches.empty()) return {};
   CommitPipeline pipeline(cluster, protocol, std::move(batches), sched);
-  return pipeline.run();
+  pipeline.run();
+  return pipeline.collect();
 }
 
 void serve_commit_rounds(Cluster& cluster, Protocol protocol, std::size_t num_rounds,
@@ -968,9 +479,9 @@ void serve_commit_rounds(Cluster& cluster, Protocol protocol, std::size_t num_ro
   std::vector<std::vector<commit::SignedEndTxn>> batches(num_rounds);
   CommitPipeline pipeline(cluster, protocol, std::move(batches), sched);
   pipeline.begin();
-  // No collect(): a cohort process can never observe global completion
-  // (its completed_ counts only locally processed decisions); the
-  // scheduler's run loop exits on the coordinator's shutdown frame.
+  // No collect(): a cohort process can never observe global completion (it
+  // counts only locally processed decisions); the scheduler's run loop exits
+  // on the coordinator's shutdown frame.
   sched.run(pipeline);
 }
 
@@ -997,28 +508,18 @@ OpenLoopOutcome run_open_loop_rounds(
 }
 
 CheckpointOutcome run_checkpoint_round(Cluster& cluster, Scheduler& sched) {
-  const auto t0 = Clock::now();
-  const auto vstart = sched.virtual_now_us();
-
-  CheckpointRound round(cluster, cluster.epochs().reserve());
-  CheckpointDispatch dispatch(cluster, round, sched);
-  sched.post(NodeId::server(cluster.coordinator_id()),
-             [&] { round.start(sched.outbox()); });
+  // The bare core, with no placement policy: one global round that no
+  // server ends (it is over when the scheduler drains) and that simply waits
+  // out a dead coordinator — the checkpoint is an optimization.
+  RoundDispatcher dispatch(cluster, sched, /*depth=*/1, /*speculate=*/false);
+  auto round = std::make_unique<CheckpointRound>(cluster, cluster.epochs().reserve());
+  const CheckpointRound& checkpoint = *round;
+  dispatch.add_round(std::move(round));
+  dispatch.begin();
   sched.run(dispatch);
-
-  round.finalize();
   CheckpointOutcome outcome;
-  outcome.checkpoint = round.result();
-  outcome.metrics = round.metrics();
-  outcome.metrics.threads_used = sched.concurrency();
-  outcome.metrics.measured_latency_us = since_us(t0);
-  const double net_term =
-      vstart.has_value()
-          ? sched.virtual_now_us().value_or(*vstart) - *vstart
-          : static_cast<double>(outcome.metrics.network_legs) *
-                cluster.config().network.one_way_latency_us;
-  outcome.metrics.modeled_latency_us =
-      outcome.metrics.coordinator_us + outcome.metrics.cohort_critical_us + net_term;
+  outcome.metrics = dispatch.round_metrics(0);
+  outcome.checkpoint = checkpoint.result();
   if (outcome.checkpoint.has_value()) {
     outcome.metrics.decision = ledger::Decision::kCommit;
     outcome.metrics.cosign_valid = true;

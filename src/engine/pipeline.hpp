@@ -1,26 +1,32 @@
-// The commit pipeline: multi-block round orchestration over any scheduler.
+// The global commit pipeline: multi-block TFCommit/2PC rounds over any
+// scheduler, as one placement policy of the round dispatcher
+// (engine/round_dispatcher.hpp). Group rounds (ordserv/group_engine.hpp) are
+// the other; both share its routing and dedup, touch-order opening gates,
+// depth-window admission, completion counting, decided prefix, and
+// crash/recover skeleton.
 //
-// run_commit_rounds() executes a stream of batches as TFCommit/2PC rounds
-// with up to ClusterConfig::pipeline_depth blocks in flight. The pipeline
-// owns everything the reactors must not know about:
+// A global round runs on every server with the cluster's coordinator and
+// extends one hash chain, so touch order is round order:
 //
-//   * Admission — round k starts once the coordinator has processed round
-//     k-1's decision (its log head then names k's prev-hash) and fewer than
-//     `depth` rounds are incomplete. depth == 1 reproduces the classic
-//     lock-step engine exactly.
-//   * Gating — a cohort's copy of round k's opening message (get_vote /
-//     prepare) is held until that cohort has processed round k-1's decision,
-//     so its OCC validation and hypothetical Merkle root always build on the
-//     previous block's applied state. This is what makes the committed
-//     ledger bit-identical at every pipeline depth, even when SimNet
-//     reorders the opening past the previous decision.
-//   * Routing + dedup — deliveries carry the round's epoch in the engine
-//     frame; each is dispatched to its round's reactor at most once per
-//     (sender, receiver, type, epoch).
+//   * Admission — round k starts once fewer than `depth` rounds are
+//     incomplete and, lock-step, once the coordinator has processed round
+//     k-1's decision (its log head then names k's prev-hash). depth == 1
+//     reproduces the classic lock-step engine exactly.
+//   * Gating — a cohort's copy of round k's opening (get_vote / prepare) is
+//     held until that cohort processed round k-1's decision, so its OCC
+//     validation and hypothetical Merkle root build on the previous block's
+//     applied state: the committed ledger is bit-identical at every depth,
+//     even when SimNet reorders the opening past the previous decision.
+//     Speculating (TFCommit only), openings wait only for the previous
+//     opening, and decisions are held to apply in round order instead.
+//   * Placement policy on top of the core — the chained decided head behind
+//     speculative openings, cohort termination when the coordinator stays
+//     dead, the socket plane's kPeerApplied reports and rejoin heights,
+//     open-loop admission, and 2PC.
 //
 // The data dependency above (vote k+1 needs apply k) caps the *effective*
-// overlap at two rounds no matter how large `depth` is: the win is the
-// decision/apply tail of round k running concurrently with round k+1's
+// lock-step overlap at two rounds no matter how large `depth` is: the win is
+// the decision/apply tail of round k running concurrently with round k+1's
 // assembly and vote phase — across servers on the in-process scheduler,
 // across network legs on SimNet.
 #pragma once
@@ -32,8 +38,9 @@ namespace fides::engine {
 
 /// Runs one round per batch through `protocol`, pipelined at
 /// cluster.config().pipeline_depth. Throws std::logic_error if the
-/// scheduler goes quiescent with rounds incomplete (an engine bug, not a
-/// protocol outcome — the protocols always terminate).
+/// scheduler goes quiescent with rounds incomplete; the message names the
+/// first incomplete round, its members and coordinator, its completions, and
+/// its reactor's phase counts.
 PipelineResult run_commit_rounds(Cluster& cluster, Protocol protocol,
                                  std::vector<std::vector<commit::SignedEndTxn>> batches,
                                  Scheduler& sched);

@@ -924,6 +924,11 @@ void TwoPhaseRound::finalize() {
   if (outcome_.has_value()) metrics_.decision = outcome_->decision;
 }
 
+std::string TwoPhaseRound::progress() const {
+  return "opened=" + std::to_string(opening_sent_) + " votes=" + std::to_string(votes_seen_) +
+         "/" + std::to_string(n_) + " decided=" + std::to_string(outcome_.has_value());
+}
+
 // --- Checkpoint ---------------------------------------------------------------
 
 CheckpointRound::CheckpointRound(Cluster& cluster, std::uint64_t epoch)

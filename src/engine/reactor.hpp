@@ -5,11 +5,11 @@
 // machine: start() emits the opening broadcast, on_deliver() handles one
 // arrived envelope (already authenticated by the dispatcher) and emits the
 // follow-up sends. The same reactors run under the in-process scheduler,
-// over SimNet, and over sockets, and TfCommitRound owns the TFCommit phases
-// for both engines that run them: the global commit pipeline
-// (engine/pipeline.cpp) and the group-commit engine
+// over SimNet, and over sockets. One round dispatcher
+// (engine/round_dispatcher.hpp) drives them, under two placement policies:
+// global rounds (engine/pipeline.cpp) and group rounds
 // (ordserv/group_engine.cpp), which differ only in the RoundPlacement they
-// hand it. There is no second copy of the phase logic anywhere.
+// hand TfCommitRound. There is no second copy of the phase logic anywhere.
 //
 // Thread-safety contract (what makes the concurrent in-process scheduler
 // deterministic): all state a handler touches is either (a) owned by the
@@ -30,35 +30,28 @@
 
 namespace fides::engine {
 
-/// Progress callbacks from a round reactor to its pipeline.
+/// Progress callbacks from a round reactor to its dispatcher.
 class RoundObserver {
  public:
   virtual ~RoundObserver() = default;
   /// `server` fully processed the round's decision message (log append +
-  /// datastore apply attempted). This is the pipelining watermark: it gates
-  /// delivery of the *next* round's opening message at that server, and —
-  /// at the coordinator — admission of the next round.
+  /// datastore apply attempted): the round is over there. This passes the
+  /// server's opening gate for the next round and frees its window slot.
   virtual void on_decision_processed(std::uint64_t epoch, std::uint32_t server) = 0;
 
   /// The round's final block exists (coordinator aggregation finished, or
   /// the surviving cohorts co-signed a termination abort). `appended` says
-  /// whether the block extends the chain (its co-sign verified); fired at
-  /// most once per round, in round order. The speculative pipeline feeds
-  /// its decided-chain registry — projected opening positions, vote-tag
-  /// validation, authoritative shard roots — from exactly this event.
-  virtual void on_outcome(std::uint64_t epoch, const ledger::Block& block,
-                          bool appended, Outbox& out) {
-    (void)epoch;
-    (void)block;
-    (void)appended;
-    (void)out;
-  }
+  /// whether the block's co-sign verified; fired at most once per round, in
+  /// round order among the rounds sharing a server. The decided prefix —
+  /// projected opening positions, vote-tag validation, authoritative shard
+  /// roots, group sequencing — advances from exactly this event.
+  virtual void on_outcome(std::uint64_t epoch, const ledger::Block& block, bool appended,
+                          Outbox& out) = 0;
 };
 
-/// What a speculating TfCommitRound may ask the pipeline about the rest of
-/// the in-flight window. Every call happens on the coordinator's serialized
-/// context (vote/response handlers and outcome notifications), which is the
-/// only writer of the underlying decided-chain state.
+/// What a speculating TfCommitRound may ask its dispatcher about the rest of
+/// the in-flight window. Calls happen on the round coordinator's serialized
+/// context (vote/response handlers and outcome notifications).
 class SpecContext {
  public:
   virtual ~SpecContext() = default;
@@ -118,6 +111,7 @@ class RoundReactor {
 
   std::uint64_t epoch() const { return epoch_; }
   NodeId coordinator_node() const { return coord_node_; }
+  const RoundPlacement& placement() const { return placement_; }
 
   /// Emits the round's opening broadcast. Must run in the coordinator's
   /// serialized context (it reads the coordinator's log head).
@@ -145,18 +139,22 @@ class RoundReactor {
   /// cohort drives the in-flight round to a co-signed abort instead of
   /// blocking until the coordinator returns. Default: no termination — the
   /// 2PC baseline blocks, which is the paper's headline contrast.
-  virtual void begin_termination(Outbox& out) { (void)out; }
+  virtual void begin_termination(Outbox& /*out*/) {}
 
   /// Every round below this one has decided (speculative pipelining): the
   /// round's true chain position is pinned and buffered speculative votes
   /// can be validated. Invoked on the coordinator's serialized context.
-  virtual void on_base_resolved(Outbox& out) { (void)out; }
+  virtual void on_base_resolved(Outbox& /*out*/) {}
 
   /// Folds the per-slot timing state into metrics_ once the round is over
   /// (no handler may still be running). Subclasses add outcome fields.
   virtual void finalize();
 
   RoundMetrics& metrics() { return metrics_; }
+
+  /// One-line phase counts (opened / votes / responses / outcome), for
+  /// stall reports. Read only at quiescence.
+  virtual std::string progress() const { return {}; }
 
  protected:
   Server& coord_server() const { return cluster_->server(placement_.coordinator); }
@@ -237,9 +235,7 @@ class TfCommitRound final : public RoundReactor {
 
   /// Why the round was refused without a co-sign attempt (empty otherwise).
   const std::string& fault() const { return fault_; }
-  /// One-line phase counts (opened / votes / responses / outcome), for
-  /// stall reports. Read only at quiescence.
-  std::string progress() const;
+  std::string progress() const override;
 
  private:
   /// Rebuilds the coordinator's aggregation state from scratch and re-runs
@@ -331,6 +327,7 @@ class TwoPhaseRound final : public RoundReactor {
                   Outbox& out) override;
   void on_recover(std::uint32_t server, Outbox& out) override;
   void finalize() override;
+  std::string progress() const override;
 
  private:
   void restart(Outbox& out);

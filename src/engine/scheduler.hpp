@@ -63,8 +63,8 @@ struct ControlEvent {
 };
 
 /// Receiver side: every delivery the scheduler performs funnels through one
-/// dispatch call (the pipeline's, which dedups, gates, routes, and invokes
-/// the owning reactor).
+/// dispatch call (the round dispatcher's, which dedups, gates, routes, and
+/// invokes the owning reactor).
 class Dispatcher {
  public:
   virtual ~Dispatcher() = default;
@@ -160,9 +160,9 @@ class Scheduler {
   // --- Distribution hooks -----------------------------------------------------
   //
   // A single-process scheduler sees every server's decision handler run
-  // locally, so the pipeline's completion bookkeeping is already global.
+  // locally, so the dispatcher's completion bookkeeping is already global.
   // The socket scheduler hosts one server per process: these two hooks let
-  // the pipeline (a) tell the substrate a hosted server finished processing
+  // the dispatcher (a) tell the substrate a hosted server finished processing
   // a decision — which the substrate forwards to the coordinator process as
   // a kPeerApplied ControlEvent — and (b) hand run() a completion predicate
   // so the coordinator's event loop knows when to stop waiting for frames

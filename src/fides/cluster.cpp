@@ -283,29 +283,10 @@ OpenLoopOutcome Cluster::run_open_loop(
                                       std::move(txns), model, *simnet_, sched);
 }
 
-RoundMetrics Cluster::run_tfcommit_block(std::vector<commit::SignedEndTxn> batch) {
-  return with_scheduler([&](engine::Scheduler& sched) {
-           std::vector<std::vector<commit::SignedEndTxn>> batches;
-           batches.push_back(std::move(batch));
-           return engine::run_commit_rounds(*this, Protocol::kTfCommit,
-                                            std::move(batches), sched);
-         })
-      .rounds.at(0);
-}
-
-RoundMetrics Cluster::run_2pc_block(std::vector<commit::SignedEndTxn> batch) {
-  return with_scheduler([&](engine::Scheduler& sched) {
-           std::vector<std::vector<commit::SignedEndTxn>> batches;
-           batches.push_back(std::move(batch));
-           return engine::run_commit_rounds(*this, Protocol::kTwoPhaseCommit,
-                                            std::move(batches), sched);
-         })
-      .rounds.at(0);
-}
-
 RoundMetrics Cluster::run_block(std::vector<commit::SignedEndTxn> batch) {
-  return config_.protocol == Protocol::kTfCommit ? run_tfcommit_block(std::move(batch))
-                                                 : run_2pc_block(std::move(batch));
+  std::vector<std::vector<commit::SignedEndTxn>> batches;
+  batches.push_back(std::move(batch));
+  return run_blocks(std::move(batches)).rounds.at(0);
 }
 
 std::vector<RoundMetrics> Cluster::drain(commit::BatchBuilder& builder) {

@@ -242,14 +242,8 @@ class Cluster {
                                 std::vector<OpenLoopTxn> txns,
                                 const sim::ClientModel& model);
 
-  /// Runs one full TFCommit round over `batch` (Figure 7): get_vote, votes,
-  /// challenge, responses, decision, log append + datastore update.
-  RoundMetrics run_tfcommit_block(std::vector<commit::SignedEndTxn> batch);
-
-  /// Runs one 2PC round over `batch` (baseline, §6.1).
-  RoundMetrics run_2pc_block(std::vector<commit::SignedEndTxn> batch);
-
-  /// Dispatches on config().protocol.
+  /// Runs one round over `batch` through config().protocol: TFCommit
+  /// (Figure 7) or the 2PC baseline (§6.1).
   RoundMetrics run_block(std::vector<commit::SignedEndTxn> batch);
 
   /// Runs batches from `builder` until it drains — pipelined when

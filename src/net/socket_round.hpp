@@ -26,7 +26,7 @@ struct SocketRunResult {
 /// same deterministic configuration every serverd was started with
 /// (identical num_servers/items/protocol/pipeline/speculate/seed and a
 /// shared round_log_dir). Throws on deployment errors (unreachable peers)
-/// and propagates the pipeline's stall error.
+/// and propagates the round dispatcher's stall error.
 SocketRunResult run_commit_rounds_over_sockets(
     Cluster& cluster, Protocol protocol,
     std::vector<std::vector<commit::SignedEndTxn>> batches, const SocketOptions& opts);

@@ -17,10 +17,11 @@
 //   GroupCommitRunner (below) — the sequential lock-step reference,
 //     kept as the test oracle; it calls the TFCommit cohort/coordinator
 //     state machines directly.
-//   GroupEngine (group_engine.hpp) — the engine-routed path: the phases
-//     run on engine::TfCommitRound (the global pipeline's reactor) under a
-//     Scheduler, with pipelining, speculation, durable round logs, and
-//     crash/recovery. The two produce bit-identical sequenced streams.
+//   run_group_rounds (group_engine.hpp) — the engine-routed path: the group
+//     placement of the round dispatcher, running engine::TfCommitRound (the
+//     reactor global rounds run) under a Scheduler, with pipelining,
+//     speculation, durable round logs, and crash/recovery. The two produce
+//     bit-identical sequenced streams.
 #pragma once
 
 #include <optional>

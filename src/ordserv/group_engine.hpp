@@ -1,13 +1,18 @@
-// Engine-routed group commit (§4.6): multi-coordinator dispatch.
+// Engine-routed group commit (§4.6): multi-coordinator rounds as the group
+// placement policy of the one round dispatcher (engine/round_dispatcher.hpp);
+// global rounds (engine/pipeline.hpp) are the other policy.
 //
 // Each batch's ServerGroup runs its own TFCommit round — an
 // engine::TfCommitRound placed on the group's members with unchained blocks,
-// the same reactor the global pipeline runs — under any Scheduler, with no
-// single global coordinator. The group engine owns only OrdServ policy:
-// per-group epochs, touch-order admission and opening gates (so
-// pipeline_depth and speculate compose *independently per server* while
-// overlapping groups serialize), the round-order sequencing barrier, and
-// validated delivery of the sequenced stream.
+// the same reactor global rounds run — under any Scheduler, with no single
+// global coordinator. The dispatcher core supplies routing and dedup, the
+// touch-order opening gates and depth-window admission (so pipeline_depth
+// and speculate compose *independently per server* while overlapping groups
+// serialize), completion, the decided prefix, and the crash/recover
+// skeleton. The group policy adds only OrdServ's part: per-group epochs,
+// refusal at admission and a depth cap of 8, the round-order sequencing
+// barrier and gtf_refuse, validated delivery of the sequenced stream
+// (gtf_seq, buffered by height), and its replay on recovery.
 //
 // Votes, CoSi responses, and delivered entries go through the servers'
 // durable RoundLogs (vote_once / respond_once / record_decision), so

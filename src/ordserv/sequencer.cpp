@@ -4,6 +4,43 @@
 
 namespace fides::ordserv {
 
+Bytes SequencedBlock::serialize() const {
+  Writer w;
+  w.bytes(block.serialize());
+  w.u32(static_cast<std::uint32_t>(group.members.size()));
+  for (const ServerId s : group.members) w.u32(s.value);
+  w.u32(group.coordinator.value);
+  w.u32(static_cast<std::uint32_t>(depends_on.size()));
+  for (const std::uint64_t d : depends_on) w.u64(d);
+  return std::move(w).take();
+}
+
+std::optional<SequencedBlock> SequencedBlock::deserialize(BytesView bytes) {
+  try {
+    Reader r(bytes);
+    const Bytes block_bytes = r.bytes();
+    auto block = ledger::Block::deserialize(block_bytes);
+    if (!block.has_value()) return std::nullopt;
+    SequencedBlock e;
+    e.block = std::move(*block);
+    // Counts come off the wire: bound them by the bytes left before sizing
+    // anything (4 bytes per member, 8 per dependency).
+    const std::uint32_t nm = r.u32();
+    if (nm > r.remaining() / 4) return std::nullopt;
+    e.group.members.reserve(nm);
+    for (std::uint32_t i = 0; i < nm; ++i) e.group.members.push_back(ServerId{r.u32()});
+    e.group.coordinator = ServerId{r.u32()};
+    const std::uint32_t nd = r.u32();
+    if (nd > r.remaining() / 8) return std::nullopt;
+    e.depends_on.reserve(nd);
+    for (std::uint32_t i = 0; i < nd; ++i) e.depends_on.push_back(r.u64());
+    r.expect_done();
+    return e;
+  } catch (const DecodeError&) {
+    return std::nullopt;
+  }
+}
+
 std::uint64_t Sequencer::submit(ledger::Block block, ServerGroup group) {
   common::MutexLock lock(mutex_);
   SequencedBlock entry;

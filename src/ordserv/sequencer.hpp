@@ -28,6 +28,7 @@
 
 #include <atomic>
 #include <deque>
+#include <optional>
 #include <unordered_map>
 
 #include "common/mutex.hpp"
@@ -54,6 +55,11 @@ struct SequencedBlock {
   ledger::Block block;       ///< height/prev_hash filled by the sequencer
   ServerGroup group;         ///< who terminated it
   std::vector<std::uint64_t> depends_on;  ///< heights of dependency blocks
+
+  /// Wire form of a sequenced entry (the group engine's gtf_seq body).
+  Bytes serialize() const;
+  /// nullopt on malformed bytes — including counts the body cannot hold.
+  static std::optional<SequencedBlock> deserialize(BytesView bytes);
 };
 
 class Sequencer {

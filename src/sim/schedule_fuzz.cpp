@@ -262,9 +262,10 @@ void fold(crypto::Digest& acc, BytesView data) {
   acc = crypto::sha256(w.data());
 }
 
-/// Runs the scenario and checks the invariants, filling `out` as it goes.
-void execute(std::uint64_t seed, const FuzzOptions& options, FuzzOutcome& out) {
-  const Scenario scenario = derive_scenario(seed, options);
+/// Runs the scenario on `cluster` and checks the invariants, filling `out`
+/// as it goes.
+void execute(std::uint64_t seed, const Scenario& scenario, Cluster& cluster,
+             FuzzOutcome& out) {
   out.scenario = scenario.description;
   out.byzantine = scenario.fault != Fault::kNone;
   out.crashed = scenario.crash;
@@ -274,7 +275,6 @@ void execute(std::uint64_t seed, const FuzzOptions& options, FuzzOutcome& out) {
   const std::uint32_t n = scenario.cfg.num_servers;
   const std::uint32_t culprit = scenario.culprit;
 
-  Cluster cluster(scenario.cfg);
   Client& client = cluster.make_client();
   Rng rng(seed ^ 0xF022'CE55'0000'0001ULL);  // history-shape choices
 
@@ -697,7 +697,6 @@ void execute(std::uint64_t seed, const FuzzOptions& options, FuzzOutcome& out) {
   }
 
   // --- Reproduction tokens -----------------------------------------------------
-  out.trace_hash = cluster.simnet()->trace_hash();
   crypto::Digest acc;
   for (const RoundMetrics& m : rounds) {
     Bytes d{static_cast<std::uint8_t>(m.decision == ledger::Decision::kCommit),
@@ -723,17 +722,21 @@ void execute(std::uint64_t seed, const FuzzOptions& options, FuzzOutcome& out) {
 FuzzOutcome run_schedule(std::uint64_t seed, const FuzzOptions& options) {
   FuzzOutcome out;
   out.seed = seed;
+  const Scenario scenario = derive_scenario(seed, options);
+  Cluster cluster(scenario.cfg);
   try {
-    execute(seed, options, out);
+    execute(seed, scenario, cluster, out);
   } catch (const std::logic_error& e) {
     // The engine throws when a schedule leaves rounds incomplete at
-    // quiescence ("commit pipeline stalled"): a failed liveness property of
+    // quiescence ("round dispatcher stalled"): a failed liveness property of
     // this seed, recorded like any other violated invariant.
     if (out.ok) {
       out.ok = false;
       out.failure = e.what();
     }
   }
+  // The schedule's identity, up to the stall when the run stalled.
+  out.trace_hash = cluster.simnet()->trace_hash();
   return out;
 }
 

@@ -34,8 +34,8 @@ struct FuzzOutcome {
   std::string failure;   ///< first violated invariant (empty when ok)
   std::string scenario;  ///< human-readable description of the scenario
 
-  crypto::Digest trace_hash;   ///< SimNet event trace (schedule identity);
-                               ///< zero when the commit pipeline stalled
+  crypto::Digest trace_hash;   ///< SimNet event trace (schedule identity),
+                               ///< up to the stall when the run stalled
   crypto::Digest result_hash;  ///< decisions + honest ledger fingerprint
 
   bool byzantine{false};  ///< a Byzantine deviation was injected
@@ -75,8 +75,9 @@ struct FuzzOptions {
 };
 
 /// Executes the scenario derived from `seed` and checks all invariants. A
-/// schedule that stalls the commit pipeline (the engine's std::logic_error)
-/// returns ok=false with the exception's message as `failure`.
+/// schedule that stalls the round dispatcher (the engine's std::logic_error)
+/// returns ok=false with the exception's message as `failure` — the stuck
+/// round and its phase counts — and the trace hash reached at the stall.
 FuzzOutcome run_schedule(std::uint64_t seed, const FuzzOptions& options = {});
 
 }  // namespace fides::sim

@@ -222,6 +222,10 @@ void SimNet::run(const DeliverFn& on_deliver, const ControlFn& on_control) {
           trace_hash_ = crypto::sha256(w.data());
           break;
         }
+        case engine::ControlEvent::Kind::kPeerApplied:
+          // A socket-plane report from a remote process; SimNet hosts every
+          // node itself and never schedules one.
+          break;
       }
       if (on_control) on_control(ev.ctrl);
       continue;

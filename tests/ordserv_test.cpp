@@ -87,6 +87,57 @@ TEST(Sequencer, FetchNewDeliversOnce) {
   EXPECT_EQ(seq.fetch_new(ServerId{1}).size(), 1u);
 }
 
+TEST(SequencedBlock, WireRoundTrip) {
+  Sequencer seq;
+  ledger::Block b1, b2;
+  b1.txns.push_back(touching({0}));
+  b2.txns.push_back(touching({0, 6}));  // servers 0 and 1, depends on b1
+  seq.submit(b1, group_for(b1.txns, 5));
+  seq.submit(b2, group_for(b2.txns, 5));
+  const SequencedBlock& entry = seq.stream()[1];
+  const auto decoded = SequencedBlock::deserialize(entry.serialize());
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->block.digest(), entry.block.digest());
+  EXPECT_EQ(decoded->group.members, entry.group.members);
+  EXPECT_EQ(decoded->group.coordinator, entry.group.coordinator);
+  EXPECT_EQ(decoded->depends_on, (std::vector<std::uint64_t>{0}));
+}
+
+/// A sequenced entry's wire bytes around a valid empty block, with the member
+/// and dependency counts written raw (and no elements behind them).
+Bytes raw_entry(std::uint32_t members, std::uint32_t deps) {
+  Writer w;
+  w.bytes(ledger::Block{}.serialize());
+  w.u32(members);
+  if (members == 0) {
+    w.u32(0);  // coordinator
+    w.u32(deps);
+  }
+  return std::move(w).take();
+}
+
+TEST(SequencedBlock, HostileMemberCountIsRefusedNotAllocated) {
+  ASSERT_TRUE(SequencedBlock::deserialize(raw_entry(0, 0)).has_value());
+  EXPECT_FALSE(SequencedBlock::deserialize(raw_entry(0xFFFFFFFF, 0)).has_value());
+}
+
+TEST(SequencedBlock, HostileDependencyCountIsRefusedNotAllocated) {
+  // Any server whose key signs an authentic gtf_seq could send this; it
+  // must be dropped, not throw std::bad_alloc in the receiving server.
+  EXPECT_FALSE(SequencedBlock::deserialize(raw_entry(0, 0xFFFFFFFF)).has_value());
+}
+
+TEST(SequencedBlock, TruncatedBodyIsRefused) {
+  Sequencer seq;
+  ledger::Block b;
+  b.txns.push_back(touching({0}));
+  seq.submit(b, group_for(b.txns, 5));
+  Bytes bytes = seq.stream()[0].serialize();
+  ASSERT_TRUE(SequencedBlock::deserialize(bytes).has_value());
+  bytes.pop_back();
+  EXPECT_FALSE(SequencedBlock::deserialize(bytes).has_value());
+}
+
 TEST(GroupCommit, RoundCommitsWithinGroupOnly) {
   Cluster cluster(config());
   Client& client = cluster.make_client();

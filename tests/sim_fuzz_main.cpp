@@ -10,8 +10,8 @@
 //   ./fides_simfuzz --base-seed <seed> --seeds 1 [--pipeline] [--crash] [--spec]
 //   FIDES_SIM_SEED=<seed> ctest -R sim_fuzz_test   # flag-less sweeps only
 //
-// A schedule that stalls the commit pipeline counts as a failure like any
-// violated invariant.
+// A schedule that stalls the round dispatcher counts as a failure like any
+// violated invariant; its FAIL line names the stuck round's phase counts.
 //
 // Usage: fides_simfuzz [--seeds N] [--base-seed B] [--keep-going] [--pipeline]
 //                      [--crash] [--spec]

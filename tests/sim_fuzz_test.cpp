@@ -387,8 +387,10 @@ TEST(ScheduleFuzz, DistinctSeedsExploreDistinctSchedules) {
 
 TEST(ScheduleFuzz, StalledPipelineIsAFailedOutcomeNotAnException) {
   // This crash + speculation schedule leaves rounds incomplete at quiescence,
-  // and the engine throws "commit pipeline stalled". The harness records
-  // that as a failed outcome so a --keep-going sweep carries on.
+  // and the engine throws "round dispatcher stalled". The harness records
+  // that as a failed outcome so a --keep-going sweep carries on, and the
+  // record explains itself: the stuck round's phase counts and the schedule
+  // reached at the stall.
   sim::FuzzOptions options;
   options.with_crash = true;
   options.force_speculation = true;
@@ -396,6 +398,10 @@ TEST(ScheduleFuzz, StalledPipelineIsAFailedOutcomeNotAnException) {
   EXPECT_NO_THROW(outcome = sim::run_schedule(101349, options));
   EXPECT_EQ(outcome.seed, 101349u);
   EXPECT_EQ(outcome.ok, outcome.failure.empty()) << outcome.failure;
+  if (!outcome.ok) {  // while the termination fork stalls this seed
+    EXPECT_NE(outcome.failure.find("votes="), std::string::npos) << outcome.failure;
+  }
+  EXPECT_FALSE(outcome.trace_hash.is_zero()) << "the trace hash must survive a stall";
 }
 
 TEST(ScheduleFuzz, SeedSweepHoldsAllInvariants) {

@@ -78,6 +78,8 @@ GUARDED_FIELD_FILES = [
     "src/engine/inproc_scheduler.hpp",
     "src/engine/inproc_scheduler.cpp",
     "src/engine/pipeline.cpp",
+    "src/engine/round_dispatcher.hpp",
+    "src/engine/round_dispatcher.cpp",
     "src/ordserv/sequencer.hpp",
     "src/ordserv/sequencer.cpp",
     "src/ordserv/group_engine.cpp",
