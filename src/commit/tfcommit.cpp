@@ -68,8 +68,7 @@ VoteMsg TfCommitCohort::handle_get_vote(const GetVoteMsg& msg, const CohortFault
   // is deliberately outside the nonce record: a speculative opening does
   // not know it yet, and the commitment must come out bit-identical either
   // way for speculative and gated runs to co-sign identical blocks.
-  state.commitment =
-      crypto::cosi_commit(*keypair_, msg.partial_block.vote_bytes(), msg.round);
+  state.commitment = witness_->commit(msg.partial_block.vote_bytes(), msg.round);
 
   VoteMsg vote = compute_vote(msg.round, state);
   store_round(msg.round, std::move(state));
@@ -84,7 +83,7 @@ VoteMsg TfCommitCohort::compute_vote(std::uint64_t round, RoundState& state) {
   VoteMsg vote;
   vote.cohort = id_;
   vote.sch_commitment =
-      state.faults.corrupt_sch_commitment ? bogus_point() : state.commitment.v;
+      state.faults.corrupt_sch_commitment ? bogus_point() : state.commitment;
   vote.involved = state.involved;
   state.assumed.clear();
   state.base_root.reset();
@@ -93,7 +92,6 @@ VoteMsg TfCommitCohort::compute_vote(std::uint64_t round, RoundState& state) {
     // could stack on touches their shard's relevance, so the vote carries
     // no speculation tag and can never mis-speculate.
     state.vote = txn::Vote::kCommit;
-    last_vote_ = state.vote;
     return vote;
   }
 
@@ -143,7 +141,6 @@ VoteMsg TfCommitCohort::compute_vote(std::uint64_t round, RoundState& state) {
   if (state.faults.always_vote_abort) result = {txn::Vote::kAbort, "byzantine veto"};
 
   state.vote = result.vote;
-  last_vote_ = result.vote;
   vote.vote = result.vote;
   vote.abort_reason = result.reason;
   vote.spec_assumed = state.assumed;
@@ -202,113 +199,64 @@ std::vector<TfCommitCohort::ReVote> TfCommitCohort::resolve_decision(std::uint64
   return revotes;
 }
 
-ResponseMsg TfCommitCohort::handle_challenge(const ChallengeMsg& msg,
-                                             const CohortFaults& faults) {
-  RoundState* found = find_round(msg.block);
-  if (found == nullptr) {
-    ResponseMsg resp;
-    resp.cohort = id_;
-    resp.refused = true;
-    resp.refusal_reason = "challenge received without a pending round";
-    return resp;
-  }
-  return respond_to_challenge(*found, msg, faults);
-}
-
 ResponseMsg TfCommitCohort::handle_challenge(std::uint64_t round, const ChallengeMsg& msg,
                                              const CohortFaults& faults) {
   ResponseMsg resp;
   resp.cohort = id_;
+  resp.refused = true;
   const auto it = rounds_.find(round);
   if (it == rounds_.end()) {
-    resp.refused = true;
     resp.refusal_reason = "challenge received without a pending round";
     return resp;
   }
-  RoundState& state = it->second;
+  const RoundState& state = it->second;
+  const Block& block = msg.block;
   // A speculative opening carried a projected height and no prev-hash; the
   // completed block pins the real chain position, which this cohort checks
   // at apply time instead. Everything content-ful must still match the
   // opening it voted on.
   const bool match =
-      state.partial.txns == msg.block.txns && state.partial.signers == msg.block.signers &&
-      (state.spec || (state.partial.height == msg.block.height &&
-                      state.partial.prev_hash == msg.block.prev_hash));
+      state.partial.txns == block.txns && state.partial.signers == block.signers &&
+      (state.spec || (state.partial.height == block.height &&
+                      state.partial.prev_hash == block.prev_hash));
   if (!match) {
-    resp.refused = true;
     resp.refusal_reason = "challenge block does not match the round I voted on";
     return resp;
   }
-  return respond_to_challenge(state, msg, faults);
-}
-
-ResponseMsg TfCommitCohort::respond_to_challenge(RoundState& state, const ChallengeMsg& msg,
-                                                 const CohortFaults& faults) {
-  ResponseMsg resp;
-  resp.cohort = id_;
-
-  const Block& block = msg.block;
 
   // Decision/roots consistency (§4.3.1 phase 4): a commit block must carry
   // a root from every involved server; an abort block must be missing at
-  // least one.
-  if (block.decision == Decision::kCommit) {
-    if (state.involved) {
-      const crypto::Digest* mine = block.root_of(id_);
-      if (!faults.skip_root_check) {
-        if (mine == nullptr) {
-          resp.refused = true;
-          resp.refusal_reason = "commit block missing my root";
-          return resp;
-        }
-        if (!state.sent_root || !(*mine == *state.sent_root)) {
-          resp.refused = true;
-          resp.refusal_reason = "root in block does not match the root I sent";
-          return resp;
-        }
-        if (state.vote == txn::Vote::kAbort) {
-          resp.refused = true;
-          resp.refusal_reason = "commit decision despite my abort vote";
-          return resp;
-        }
-      }
+  // least one. For abort blocks there is nothing shard-specific to check:
+  // missing roots are expected ("if the decision is abort, b_i should have
+  // some missing roots"), and the witness's challenge check still binds the
+  // cohort to the abort variant it actually received.
+  if (block.decision == Decision::kCommit && state.involved && !faults.skip_root_check) {
+    const crypto::Digest* mine = block.root_of(id_);
+    if (mine == nullptr) {
+      resp.refusal_reason = "commit block missing my root";
+      return resp;
     }
-  }
-  // For abort blocks there is nothing shard-specific to check: missing
-  // roots are expected ("if the decision is abort, b_i should have some
-  // missing roots"), and the challenge check below still binds the cohort
-  // to the abort variant it actually received.
-
-  // Challenge correctness: ch must equal H(X_sch ‖ block) for the block *I*
-  // received (Lemma 5 detection).
-  if (!faults.skip_challenge_check) {
-    const crypto::U256 expected =
-        crypto::cosi_challenge(msg.aggregate_commitment, block.signing_bytes());
-    if (!(expected == msg.challenge)) {
-      resp.refused = true;
-      resp.refusal_reason = "challenge does not correspond to the block I received";
+    if (!state.sent_root || !(*mine == *state.sent_root)) {
+      resp.refusal_reason = "root in block does not match the root I sent";
+      return resp;
+    }
+    if (state.vote == txn::Vote::kAbort) {
+      resp.refusal_reason = "commit decision despite my abort vote";
       return resp;
     }
   }
 
-  // Nonce protection: the deterministic round nonce must never answer two
-  // distinct challenges (a second response under the same nonce would leak
-  // the key). Deterministic restarts re-ask the identical challenge, which
-  // re-derives the identical response.
-  if (state.responded && !(state.responded_challenge == msg.challenge)) {
-    resp.refused = true;
-    resp.refusal_reason = "already responded to a different challenge this round";
+  // Challenge correctness (Lemma 5 detection: ch must equal H(X_sch ‖ block)
+  // for the block *I* received) and nonce protection are the witness's.
+  const CosiWitness::Answer answer = witness_->respond(
+      state.partial.vote_bytes(), round, block.signing_bytes(), msg.aggregate_commitment,
+      msg.challenge);
+  if (!answer.r) {
+    resp.refusal_reason = answer.refusal;
     return resp;
   }
-
-  crypto::U256 r =
-      crypto::cosi_respond(*keypair_, state.commitment.secret, msg.challenge);
-  if (faults.corrupt_sch_response) {
-    r = crypto::U256(0xBADBAD);
-  }
-  state.responded = true;
-  state.responded_challenge = msg.challenge;
-  resp.sch_response = r;
+  resp.refused = false;
+  resp.sch_response = faults.corrupt_sch_response ? crypto::U256(0xBADBAD) : *answer.r;
   return resp;
 }
 
@@ -329,29 +277,6 @@ bool TfCommitCohort::has_pending(std::uint64_t round, const Block& partial) cons
   return it != rounds_.end() && it->second.partial == partial;
 }
 
-TfCommitCohort::RoundState* TfCommitCohort::find_round(const Block& block) {
-  // The completed block differs from the stored partial exactly in the
-  // fields the coordinator fills (decision, roots, cosign) — including an
-  // equivocating coordinator's variants, which the caller must still
-  // process (and refuse via the challenge check). Everything else
-  // identifies the round, even when CoSi round ids are not block heights
-  // (OrdServ group commit hands out epochs).
-  const auto matches = [&](const RoundState& st) {
-    return st.partial.height == block.height && st.partial.prev_hash == block.prev_hash &&
-           st.partial.signers == block.signers && st.partial.txns == block.txns;
-  };
-  const auto it = rounds_.find(block.height);
-  if (it != rounds_.end() && matches(it->second)) return &it->second;
-  for (auto rit = rounds_.rbegin(); rit != rounds_.rend(); ++rit) {
-    if (matches(rit->second)) return &rit->second;
-  }
-  return nullptr;
-}
-
-const TfCommitCohort::RoundState* TfCommitCohort::find_round(const Block& block) const {
-  return const_cast<TfCommitCohort*>(this)->find_round(block);
-}
-
 const Block* TfCommitCohort::partial_of(std::uint64_t round) const {
   const auto it = rounds_.find(round);
   return it == rounds_.end() ? nullptr : &it->second.partial;
@@ -364,19 +289,16 @@ std::optional<crypto::AffinePoint> TfCommitCohort::term_commitment(
   // Same record discipline as the vote commitment (the termination block's
   // chain position can be fixed up after a speculative opening); the
   // distinct term_round id keeps the nonce domains apart.
-  return crypto::cosi_commit(*keypair_, it->second.partial.vote_bytes(),
-                             term_round(round))
-      .v;
+  return witness_->commit(it->second.partial.vote_bytes(), term_round(round));
 }
 
 ResponseMsg TfCommitCohort::handle_term_challenge(std::uint64_t round,
                                                   const ChallengeMsg& msg) {
   ResponseMsg resp;
   resp.cohort = id_;
-
+  resp.refused = true;
   const auto it = rounds_.find(round);
   if (it == rounds_.end()) {
-    resp.refused = true;
     resp.refusal_reason = "termination challenge for an unknown round";
     return resp;
   }
@@ -389,28 +311,21 @@ ResponseMsg TfCommitCohort::handle_term_challenge(std::uint64_t round,
       it->second.spec ||
       (msg.block.height == mine.height && msg.block.prev_hash == mine.prev_hash);
   if (!chain_ok || !(msg.block.txns == mine.txns)) {
-    resp.refused = true;
     resp.refusal_reason = "termination block does not match the opening I received";
     return resp;
   }
   if (msg.block.decision != Decision::kAbort) {
     // Only the coordinator path can justify a commit (it alone collects all
     // votes); a termination backup may never manufacture one.
-    resp.refused = true;
     resp.refusal_reason = "termination block must carry an abort decision";
     return resp;
   }
-  const crypto::U256 expected =
-      crypto::cosi_challenge(msg.aggregate_commitment, msg.block.signing_bytes());
-  if (!(expected == msg.challenge)) {
-    resp.refused = true;
-    resp.refusal_reason = "termination challenge does not match the block";
-    return resp;
-  }
-
-  const crypto::CosiCommitment nonce = crypto::cosi_commit(
-      *keypair_, it->second.partial.vote_bytes(), term_round(round));
-  resp.sch_response = crypto::cosi_respond(*keypair_, nonce.secret, msg.challenge);
+  const CosiWitness::Answer answer =
+      witness_->respond(mine.vote_bytes(), term_round(round), msg.block.signing_bytes(),
+                        msg.aggregate_commitment, msg.challenge);
+  resp.refused = !answer.r;
+  resp.refusal_reason = answer.refusal;
+  resp.sch_response = answer.r.value_or(crypto::U256{});
   return resp;
 }
 

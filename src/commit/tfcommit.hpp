@@ -20,6 +20,7 @@
 #include <map>
 #include <span>
 
+#include "commit/cosi_witness.hpp"
 #include "commit/messages.hpp"
 #include "store/shard.hpp"
 
@@ -31,7 +32,6 @@ struct CohortFaults {
   bool corrupt_sch_response{false};    ///< garbage r_i (Lemma 4)
   bool always_vote_abort{false};       ///< grief by vetoing every block
   bool skip_root_check{false};         ///< collude: don't expose a fake root
-  bool skip_challenge_check{false};    ///< collude: don't verify the challenge
 };
 
 /// Byzantine deviations of the coordinator.
@@ -63,12 +63,14 @@ struct CoordinatorFaults {
 /// opens a round, keyed by the CoSi round id from the GetVoteMsg — the
 /// engine and OrdServ group commit both hand out *epochs* here (unique even
 /// when aborted rounds reuse block heights; heights appear only in direct
-/// unit-test drivers) — so stale redeliveries and pipelined rounds each
-/// find their own state. Works against the server's shard (validation,
-/// hypothetical roots) and keypair (CoSi). All round state is volatile: a
-/// crashed server rebuilds it by reprocessing the (retransmitted) get_vote
-/// — deterministic nonces make the rebuilt commitments bit-identical to the
-/// lost ones.
+/// unit-test drivers) — and every later message names its round by that id,
+/// so stale redeliveries and pipelined rounds each find their own state.
+/// Works against the server's shard (validation, hypothetical roots) and
+/// CoSi witness (commitments, the challenge check, respond-once). All round
+/// state here is volatile: a crashed server rebuilds it by reprocessing the
+/// (retransmitted) get_vote — deterministic nonces make the rebuilt
+/// commitments bit-identical to the lost ones, and the witness's guard is
+/// durable.
 ///
 /// Speculative voting (GetVoteMsg::spec): a speculative opening arrives
 /// while earlier rounds this cohort has voted on are still deciding. The
@@ -82,8 +84,8 @@ struct CoordinatorFaults {
 /// base and re-sent as *new* logical votes (new (epoch, base) log records).
 class TfCommitCohort {
  public:
-  TfCommitCohort(ServerId id, const crypto::KeyPair& keypair, store::Shard& shard)
-      : id_(id), keypair_(&keypair), shard_(&shard) {}
+  TfCommitCohort(ServerId id, CosiWitness& witness, store::Shard& shard)
+      : id_(id), witness_(&witness), shard_(&shard) {}
 
   /// Phase 2. Validates the client requests (signatures verified by the
   /// caller/transport layer against the client registry), runs OCC
@@ -91,15 +93,10 @@ class TfCommitCohort {
   /// hypothetical Merkle root, and produces the vote.
   VoteMsg handle_get_vote(const GetVoteMsg& msg, const CohortFaults& faults = {});
 
-  /// Phase 4. Verifies the completed block against what this cohort voted
-  /// (root echo, decision/roots consistency, challenge correctness) and
-  /// responds or refuses.
-  ResponseMsg handle_challenge(const ChallengeMsg& msg, const CohortFaults& faults = {});
-
-  /// Engine variant: the challenge of engine round `round` (the dispatcher
-  /// knows the epoch from the wire frame). Required for speculative rounds,
-  /// whose stored partial carries a projected height and no prev-hash — the
-  /// completed block's chain position cannot identify them by content.
+  /// Phase 4: the challenge of round `round` (the GetVoteMsg's round id).
+  /// Verifies the completed block against what this cohort voted (contents,
+  /// root echo, decision/roots consistency); the witness then checks the
+  /// challenge and respond-once, and responds or refuses.
   ResponseMsg handle_challenge(std::uint64_t round, const ChallengeMsg& msg,
                                const CohortFaults& faults = {});
 
@@ -126,10 +123,6 @@ class TfCommitCohort {
   /// not). Absent after a crash until the opening is reprocessed.
   bool has_pending(std::uint64_t round, const Block& partial) const;
 
-  /// Whether this cohort can answer a challenge for `block` (see
-  /// find_round).
-  bool has_state_for(const Block& block) const { return find_round(block) != nullptr; }
-
   /// The partial block this cohort received for `round`, or nullptr. A
   /// termination backup rebuilds the round from its own copy.
   const Block* partial_of(std::uint64_t round) const;
@@ -147,14 +140,12 @@ class TfCommitCohort {
   std::optional<crypto::AffinePoint> term_commitment(std::uint64_t round) const;
 
   /// Verifies and co-signs a termination (abort) block for `round`. Refuses
-  /// a non-abort decision, an unknown round, a block whose contents differ
-  /// from the opening this cohort saw, or a challenge that does not match
-  /// the block — a Byzantine backup cannot smuggle a commit (or different
-  /// transactions) through the termination path.
+  /// a non-abort decision, an unknown round, or a block whose contents
+  /// differ from the opening this cohort saw; the witness refuses a
+  /// challenge that does not match the block — a Byzantine backup cannot
+  /// smuggle a commit (or different transactions) through the termination
+  /// path.
   ResponseMsg handle_term_challenge(std::uint64_t round, const ChallengeMsg& msg);
-
-  /// The vote this cohort cast in the most recent round (tests/telemetry).
-  txn::Vote last_vote() const { return last_vote_; }
 
   /// Wall time the last handle_get_vote spent computing the hypothetical
   /// Merkle root — the dominant cost §6.3 plots as "MHT update time".
@@ -162,7 +153,7 @@ class TfCommitCohort {
 
  private:
   struct RoundState {
-    crypto::CosiCommitment commitment;
+    crypto::AffinePoint commitment;  ///< V_i; the nonce stays in the witness
     std::optional<crypto::Digest> sent_root;
     txn::Vote vote{txn::Vote::kAbort};
     bool involved{false};
@@ -175,10 +166,6 @@ class TfCommitCohort {
     /// Base tag of the last vote computed for this round.
     std::vector<SpecAssumption> assumed;
     std::optional<crypto::Digest> base_root;
-    /// Nonce protection: at most one distinct challenge is ever answered per
-    /// round (deterministic restarts re-ask the identical challenge).
-    bool responded{false};
-    crypto::U256 responded_challenge;
   };
 
   /// Nonce round id of the termination CoSi exchange for `round`.
@@ -187,32 +174,20 @@ class TfCommitCohort {
   }
 
   void store_round(std::uint64_t round, RoundState state);
-  /// Round state for a completed/challenge block. The ChallengeMsg carries
-  /// no round id, so the lookup matches on block content (height, prev
-  /// hash, signers, txns — everything the coordinator does not fill in);
-  /// the height probe is just a cheap first guess before the scan over the
-  /// at-most-kMaxRounds live entries, and only the content match decides.
-  RoundState* find_round(const Block& block);
-  const RoundState* find_round(const Block& block) const;
 
   /// OCC + hypothetical root over the (possibly speculated) base, shared by
   /// the first vote and every re-vote of a round. Reads the pending stack
   /// strictly below `round` and records the assumption tag into `state`.
   VoteMsg compute_vote(std::uint64_t round, RoundState& state);
 
-  /// The §4.3.1 phase-4 verification against one round's stored state.
-  ResponseMsg respond_to_challenge(RoundState& state, const ChallengeMsg& msg,
-                                   const CohortFaults& faults);
-
   ServerId id_;
-  const crypto::KeyPair* keypair_;
+  CosiWitness* witness_;
   store::Shard* shard_;
 
   std::map<std::uint64_t, RoundState> rounds_;  ///< bounded (see kMaxRounds)
   /// Speculative rounds opened but not yet resolved, in round order — the
   /// overlay stack later speculative votes build on.
   std::vector<std::uint64_t> pending_;
-  txn::Vote last_vote_{txn::Vote::kAbort};
   double last_root_compute_us_{0};
 
   static constexpr std::size_t kMaxRounds = 16;  ///< >= max pipeline depth + slack

@@ -19,10 +19,7 @@ PrepareVoteMsg TwoPhaseCommitCohort::handle_prepare(const PrepareMsg& msg) {
     if (involved) break;
   }
   vote.involved = involved;
-  if (!involved) {
-    last_vote_ = txn::Vote::kCommit;
-    return vote;
-  }
+  if (!involved) return vote;
 
   txn::ValidationResult result{txn::Vote::kCommit, {}};
   if (!batch_non_conflicting(msg.partial_block.txns)) {
@@ -32,7 +29,6 @@ PrepareVoteMsg TwoPhaseCommitCohort::handle_prepare(const PrepareMsg& msg) {
     if (!result.ok()) break;
     result = txn::validate_occ(*shard_, t);
   }
-  last_vote_ = result.vote;
   vote.vote = result.vote;
   vote.abort_reason = result.reason;
   return vote;

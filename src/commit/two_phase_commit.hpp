@@ -20,12 +20,9 @@ class TwoPhaseCommitCohort {
 
   PrepareVoteMsg handle_prepare(const PrepareMsg& msg);
 
-  txn::Vote last_vote() const { return last_vote_; }
-
  private:
   ServerId id_;
   store::Shard* shard_;
-  txn::Vote last_vote_{txn::Vote::kAbort};
 };
 
 struct TwoPhaseCommitOutcome {

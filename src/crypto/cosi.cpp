@@ -29,8 +29,7 @@ std::optional<CosiSignature> CosiSignature::deserialize(BytesView b) {
   }
 }
 
-CosiCommitment cosi_commit(const KeyPair& kp, BytesView record, std::uint64_t round) {
-  const Curve& curve = Curve::instance();
+U256 cosi_nonce(const KeyPair& kp, BytesView record, std::uint64_t round) {
   const auto skb = kp.secret_key().to_bytes_be();
   for (std::uint8_t ctr = 0;; ++ctr) {
     Sha256 h;
@@ -42,9 +41,14 @@ CosiCommitment cosi_commit(const KeyPair& kp, BytesView record, std::uint64_t ro
     w.u8(ctr);
     h.update(w.data());
     const U256 v = scalar_from_digest(h.finalize());
-    if (v.is_zero()) continue;
-    return CosiCommitment{v, curve.to_affine(curve.mul_g(v))};
+    if (!v.is_zero()) return v;
   }
+}
+
+CosiCommitment cosi_commit(const KeyPair& kp, BytesView record, std::uint64_t round) {
+  const Curve& curve = Curve::instance();
+  const U256 v = cosi_nonce(kp, record, round);
+  return CosiCommitment{v, curve.to_affine(curve.mul_g(v))};
 }
 
 AffinePoint cosi_aggregate_commitments(std::span<const AffinePoint> commitments) {

@@ -8,9 +8,10 @@
 // The aggregate (V = ΣV_i, r = Σr_i) is a constant-size signature verified
 // against the aggregate public key X = ΣX_i as  r·G == V + c·X.
 //
-// The functions here are the pure-crypto core; the message choreography
-// lives in the TFCommit protocol (commit/tfcommit.*) which interleaves these
-// steps with 2PC voting exactly as Figure 7 of the paper shows.
+// The functions here are the pure-crypto core. Every server's witness side
+// (nonce derivation, the challenge check, respond-once) is one
+// commit::CosiWitness (commit/cosi_witness.*); the leaders are the TFCommit
+// coordinator, the termination backup and the checkpoint round.
 #pragma once
 
 #include <span>
@@ -38,8 +39,11 @@ struct CosiCommitment {
   AffinePoint v;   ///< V_i = v_i·G — sent to the leader
 };
 
-/// Commitment phase: derive v_i deterministically from (sk, record, round).
+/// The witness nonce v_i, derived deterministically from (sk, record, round).
 /// Distinct (record, round) pairs give distinct nonces.
+U256 cosi_nonce(const KeyPair& kp, BytesView record, std::uint64_t round);
+
+/// Commitment phase: v_i = cosi_nonce(kp, record, round) and V_i = v_i·G.
 CosiCommitment cosi_commit(const KeyPair& kp, BytesView record, std::uint64_t round);
 
 /// Leader aggregation of witness commitments: V = ΣV_i.

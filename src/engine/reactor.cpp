@@ -326,23 +326,7 @@ void TfCommitRound::on_deliver(NodeId src, NodeId dst, const Envelope& env,
           cohort_us_[dst.id] += common::thread_cpu_time_us() - tc;
           return;
         }
-        // The engine knows the round id from the wire frame; content-based
-        // lookup cannot identify a speculative round (its stored partial
-        // carries a projected chain position).
         resp = server.tf_cohort().handle_challenge(epoch_, *msg, server.faults().cohort);
-        if (!resp.refused) {
-          // Durable respond-once: the cohort's in-memory guard dies with a
-          // crash, but the deterministic nonce does not — without this
-          // record a coordinator could harvest a second response to a
-          // different challenge after a restore and extract the key.
-          const auto cb = msg->challenge.to_bytes_be();
-          if (!server.respond_once(epoch_, Bytes(cb.begin(), cb.end()))) {
-            resp = commit::ResponseMsg{};
-            resp.cohort = server.id();
-            resp.refused = true;
-            resp.refusal_reason = "already responded to a different challenge this round";
-          }
-        }
       } else {
         resp.refused = true;
         resp.refusal_reason = "malformed challenge payload";
@@ -502,18 +486,6 @@ void TfCommitRound::on_deliver(NodeId src, NodeId dst, const Envelope& env,
       resp.refusal_reason = "already decided this height";
     } else {
       resp = server.tf_cohort().handle_term_challenge(epoch_, *msg);
-      if (!resp.refused) {
-        // Respond-once for the termination nonce domain (epoch | top bit,
-        // mirroring the cohort's term_round id) — same crash-window leak as
-        // the commit challenge above.
-        const auto cb = msg->challenge.to_bytes_be();
-        if (!server.respond_once(epoch_ | (1ULL << 63), Bytes(cb.begin(), cb.end()))) {
-          resp = commit::ResponseMsg{};
-          resp.cohort = server.id();
-          resp.refused = true;
-          resp.refusal_reason = "already responded to a different challenge this round";
-        }
-      }
     }
     Envelope resp_env = seal_framed(server, "tf_term_response", resp.serialize());
     out.send(NodeId::server(server.id()), server_node(term_backup_),
@@ -933,7 +905,6 @@ std::string TwoPhaseRound::progress() const {
 
 CheckpointRound::CheckpointRound(Cluster& cluster, std::uint64_t epoch)
     : RoundReactor(cluster, RoundPlacement::global(cluster), epoch, nullptr),
-      secrets_(n_),
       commitments_(n_),
       agrees_(n_, 0),
       commit_in_(n_, 0),
@@ -959,26 +930,22 @@ void CheckpointRound::on_deliver(NodeId src, NodeId dst, const Envelope& env,
   const BytesView body = unframe_payload(env.payload);
 
   if (env.type == "cp_propose") {
-    // A server contributes its CoSi commitment only after verifying that the
-    // proposal matches its own log (same height, same head hash).
+    // A server contributes its CoSi commitment only to the checkpoint its own
+    // log yields: height, head hash, every root and the signer set.
     Server& server = cluster_->server(ServerId{dst.id});
     const double tc = common::thread_cpu_time_us();
     Writer w;
     w.u32(dst.id);
-    bool agree = false;
-    if (authentic) {
-      if (const auto prop = ledger::Checkpoint::deserialize(body)) {
-        agree = server.log().size() == prop->height &&
-                server.log().head_hash() == prop->head_hash;
-        if (agree) {
-          secrets_[dst.id] =
-              crypto::cosi_commit(server.keypair(), prop->signing_bytes(),
-                                  ledger::checkpoint_cosi_round(prop->height));
-        }
-      }
-    }
+    std::optional<ledger::Checkpoint> prop;
+    if (authentic) prop = ledger::Checkpoint::deserialize(body);
+    const bool agree =
+        prop && *prop == ledger::make_checkpoint(server.log().blocks(), placement_.members);
     w.boolean(agree);
-    if (agree) w.bytes(secrets_[dst.id].v.serialize());
+    if (agree) {
+      w.bytes(server.witness()
+                  .commit(prop->signing_bytes(), ledger::checkpoint_cosi_round(prop->height))
+                  .serialize());
+    }
     Envelope commit_env = seal_framed(server, "cp_commit", std::move(w).take());
     cohort_us_[dst.id] += common::thread_cpu_time_us() - tc;
     out.send(NodeId::server(server.id()), coord_node_, std::move(commit_env));
@@ -1011,6 +978,7 @@ void CheckpointRound::on_deliver(NodeId src, NodeId dst, const Envelope& env,
         challenge_ = crypto::cosi_challenge(v, record_);
         cp_.cosign = crypto::CosiSignature{v, crypto::U256{}};  // r filled later
         Writer w;
+        w.bytes(v.serialize());
         const auto cb = challenge_.to_bytes_be();
         w.raw(BytesView(cb.data(), cb.size()));
         challenge_env_ = seal_framed(coord_server(), "cp_challenge", std::move(w).take());
@@ -1021,15 +989,24 @@ void CheckpointRound::on_deliver(NodeId src, NodeId dst, const Envelope& env,
     coord_us_ += since_us(t);
 
   } else if (env.type == "cp_challenge") {
+    // The witness answers only over the checkpoint its own log yields, and
+    // only a challenge H(V ‖ record) it has not contradicted before.
     Server& server = cluster_->server(ServerId{dst.id});
     const double tc = common::thread_cpu_time_us();
     if (!authentic) return;
     Reader r(body);
+    const auto v = crypto::AffinePoint::deserialize(r.bytes());
     const crypto::U256 c = crypto::U256::from_bytes_be(r.raw(32));
+    if (!v) return;
+    const ledger::Checkpoint mine =
+        ledger::make_checkpoint(server.log().blocks(), placement_.members);
+    const Bytes record = mine.signing_bytes();
+    const commit::CosiWitness::Answer answer = server.witness().respond(
+        record, ledger::checkpoint_cosi_round(mine.height), record, *v, c);
+    if (!answer.r) return;
     Writer w;
     w.u32(dst.id);
-    const auto rb =
-        crypto::cosi_respond(server.keypair(), secrets_[dst.id].secret, c).to_bytes_be();
+    const auto rb = answer.r->to_bytes_be();
     w.raw(BytesView(rb.data(), rb.size()));
     Envelope resp_env = seal_framed(server, "cp_response", std::move(w).take());
     cohort_us_[dst.id] += common::thread_cpu_time_us() - tc;

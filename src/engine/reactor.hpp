@@ -347,8 +347,9 @@ class TwoPhaseRound final : public RoundReactor {
 };
 
 /// The checkpoint CoSi round (§3.3): propose -> commit -> challenge ->
-/// response. Every server contributes only after verifying the proposal
-/// against its own log; one refusal sinks the checkpoint.
+/// response. Every server commits only to the checkpoint its own log yields
+/// and answers through its CosiWitness (the challenge carries V next to c);
+/// one refusal sinks the checkpoint.
 class CheckpointRound final : public RoundReactor {
  public:
   CheckpointRound(Cluster& cluster, std::uint64_t epoch);
@@ -368,11 +369,6 @@ class CheckpointRound final : public RoundReactor {
 
   ledger::Checkpoint cp_;
   Bytes record_;
-  // secrets_[i] is witness i's round state. It survives a crash of server i
-  // here in the reactor, but that is observationally equivalent to the
-  // strict model: cosi_commit nonces are deterministic, so a rebuilt server
-  // reprocessing the proposal regenerates the identical secret.
-  std::vector<crypto::CosiCommitment> secrets_;
   std::vector<crypto::AffinePoint> commitments_;
   std::vector<unsigned char> agrees_;
   std::vector<unsigned char> commit_in_;

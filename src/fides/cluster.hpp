@@ -184,7 +184,6 @@ class Cluster {
 
   /// Client `id` (created by make_client; ids are dense from 0).
   Client& client(ClientId id) { return *clients_.at(id.value); }
-  std::size_t client_count() const { return clients_.size(); }
 
   /// Which server owns an item.
   ServerId owner_of(ItemId item) const;

@@ -42,11 +42,6 @@ struct FaultConfig {
   // Log tampering is applied after the fact via TamperProofLog's malicious
   // mutators (tamper_block / reorder / truncate_tail), driven by tests and
   // examples rather than per-round flags.
-
-  bool execution_faulty() const { return read_fault != ReadFault::kNone; }
-  bool datastore_faulty() const {
-    return skip_write_item.has_value() || corrupt_after_commit_item.has_value();
-  }
 };
 
 }  // namespace fides

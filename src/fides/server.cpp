@@ -14,14 +14,11 @@ Server::Server(ServerId id, const ClusterConfig& config, common::ThreadPool* poo
              store::items_for_shard(ShardId{id.value}, config.num_servers,
                                     config.items_per_shard),
              config.initial_value, config.versioning, pool),
-      tf_cohort_(id, keypair_, shard_),
-      tpc_cohort_(id, shard_),
-      round_log_(durable) {
-  if (round_log_ == nullptr) {
-    owned_round_log_ = std::make_unique<ledger::MemRoundLog>();
-    round_log_ = owned_round_log_.get();
-  }
-}
+      owned_round_log_(durable == nullptr ? std::make_unique<ledger::MemRoundLog>() : nullptr),
+      round_log_(durable != nullptr ? durable : owned_round_log_.get()),
+      witness_(keypair_, *round_log_),
+      tf_cohort_(id, witness_, shard_),
+      tpc_cohort_(id, shard_) {}
 
 void Server::handle_begin(ClientId /*client*/, TxnId /*txn*/) {
   // Begin Transaction carries no state in this design: reads/writes name
@@ -110,10 +107,6 @@ Server::ApplyResult Server::apply_decision_2pc(const commit::CommitDecisionMsg& 
   return ApplyResult::kApplied;
 }
 
-void Server::handle_decision_2pc(const commit::CommitDecisionMsg& msg) {
-  apply_decision_2pc(msg);
-}
-
 void Server::ingest_block(const ledger::Block& block) {
   log_.append(block);
   if (block.committed()) apply_block(block);
@@ -146,19 +139,6 @@ const Bytes* Server::logged_vote(std::uint64_t epoch, std::uint64_t base) const 
   return it == votes_by_epoch_base_.end() ? nullptr : &it->second;
 }
 
-bool Server::respond_once(std::uint64_t nonce_round, const Bytes& challenge_bytes) {
-  const auto it = responded_by_round_.find(nonce_round);
-  if (it != responded_by_round_.end()) return it->second == challenge_bytes;
-  ledger::RoundRecord rec;
-  rec.type = ledger::RoundRecord::Type::kResponse;
-  rec.epoch = nonce_round;
-  rec.msg_type = "tf_response";
-  rec.payload = challenge_bytes;
-  round_log_->append(rec);
-  responded_by_round_.emplace(nonce_round, challenge_bytes);
-  return true;
-}
-
 void Server::record_decision(std::uint64_t epoch, const std::string& msg_type,
                              const ledger::Block& block) {
   ledger::RoundRecord rec;
@@ -172,13 +152,12 @@ void Server::record_decision(std::uint64_t epoch, const std::string& msg_type,
 bool Server::restore() {
   const auto records = round_log_->replay();
   if (!records.has_value()) return false;  // integrity violation: refuse
+  witness_.restore(*records);
   for (const ledger::RoundRecord& rec : *records) {
     if (rec.type == ledger::RoundRecord::Type::kVote) {
       votes_by_epoch_base_.emplace(std::make_pair(rec.epoch, rec.base), rec.payload);
       latest_vote_base_[rec.epoch] = rec.base;  // replay order = record order
-    } else if (rec.type == ledger::RoundRecord::Type::kResponse) {
-      responded_by_round_.emplace(rec.epoch, rec.payload);
-    } else {
+    } else if (rec.type == ledger::RoundRecord::Type::kDecision) {
       const auto block = ledger::Block::deserialize(rec.payload);
       if (!block.has_value()) return false;
       ingest_block(*block);

@@ -79,6 +79,9 @@ class Server {
 
   // --- Commitment layer ------------------------------------------------------
 
+  /// The server's one CoSi witness: every co-sign it gives (commit rounds,
+  /// cohort termination, checkpoints) goes through it.
+  commit::CosiWitness& witness() { return witness_; }
   commit::TfCommitCohort& tf_cohort() { return tf_cohort_; }
   commit::TwoPhaseCommitCohort& tpc_cohort() { return tpc_cohort_; }
 
@@ -117,7 +120,6 @@ class Server {
   /// 2PC decision handling: append + apply without signature machinery
   /// (kRejected cannot occur — 2PC trusts the coordinator).
   ApplyResult apply_decision_2pc(const commit::CommitDecisionMsg& msg);
-  void handle_decision_2pc(const commit::CommitDecisionMsg& msg);
 
   // --- Crash durability (ledger/round_log.hpp) -------------------------------
 
@@ -143,20 +145,13 @@ class Server {
   /// The recorded vote for exactly (epoch, base), if any.
   const Bytes* logged_vote(std::uint64_t epoch, std::uint64_t base) const;
 
-  /// Respond-once across restarts: the deterministic CoSi nonce of round
-  /// `nonce_round` must never sign two distinct challenges (the algebra
-  /// would leak the key). Records `challenge_bytes` durably (write-ahead,
-  /// like votes) on first call and returns true; returns true again for the
-  /// identical challenge (deterministic restarts re-ask it) and false for a
-  /// different one — the caller must refuse to respond.
-  bool respond_once(std::uint64_t nonce_round, const Bytes& challenge_bytes);
-
   /// Durably records a decision the server has appended and applied; replay
   /// of these records is what restore() rebuilds the ledger and shard from.
   void record_decision(std::uint64_t epoch, const std::string& msg_type,
                        const ledger::Block& block);
 
-  /// Rebuilds ledger, shard, and the vote map from the durable round log.
+  /// Rebuilds ledger, shard, the vote map and the witness's respond-once
+  /// guard from the durable round log.
   /// Returns false — leaving the server empty — if the log fails its
   /// chained integrity check (a tampered log must refuse to restore: its
   /// recorded votes can no longer be trusted not to equivocate).
@@ -189,7 +184,6 @@ class Server {
   /// time" series of Figure 14.
   double mht_time_us() const { return mht_time_us_; }
   void add_mht_time_us(double us) { mht_time_us_ += us; }
-  void reset_mht_time() { mht_time_us_ = 0; }
 
  private:
   void apply_block(const ledger::Block& block);
@@ -201,21 +195,20 @@ class Server {
   store::Shard shard_;
   store::WriteBuffer write_buffer_;
   ledger::TamperProofLog log_;
+  std::unique_ptr<ledger::RoundLog> owned_round_log_;  ///< when not given one
+  ledger::RoundLog* round_log_;
+  commit::CosiWitness witness_;
   commit::TfCommitCohort tf_cohort_;
   commit::TwoPhaseCommitCohort tpc_cohort_;
   FaultConfig faults_;
   std::vector<Envelope> client_messages_;
   double mht_time_us_{0};
 
-  std::unique_ptr<ledger::RoundLog> owned_round_log_;  ///< when not given one
-  ledger::RoundLog* round_log_;
   /// Durable votes, replayed: (epoch, speculated-base key) -> vote bytes.
   std::map<std::pair<std::uint64_t, std::uint64_t>, Bytes> votes_by_epoch_base_;
   /// Most recently recorded base per epoch (what a redelivered opening or a
   /// termination query answers with).
   std::map<std::uint64_t, std::uint64_t> latest_vote_base_;
-  /// Durable respond-once state: nonce round -> the challenge answered.
-  std::map<std::uint64_t, Bytes> responded_by_round_;
 };
 
 }  // namespace fides

@@ -12,6 +12,8 @@
 //   * kDecision — the finalized block the server appended and applied. The
 //                 replay of these records rebuilds the ledger, the datastore
 //                 shard, and the pipeline apply watermark.
+//   * kResponse — a CoSi challenge the server's witness answered
+//                 (commit/cosi_witness.hpp), keyed by nonce round.
 //
 // Records are framed by the engine epoch and chained by a running SHA-256
 // (h_i = H(h_{i-1} ‖ record_i)); replay() verifies the chain and refuses a
@@ -38,9 +40,11 @@ struct RoundRecord {
   enum class Type : std::uint8_t {
     kVote = 1,      ///< payload = serialized vote message bytes
     kDecision = 2,  ///< payload = serialized finalized Block
-    kResponse = 3,  ///< payload = the CoSi challenge answered (respond-once:
-                    ///< the deterministic round nonce must never sign two
-                    ///< distinct challenges, even across a crash/restore)
+    kResponse = 3,  ///< payload = the CoSi challenge answered. Written by
+                    ///< the CosiWitness for TFCommit, termination and
+                    ///< checkpoint nonces alike (respond-once: the
+                    ///< deterministic nonce must never sign two distinct
+                    ///< challenges, even across a crash/restore)
   };
 
   Type type{Type::kVote};

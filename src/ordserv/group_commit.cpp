@@ -134,8 +134,8 @@ GroupRoundResult GroupCommitRunner::run_group_block(
   for (std::size_t i = 0; i < group.members.size(); ++i) {
     Server& server = cluster_->server(group.members[i]);
     const std::size_t slot = challenges.size() == 1 ? 0 : i;
-    responses.push_back(server.tf_cohort().handle_challenge(challenges[slot],
-                                                            server.faults().cohort));
+    responses.push_back(server.tf_cohort().handle_challenge(
+        get_vote.round, challenges[slot], server.faults().cohort));
   }
 
   const commit::TfCommitOutcome outcome = coordinator.on_responses(responses);

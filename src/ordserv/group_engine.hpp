@@ -15,7 +15,7 @@
 // (gtf_seq, buffered by height), and its replay on recovery.
 //
 // Votes, CoSi responses, and delivered entries go through the servers'
-// durable RoundLogs (vote_once / respond_once / record_decision), so
+// durable RoundLogs (vote_once / the CosiWitness / record_decision), so
 // recovery replays the sequenced stream plus any in-flight rounds and
 // converges on the stream the uncrashed run produces — bit-identical to the
 // sequential lock-step reference, GroupCommitRunner (group_commit.hpp).

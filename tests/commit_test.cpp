@@ -25,7 +25,9 @@ class TfCommitTest : public ::testing::Test {
       cohort_ids.push_back(ServerId{i});
     }
     for (std::uint32_t i = 0; i < kServers; ++i) {
-      cohorts.push_back(std::make_unique<TfCommitCohort>(ServerId{i}, keypairs[i],
+      round_logs.push_back(std::make_unique<ledger::MemRoundLog>());
+      witnesses.push_back(std::make_unique<CosiWitness>(keypairs[i], *round_logs[i]));
+      cohorts.push_back(std::make_unique<TfCommitCohort>(ServerId{i}, *witnesses[i],
                                                          *shards[i]));
     }
   }
@@ -66,7 +68,7 @@ class TfCommitTest : public ::testing::Test {
       const CohortFaults f =
           i < cohort_faults.size() ? cohort_faults[i] : CohortFaults{};
       const std::size_t slot = challenges.size() == 1 ? 0 : i;
-      responses.push_back(cohorts[i]->handle_challenge(challenges[slot], f));
+      responses.push_back(cohorts[i]->handle_challenge(get_vote.round, challenges[slot], f));
     }
     const TfCommitOutcome outcome = coordinator.on_responses(responses);
     if (outcome.cosign_valid) {
@@ -79,6 +81,8 @@ class TfCommitTest : public ::testing::Test {
   std::vector<crypto::KeyPair> keypairs;
   std::vector<crypto::PublicKey> keys;
   std::vector<std::unique_ptr<store::Shard>> shards;
+  std::vector<std::unique_ptr<ledger::MemRoundLog>> round_logs;
+  std::vector<std::unique_ptr<CosiWitness>> witnesses;
   std::vector<std::unique_ptr<TfCommitCohort>> cohorts;
   std::vector<ServerId> cohort_ids;
   std::uint64_t round_{0};
@@ -242,6 +246,45 @@ TEST_F(TfCommitTest, ForceCommitOverAbortVoteRefused) {
     vetoer_refused |= server == ServerId{0};
   }
   EXPECT_TRUE(vetoer_refused);
+}
+
+// --- The CoSi witness: challenge check and durable respond-once -----------------
+
+TEST(CosiWitnessTest, AnswersOneChallengePerNonceRoundAcrossRestore) {
+  const crypto::KeyPair kp = crypto::KeyPair::deterministic(7);
+  ledger::MemRoundLog log;
+  CosiWitness witness(kp, log);
+  const Bytes record = to_bytes("record");
+  constexpr std::uint64_t kRound = 42;
+  const crypto::AffinePoint v = witness.commit(record, kRound);
+  const crypto::U256 c = crypto::cosi_challenge(v, record);
+
+  const auto first = witness.respond(record, kRound, record, v, c);
+  ASSERT_TRUE(first.r.has_value());
+  EXPECT_TRUE(crypto::cosi_verify_share(v, *first.r, c, kp.public_key()));
+  // The identical challenge re-asked (a deterministic restart) is re-answered.
+  const auto again = witness.respond(record, kRound, record, v, c);
+  ASSERT_TRUE(again.r.has_value());
+  EXPECT_EQ(*again.r, *first.r);
+
+  // A different, well-formed challenge for the same nonce round is refused.
+  const auto& curve = crypto::Curve::instance();
+  const crypto::AffinePoint v2 = crypto::cosi_aggregate_commitments(
+      std::vector{v, curve.to_affine(curve.mul_g(crypto::U256(7)))});
+  const crypto::U256 c2 = crypto::cosi_challenge(v2, record);
+  EXPECT_FALSE(witness.respond(record, kRound, record, v2, c2).r.has_value());
+
+  // A challenge that is not H(V ‖ record) is refused, even in a fresh round.
+  const crypto::U256 other = crypto::cosi_challenge(v, to_bytes("another record"));
+  EXPECT_FALSE(witness.respond(record, kRound + 1, record, v, other).r.has_value());
+
+  // A fresh witness restored from the same log keeps the guard.
+  CosiWitness restored(kp, log);
+  restored.restore(*log.replay());
+  EXPECT_FALSE(restored.respond(record, kRound, record, v2, c2).r.has_value());
+  const auto replayed = restored.respond(record, kRound, record, v, c);
+  ASSERT_TRUE(replayed.r.has_value());
+  EXPECT_EQ(*replayed.r, *first.r);
 }
 
 // --- Batching (§4.6) -------------------------------------------------------------

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "audit/auditor.hpp"
+#include "engine/reactor.hpp"
 #include "ledger/checkpoint.hpp"
 #include "workload/ycsb.hpp"
 
@@ -160,6 +161,160 @@ TEST_F(CheckpointTest, SuffixMustChainFromCheckpointHead) {
   auto log = cluster->server(ServerId{0}).log().blocks();
   log[4].prev_hash = crypto::sha256(to_bytes("severed"));
   EXPECT_FALSE(ledger::validate_chain_from(*cp, log, cluster->server_keys()).ok);
+}
+
+// --- The checkpoint witness, driven by hand -------------------------------------
+//
+// A Byzantine coordinator (S0) runs engine::CheckpointRound message by message
+// through a capturing Outbox: it sees every witness's commitment and may send
+// any challenge it likes. The witnesses must answer only the challenge over
+// the checkpoint their own log yields, and only once per nonce round.
+
+/// Captures every envelope a reactor sends, in send order.
+class CapturingOutbox final : public engine::Outbox {
+ public:
+  struct Sent {
+    NodeId src;
+    NodeId dst;
+    Envelope env;
+  };
+
+  void send(NodeId src, NodeId dst, Envelope env) override {
+    sent_.push_back(Sent{src, dst, std::move(env)});
+  }
+
+  /// Removes and returns the captured envelopes of wire type `type`.
+  std::vector<Sent> take(const std::string& type) {
+    std::vector<Sent> taken;
+    std::vector<Sent> rest;
+    for (Sent& m : sent_) (m.env.type == type ? taken : rest).push_back(std::move(m));
+    sent_ = std::move(rest);
+    return taken;
+  }
+
+ private:
+  std::vector<Sent> sent_;
+};
+
+class CheckpointWitnessTest : public CheckpointTest {
+ protected:
+  static NodeId node(std::uint32_t i) { return NodeId::server(ServerId{i}); }
+
+  ledger::Checkpoint honest() const {
+    return ledger::make_checkpoint(cluster->server(ServerId{0}).log().blocks(),
+                                   engine::RoundPlacement::global(*cluster).members);
+  }
+
+  /// S0's envelope of wire type `type` for round `epoch`.
+  Envelope from_s0(std::uint64_t epoch, const char* type, BytesView payload) {
+    const Server& s0 = cluster->server(ServerId{0});
+    return cluster->transport().seal(s0.keypair(), NodeId::server(s0.id()), type,
+                                     engine::frame_payload(epoch, payload));
+  }
+
+  /// A cp_challenge carrying (V, c), the way the coordinator sends one.
+  Envelope challenge(std::uint64_t epoch, const crypto::AffinePoint& v, const crypto::U256& c) {
+    Writer w;
+    w.bytes(v.serialize());
+    const auto cb = c.to_bytes_be();
+    w.raw(BytesView(cb.data(), cb.size()));
+    return from_s0(epoch, "cp_challenge", w.data());
+  }
+
+  /// Delivers every captured envelope of `type` to its destination.
+  void deliver_all(engine::CheckpointRound& round, CapturingOutbox& out, const char* type) {
+    for (const auto& m : out.take(type)) round.on_deliver(m.src, m.dst, m.env, true, out);
+  }
+
+  /// Opens `round` and returns the witnesses' aggregate commitment V, as
+  /// read off their cp_commit messages (which stay undelivered).
+  crypto::AffinePoint commit_phase(engine::CheckpointRound& round, CapturingOutbox& out) {
+    round.start(out);
+    deliver_all(round, out, "cp_propose");
+    std::vector<crypto::AffinePoint> vs;
+    for (const auto& m : out.take("cp_commit")) {
+      Reader r(engine::unframe_payload(m.env.payload));
+      r.u32();
+      EXPECT_TRUE(r.boolean()) << "witness S" << m.src.id << " refused the honest proposal";
+      vs.push_back(*crypto::AffinePoint::deserialize(r.bytes()));
+    }
+    return crypto::cosi_aggregate_commitments(vs);
+  }
+
+  /// Delivers `env` to every server and returns the responses it drew.
+  std::vector<CapturingOutbox::Sent> challenge_all(engine::CheckpointRound& round,
+                                                   CapturingOutbox& out, const Envelope& env) {
+    for (std::uint32_t i = 0; i < cluster->num_servers(); ++i) {
+      round.on_deliver(node(0), node(i), env, true, out);
+    }
+    return out.take("cp_response");
+  }
+};
+
+TEST_F(CheckpointWitnessTest, WitnessRefusesAChallengeOverAForgedHead) {
+  const std::uint64_t epoch = cluster->epochs().reserve();
+  engine::CheckpointRound round(*cluster, epoch);
+  CapturingOutbox out;
+  const crypto::AffinePoint v = commit_phase(round, out);
+
+  ledger::Checkpoint forged = honest();
+  forged.head_hash = crypto::sha256(to_bytes("forged-head"));
+  const crypto::U256 c = crypto::cosi_challenge(v, forged.signing_bytes());
+  const auto responses = challenge_all(round, out, challenge(epoch, v, c));
+  for (const auto& m : responses) {
+    EXPECT_NE(m.src, node(1)) << "S1 co-signed a head its log does not have";
+  }
+
+  // Whatever shares did come back cannot seal the forged checkpoint.
+  std::vector<crypto::U256> shares;
+  for (const auto& m : responses) {
+    Reader r(engine::unframe_payload(m.env.payload));
+    r.u32();
+    shares.push_back(crypto::U256::from_bytes_be(r.raw(32)));
+  }
+  forged.cosign = crypto::CosiSignature{v, crypto::cosi_aggregate_responses(shares)};
+  EXPECT_FALSE(ledger::validate_checkpoint(forged, cluster->server_keys()));
+}
+
+TEST_F(CheckpointWitnessTest, WitnessAnswersOneChallengePerHeight) {
+  // Round 1 runs honestly and seals the checkpoint.
+  engine::CheckpointRound first(*cluster, cluster->epochs().reserve());
+  CapturingOutbox out;
+  first.start(out);
+  deliver_all(first, out, "cp_propose");
+  deliver_all(first, out, "cp_commit");
+  deliver_all(first, out, "cp_challenge");
+  deliver_all(first, out, "cp_response");
+  ASSERT_TRUE(first.result().has_value());
+
+  // Round 2 at the same height: the deterministic nonces come back, and S0
+  // slips one extra commitment into V to make the challenge differ. A second
+  // answer under the same nonce would give S1's key away.
+  const std::uint64_t epoch = cluster->epochs().reserve();
+  engine::CheckpointRound second(*cluster, epoch);
+  const crypto::AffinePoint v = commit_phase(second, out);
+  ASSERT_TRUE(v == first.result()->cosign->v);
+  const auto& curve = crypto::Curve::instance();
+  const crypto::AffinePoint v2 = crypto::cosi_aggregate_commitments(
+      std::vector{v, curve.to_affine(curve.mul_g(crypto::U256(7)))});
+  const crypto::U256 c2 = crypto::cosi_challenge(v2, honest().signing_bytes());
+  second.on_deliver(node(0), node(1), challenge(epoch, v2, c2), true, out);
+  EXPECT_TRUE(out.take("cp_response").empty()) << "S1 answered a second challenge";
+}
+
+TEST_F(CheckpointWitnessTest, WitnessRefusesAProposalWithAForgedRoot) {
+  const std::uint64_t epoch = cluster->epochs().reserve();
+  engine::CheckpointRound round(*cluster, epoch);
+  CapturingOutbox out;
+  ledger::Checkpoint prop = honest();
+  ASSERT_FALSE(prop.roots.empty());
+  prop.roots[0].root = crypto::sha256(to_bytes("forged-root"));
+  round.on_deliver(node(0), node(1), from_s0(epoch, "cp_propose", prop.serialize()), true, out);
+  const auto commits = out.take("cp_commit");
+  ASSERT_EQ(commits.size(), 1u);
+  Reader r(engine::unframe_payload(commits[0].env.payload));
+  EXPECT_EQ(r.u32(), 1u);
+  EXPECT_FALSE(r.boolean()) << "S1 agreed to a checkpoint with a root its log never held";
 }
 
 // --- Wire-format round-trips for the protocol messages ----------------------------
