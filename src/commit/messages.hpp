@@ -34,7 +34,7 @@ struct SignedEndTxn {
   EndTxnRequest request;
   crypto::Signature signature;  ///< over request.serialize()
 
-  bool verify(const crypto::PublicKey& client_key) const;
+  bool verify(const crypto::KeyTable& client_key) const;
 };
 
 // --- TFCommit (Figure 7) ----------------------------------------------------

@@ -40,7 +40,7 @@ std::optional<EndTxnRequest> EndTxnRequest::deserialize(BytesView b) {
   }
 }
 
-bool SignedEndTxn::verify(const crypto::PublicKey& client_key) const {
+bool SignedEndTxn::verify(const crypto::KeyTable& client_key) const {
   return crypto::verify(client_key, request.serialize(), signature);
 }
 
@@ -332,8 +332,8 @@ ResponseMsg TfCommitCohort::handle_term_challenge(std::uint64_t round,
 // --- Coordinator ------------------------------------------------------------
 
 TfCommitCoordinator::TfCommitCoordinator(std::vector<ServerId> cohorts,
-                                         std::vector<crypto::PublicKey> keys)
-    : cohorts_(std::move(cohorts)), keys_(std::move(keys)) {}
+                                         const crypto::KeyRegistry& keys)
+    : cohorts_(std::move(cohorts)), keys_(&keys) {}
 
 Block TfCommitCoordinator::make_partial_block(std::uint64_t height,
                                               const crypto::Digest& prev_hash,
@@ -442,17 +442,20 @@ TfCommitOutcome TfCommitCoordinator::on_responses(std::span<const ResponseMsg> r
   block_.cosign = crypto::CosiSignature{
       aggregate_v_, crypto::cosi_aggregate_responses(shares)};
 
+  const crypto::KeyTable* aggregate = keys_->aggregate(cohorts_);
   outcome.cosign_valid =
-      !any_refused &&
-      crypto::cosi_verify(block_.signing_bytes(), *block_.cosign, keys_);
+      !any_refused && aggregate != nullptr &&
+      crypto::cosi_verify(block_.signing_bytes(), *block_.cosign, *aggregate);
 
   if (!outcome.cosign_valid) {
     // Lemma 4: binary-search-free attribution — check each share against its
     // commitment; the server(s) with invalid shares are the culprits. The
     // coordinator is incentivised to do this: an unverifiable block makes
     // the auditor suspect the coordinator itself.
-    const auto faulty =
-        crypto::cosi_find_faulty(commitments_, shares, challenge_, keys_);
+    std::vector<const crypto::KeyTable*> keys;
+    keys.reserve(cohorts_.size());
+    for (const ServerId s : cohorts_) keys.push_back(keys_->server(s));
+    const auto faulty = crypto::cosi_find_faulty(commitments_, shares, challenge_, keys);
     for (const std::size_t idx : faulty) outcome.faulty_cosigners.push_back(cohorts_[idx]);
   }
 

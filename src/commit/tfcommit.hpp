@@ -22,6 +22,7 @@
 
 #include "commit/cosi_witness.hpp"
 #include "commit/messages.hpp"
+#include "crypto/key_registry.hpp"
 #include "store/shard.hpp"
 
 namespace fides::commit {
@@ -209,8 +210,9 @@ class TfCommitCoordinator {
  public:
   /// `cohorts` lists every server participating in termination (§4.1: all
   /// servers, including the coordinator itself, co-sign every block).
-  /// `keys[i]` is cohorts[i]'s public key.
-  TfCommitCoordinator(std::vector<ServerId> cohorts, std::vector<crypto::PublicKey> keys);
+  /// `keys` holds every cohort's key and must outlive the coordinator; the
+  /// co-sign is checked against the cohorts' cached aggregate.
+  TfCommitCoordinator(std::vector<ServerId> cohorts, const crypto::KeyRegistry& keys);
 
   /// Assembles the phase-1 partial block from a batch. `signers` is the
   /// witness set whose co-sign will seal the block (all servers under the
@@ -243,7 +245,7 @@ class TfCommitCoordinator {
 
  private:
   std::vector<ServerId> cohorts_;
-  std::vector<crypto::PublicKey> keys_;
+  const crypto::KeyRegistry* keys_;
 
   Block block_;
   std::vector<crypto::AffinePoint> commitments_;  // per cohort

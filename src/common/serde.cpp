@@ -1,16 +1,27 @@
 #include "common/serde.hpp"
 
+#include <array>
+
 namespace fides {
 
 void Writer::u8(std::uint8_t v) { buf_.push_back(v); }
 
-void Writer::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+namespace {
+
+/// Appends v little-endian in one insert (one capacity check, not one per
+/// byte: block and vote encodings write millions of these per run).
+template <typename T>
+void put_le(Bytes& buf, T v) {
+  std::array<std::uint8_t, sizeof(T)> b;
+  for (std::size_t i = 0; i < sizeof(T); ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  buf.insert(buf.end(), b.begin(), b.end());
 }
 
-void Writer::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+}  // namespace
+
+void Writer::u32(std::uint32_t v) { put_le(buf_, v); }
+
+void Writer::u64(std::uint64_t v) { put_le(buf_, v); }
 
 void Writer::boolean(bool v) { u8(v ? 1 : 0); }
 

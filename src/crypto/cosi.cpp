@@ -79,53 +79,61 @@ U256 cosi_aggregate_responses(std::span<const U256> responses) {
   return fn.from_mont(acc);
 }
 
+namespace {
+
+/// r·G == V + c·X rearranged to r·G + (n-c)·X == V: one joint ladder. `x`
+/// is a validated key as a point or as its FixedTable.
+template <typename Key>
+bool share_holds(const AffinePoint& v, const U256& r, const U256& c, const Key& x) {
+  const Curve& curve = Curve::instance();
+  if (!curve.on_curve(v)) return false;
+  if (!u256_less(r, curve.order())) return false;  // msm precondition
+  const auto& fn = curve.fn();
+  const U256 neg_c = fn.from_mont(fn.neg(fn.to_mont(c)));
+  return curve.equal(curve.mul_add(r, neg_c, x), curve.from_affine(v));
+}
+
+}  // namespace
+
+bool cosi_verify(BytesView record, const CosiSignature& sig, const KeyTable& aggregate) {
+  return share_holds(sig.v, sig.r, cosi_challenge(sig.v, record), aggregate.table());
+}
+
 bool cosi_verify(BytesView record, const CosiSignature& sig,
                  std::span<const PublicKey> public_keys) {
   const Curve& curve = Curve::instance();
   if (public_keys.empty()) return false;
-  if (!curve.on_curve(sig.v)) return false;
-  if (!u256_less(sig.r, curve.order())) return false;
-
   Point x_agg = curve.infinity();
   for (const auto& pk : public_keys) {
     if (pk.point.infinity || !curve.on_curve(pk.point)) return false;
     x_agg = curve.add(x_agg, curve.from_affine(pk.point));
   }
-  // r·G == V + c·X rearranged to r·G + (n-c)·X == V: one joint ladder.
-  const U256 c = cosi_challenge(sig.v, record);
-  const auto& fn = curve.fn();
-  const U256 neg_c = fn.from_mont(fn.neg(fn.to_mont(c)));
-  const Point lhs = curve.mul_add(sig.r, neg_c, x_agg);
-  return curve.equal(lhs, curve.from_affine(sig.v));
+  if (x_agg.is_infinity()) return false;
+  return share_holds(sig.v, sig.r, cosi_challenge(sig.v, record), x_agg);
 }
 
 bool cosi_verify_share(const AffinePoint& commitment, const U256& response,
-                       const U256& challenge, const PublicKey& pk) {
-  const Curve& curve = Curve::instance();
-  if (!curve.on_curve(commitment) || !curve.on_curve(pk.point)) return false;
-  if (!u256_less(response, curve.order())) return false;  // msm precondition
-  const auto& fn = curve.fn();
-  const U256 neg_c = fn.from_mont(fn.neg(fn.to_mont(challenge)));
-  const Point lhs = curve.mul_add(response, neg_c, curve.from_affine(pk.point));
-  return curve.equal(lhs, curve.from_affine(commitment));
+                       const U256& challenge, const KeyTable& key) {
+  return share_holds(commitment, response, challenge, key.table());
 }
 
 std::vector<std::size_t> cosi_find_faulty(std::span<const AffinePoint> commitments,
                                           std::span<const U256> responses,
                                           const U256& challenge,
-                                          std::span<const PublicKey> public_keys) {
+                                          std::span<const KeyTable* const> keys) {
   std::vector<std::size_t> faulty;
   // A witness controls only its own share: mismatched span lengths mean the
   // *caller* assembled the round wrong, and indexing past the shorter spans
   // would read out of range. Treat every slot as unattested rather than
   // guessing which spans line up.
-  if (responses.size() != commitments.size() || public_keys.size() != commitments.size()) {
+  if (responses.size() != commitments.size() || keys.size() != commitments.size()) {
     faulty.resize(commitments.size());
     for (std::size_t i = 0; i < faulty.size(); ++i) faulty[i] = i;
     return faulty;
   }
   for (std::size_t i = 0; i < commitments.size(); ++i) {
-    if (!cosi_verify_share(commitments[i], responses[i], challenge, public_keys[i])) {
+    if (keys[i] == nullptr ||
+        !cosi_verify_share(commitments[i], responses[i], challenge, *keys[i])) {
       faulty.push_back(i);
     }
   }

@@ -8,6 +8,10 @@
 // The aggregate (V = ΣV_i, r = Σr_i) is a constant-size signature verified
 // against the aggregate public key X = ΣX_i as  r·G == V + c·X.
 //
+// Verification runs on Curve::msm's one ladder. A cluster checks every
+// co-sign against the aggregate KeyTable of the block's distinct signer set,
+// cached in its KeyRegistry, so no check re-sums or re-validates keys.
+//
 // The functions here are the pure-crypto core. Every server's witness side
 // (nonce derivation, the challenge check, respond-once) is one
 // commit::CosiWitness (commit/cosi_witness.*); the leaders are the TFCommit
@@ -59,7 +63,13 @@ U256 cosi_respond(const KeyPair& kp, const U256& secret, const U256& challenge);
 /// Leader aggregation of responses: r = Σr_i mod n.
 U256 cosi_aggregate_responses(std::span<const U256> responses);
 
-/// Full-signature verification given all participants' public keys.
+/// Full-signature verification against the signer set's aggregate key
+/// X = ΣX_i, whose table KeyRegistry::aggregate built once per distinct set.
+bool cosi_verify(BytesView record, const CosiSignature& sig, const KeyTable& aggregate);
+
+/// Full-signature verification given all participants' public keys, seen
+/// once: the keys are validated and summed, and the ladder builds X's table
+/// for this call. A set whose keys sum to infinity verifies nothing.
 bool cosi_verify(BytesView record, const CosiSignature& sig,
                  std::span<const PublicKey> public_keys);
 
@@ -67,12 +77,13 @@ bool cosi_verify(BytesView record, const CosiSignature& sig,
 /// the exact witness that sent a bogus response (Lemma 4: CoSi identifies
 /// the precise misbehaving server).
 bool cosi_verify_share(const AffinePoint& commitment, const U256& response,
-                       const U256& challenge, const PublicKey& pk);
+                       const U256& challenge, const KeyTable& key);
 
-/// Returns the indices of all shares failing cosi_verify_share.
+/// Returns the indices of all shares failing cosi_verify_share; keys[i] is
+/// witness i's table (a null entry counts as failing).
 std::vector<std::size_t> cosi_find_faulty(std::span<const AffinePoint> commitments,
                                           std::span<const U256> responses,
                                           const U256& challenge,
-                                          std::span<const PublicKey> public_keys);
+                                          std::span<const KeyTable* const> keys);
 
 }  // namespace fides::crypto

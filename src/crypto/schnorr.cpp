@@ -1,6 +1,7 @@
 #include "crypto/schnorr.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "common/serde.hpp"
 
@@ -92,19 +93,41 @@ Signature KeyPair::sign(BytesView message) const {
   return Signature{r, fn.from_mont(s)};
 }
 
-bool verify(const PublicKey& pk, BytesView message, const Signature& sig) {
+KeyTable::KeyTable(const PublicKey& key) : key_(key) {
   const Curve& curve = Curve::instance();
-  if (pk.point.infinity || sig.r.infinity) return false;
-  if (!curve.on_curve(pk.point) || !curve.on_curve(sig.r)) return false;
-  if (!u256_less(sig.s, curve.order())) return false;
+  if (key.point.infinity || !curve.on_curve(key.point)) {
+    throw std::invalid_argument("KeyTable: key is infinity or off the curve");
+  }
+  table_ = curve.fixed_table(curve.from_affine(key.point));
+}
 
-  // s·G == R + c·P rearranged to s·G + (n-c)·P == R: one Strauss-joint
-  // ladder instead of a fixed-base mul plus a plain double-and-add.
+namespace {
+
+/// s·G == R + c·P rearranged to s·G + (n-c)·P == R: one Strauss-joint
+/// ladder. `p` is the key as a point (its table built for the call) or as
+/// its FixedTable; the caller has validated the key.
+template <typename Key>
+bool signature_holds(const PublicKey& pk, const Key& p, BytesView message,
+                     const Signature& sig) {
+  const Curve& curve = Curve::instance();
+  if (sig.r.infinity || !curve.on_curve(sig.r)) return false;
+  if (!u256_less(sig.s, curve.order())) return false;
   const U256 c = challenge(sig.r, pk, message);
   const auto& fn = curve.fn();
   const U256 neg_c = fn.from_mont(fn.neg(fn.to_mont(c)));
-  const Point lhs = curve.mul_add(sig.s, neg_c, curve.from_affine(pk.point));
-  return curve.equal(lhs, curve.from_affine(sig.r));
+  return curve.equal(curve.mul_add(sig.s, neg_c, p), curve.from_affine(sig.r));
+}
+
+}  // namespace
+
+bool verify(const PublicKey& pk, BytesView message, const Signature& sig) {
+  const Curve& curve = Curve::instance();
+  if (pk.point.infinity || !curve.on_curve(pk.point)) return false;
+  return signature_holds(pk, curve.from_affine(pk.point), message, sig);
+}
+
+bool verify(const KeyTable& key, BytesView message, const Signature& sig) {
+  return signature_holds(key.key(), key.table(), message, sig);
 }
 
 namespace {

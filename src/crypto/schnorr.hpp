@@ -3,7 +3,10 @@
 // Every server and client in Fides holds a Schnorr keypair; every message
 // exchanged is signed by the sender and verified by the receiver (§3.1).
 // Signatures are (R, s) with R = k·G, c = H(ser(R) ‖ ser(P) ‖ m) mod n,
-// s = k + c·x mod n; verification checks s·G == R + c·P.
+// s = k + c·x mod n; verification checks s·G == R + c·P on Curve::msm's one
+// ladder. A key the cluster knows is checked through its KeyTable, whose
+// multiples were built once at registration; a key seen once gets a small
+// table built for the call.
 //
 // Nonces are derived deterministically from (secret key, message) in the
 // spirit of RFC 6979, so signing is reproducible and never reuses a nonce
@@ -55,8 +58,31 @@ class KeyPair {
   PublicKey pk_;
 };
 
-/// Verifies sig over message under pk. Cheap rejection on malformed points.
+/// A known public key with its precomputed FixedTable (about 12 KB), so no
+/// signature or co-sign check under the key rebuilds the key's multiples.
+/// The key is validated once, here: the constructor throws
+/// std::invalid_argument for infinity or an off-curve point. Every key a
+/// cluster knows lives in one crypto::KeyRegistry (key_registry.hpp).
+class KeyTable {
+ public:
+  explicit KeyTable(const PublicKey& key);
+
+  const PublicKey& key() const { return key_; }
+  const FixedTable& table() const { return table_; }
+
+ private:
+  PublicKey key_;
+  FixedTable table_;
+};
+
+/// Verifies sig over message under pk, a key seen once: the ladder builds
+/// pk's table for this call. Cheap rejection on malformed points.
 bool verify(const PublicKey& pk, BytesView message, const Signature& sig);
+
+/// Verifies sig over message under a known key's table. The challenge is
+/// derived from key.key(), so the table and the key it checks cannot
+/// disagree.
+bool verify(const KeyTable& key, BytesView message, const Signature& sig);
 
 /// One signature in a batch_verify call. The referenced objects must outlive
 /// the call; no ownership is taken.

@@ -19,10 +19,10 @@ constexpr U256 kGy = U256::from_limbs(0x9C47D08FFB10D4B8ULL, 0xFD17B448A6855419U
 /// Digits per ladder term: the wNAF of a GLV half (below 2^128) has at most
 /// 129 digits, so the shared ladder runs at most 129 doublings.
 constexpr int kLadderDigits = 129;
-/// wNAF widths: per-point terms use 8 odd multiples (built per call), the
-/// fixed base uses 64 (built once).
+/// wNAF widths: per-point terms use 8 odd multiples (built per call), fixed
+/// tables 64 (built once).
 constexpr int kPointWindow = 5;
-constexpr int kGWindow = 8;
+constexpr int kFixedWindow = 8;
 
 /// One ladder term: signed wNAF digits over a table of odd multiples, where
 /// table[j] == (2j+1)·Q for the term's point Q.
@@ -139,9 +139,16 @@ Curve::Curve() : fn_(kN), b7_(fp_.to_mont(U256(7))), beta_(fp_.to_mont(glv::kBet
     for (int j = 0; j < 15; ++j) g_table_[i][j] = flat[static_cast<std::size_t>(i) * 15 + j];
   }
 
-  odd_multiples(*this, g_, g_odd_);
-  batch_normalize(g_odd_);
-  for (std::size_t j = 0; j < g_odd_.size(); ++j) g_lambda_odd_[j] = endomorphism(g_odd_[j]);
+  g_fixed_ = fixed_table(g_);
+}
+
+FixedTable Curve::fixed_table(const Point& q) const {
+  if (q.is_infinity()) throw std::invalid_argument("fixed_table: point at infinity");
+  FixedTable t;
+  odd_multiples(*this, q, t.odd);
+  batch_normalize(t.odd);
+  for (std::size_t j = 0; j < t.odd.size(); ++j) t.lambda_odd[j] = endomorphism(t.odd[j]);
+  return t;
 }
 
 Point Curve::infinity() const {
@@ -349,20 +356,26 @@ Point Curve::mul_add(const U256& a, const U256& b, const Point& p) const {
   return msm(a, std::span<const U256>(&b, 1), std::span<const Point>(&p, 1));
 }
 
+Point Curve::mul_add(const U256& a, const U256& b, const FixedTable& q) const {
+  const FixedTerm term{b, &q};
+  return msm(a, {}, {}, std::span<const FixedTerm>(&term, 1));
+}
+
 Point Curve::msm(const U256& g_scalar, std::span<const U256> scalars,
-                 std::span<const Point> points) const {
+                 std::span<const Point> points, std::span<const FixedTerm> fixed) const {
   if (scalars.size() != points.size()) {
     throw std::invalid_argument("msm: scalars/points length mismatch");
   }
   for (const U256& s : scalars) {
-    if (!u256_less(s, kN)) {
-      throw std::invalid_argument("msm: scalar not reduced mod n");
-    }
+    if (!u256_less(s, kN)) throw std::invalid_argument("msm: scalar not reduced mod n");
+  }
+  for (const FixedTerm& f : fixed) {
+    if (!u256_less(f.scalar, kN)) throw std::invalid_argument("msm: scalar not reduced mod n");
   }
   const std::size_t n = points.size();
   constexpr std::size_t kOdd = std::size_t{1} << (kPointWindow - 2);
-  // Odd multiples of every point, normalized with a single inversion so
-  // every ladder add is a mixed add.
+  // Odd multiples of every point seen once, normalized with a single
+  // inversion so every ladder add is a mixed add.
   std::vector<Point> tables(n * kOdd);
   for (std::size_t i = 0; i < n; ++i) {
     odd_multiples(*this, points[i], std::span<Point>(tables).subspan(i * kOdd, kOdd));
@@ -373,7 +386,8 @@ Point Curve::msm(const U256& g_scalar, std::span<const U256> scalars,
   U256 g = g_scalar;
   if (!u256_less(g, kN)) u256_sub(g, g, kN);
 
-  std::vector<LadderTerm> terms(2 * n + 2);
+  // Terms, two per GLV split: G's, then the fixed terms', then the points'.
+  std::vector<LadderTerm> terms(2 * (1 + fixed.size() + n));
   const auto add_terms = [&](std::size_t t, const GlvSplit& split, const Point* table,
                              const Point* lambda_table, int w) {
     terms[t].table = table;
@@ -381,9 +395,14 @@ Point Curve::msm(const U256& g_scalar, std::span<const U256> scalars,
     terms[t + 1].table = lambda_table;
     wnaf(split.k2, w, split.neg2, terms[t + 1]);
   };
-  add_terms(0, glv_split(g), g_odd_.data(), g_lambda_odd_.data(), kGWindow);
+  add_terms(0, glv_split(g), g_fixed_.odd.data(), g_fixed_.lambda_odd.data(), kFixedWindow);
+  for (std::size_t j = 0; j < fixed.size(); ++j) {
+    add_terms(2 + 2 * j, glv_split(fixed[j].scalar), fixed[j].table->odd.data(),
+              fixed[j].table->lambda_odd.data(), kFixedWindow);
+  }
   // λP's table costs one field multiplication per entry, paid only when
   // the k2 half is nonzero.
+  const std::size_t first_point = 2 + 2 * fixed.size();
   std::vector<Point> lambda_tables(tables.size());
   for (std::size_t i = 0; i < n; ++i) {
     const GlvSplit split = glv_split(scalars[i]);
@@ -392,7 +411,8 @@ Point Curve::msm(const U256& g_scalar, std::span<const U256> scalars,
         lambda_tables[j] = endomorphism(tables[j]);
       }
     }
-    add_terms(2 * i + 2, split, &tables[i * kOdd], &lambda_tables[i * kOdd], kPointWindow);
+    add_terms(first_point + 2 * i, split, &tables[i * kOdd], &lambda_tables[i * kOdd],
+              kPointWindow);
   }
   int top = 0;
   for (const LadderTerm& t : terms) top = std::max(top, t.length);

@@ -7,10 +7,14 @@
 // (de)serialization boundaries.
 //
 // This is the prime-order group underlying Schnorr signatures (§2.1) and
-// Collective Signing (§2.2). The implementation favours clarity and
-// correctness over constant-time hardening: Fides' threat model (§3.2) is a
-// computationally bounded adversary who cannot forge signatures; side-channel
-// resistance of co-located processes is out of the paper's scope.
+// Collective Signing (§2.2). Every verification runs on one ladder,
+// Curve::msm: a shared GLV-split Strauss ladder whose terms read width-8
+// tables precomputed once (G's, and a FixedTable per known public key, held
+// by crypto::KeyTable) or width-5 tables built per call for points seen once.
+// The implementation favours clarity and correctness over constant-time
+// hardening: Fides' threat model (§3.2) is a computationally bounded
+// adversary who cannot forge signatures; side-channel resistance of
+// co-located processes is out of the paper's scope.
 #pragma once
 
 #include <array>
@@ -77,6 +81,21 @@ struct GlvSplit {
   bool neg1{false}, neg2{false};
 };
 
+/// Width-8 wNAF tables of one fixed point Q: odd[j] == (2j+1)·Q and
+/// lambda_odd[j] == (2j+1)·λQ for j in 0..63, every entry normalized to
+/// Z == 1 (about 12 KB). The curve holds G's; crypto::KeyTable holds one per
+/// registered public key, so a check under a known key never rebuilds it.
+struct FixedTable {
+  std::array<Point, 64> odd;
+  std::array<Point, 64> lambda_odd;
+};
+
+/// One msm term over a precomputed table: scalar·Q for the table's Q.
+struct FixedTerm {
+  U256 scalar;
+  const FixedTable* table{nullptr};
+};
+
 /// Singleton-style curve context holding the base field (mod p), the
 /// Montgomery scalar field (mod n) and the generator. Construction is cheap
 /// but not free; use Curve::instance() to share one.
@@ -123,22 +142,32 @@ class Curve {
   /// λ·P computed as (β·x, y, z).
   Point endomorphism(const Point& p) const;
 
-  /// a*G + b*P, the Schnorr verification shape: msm over one point.
-  /// `b` must be reduced mod n (throws std::invalid_argument otherwise).
+  /// Q's FixedTable: one doubling, 63 mixed adds, one batch inversion and
+  /// 64 β multiplications. Throws std::invalid_argument for infinity.
+  FixedTable fixed_table(const Point& q) const;
+
+  /// a*G + b*P, the Schnorr verification shape, for a P seen once: msm over
+  /// one point, with P's table built for the call. `b` must be reduced mod n
+  /// (throws std::invalid_argument otherwise).
   Point mul_add(const U256& a, const U256& b, const Point& p) const;
 
-  /// Multi-scalar multiplication g_scalar*G + Σ scalars[i]*points[i] under a
-  /// single shared double ladder (Strauss) of at most 129 steps. Every
-  /// scalar is GLV-split, so each point contributes two half-length terms:
-  /// width-5 wNAF digits over P's odd multiples 1P..15P and over λP's
-  /// (β·x, y) copies of them. All per-point tables are batch-normalized with
-  /// one inversion, so every ladder add is a mixed add. G's two halves walk
-  /// width-8 wNAF digits over the static tables of 1G..127G and λG's.
-  /// `scalars` and `points` must have equal length and every entry of
-  /// `scalars` must be reduced mod n; violations throw std::invalid_argument.
-  /// `g_scalar` may be any 256-bit value.
+  /// a*G + b*Q over Q's precomputed table: the same ladder, with no table
+  /// built for the call. `b` must be reduced mod n.
+  Point mul_add(const U256& a, const U256& b, const FixedTable& q) const;
+
+  /// Multi-scalar multiplication g_scalar*G + Σ scalars[i]*points[i] +
+  /// Σ fixed[j].scalar*Q_j under a single shared double ladder (Strauss) of
+  /// at most 129 steps: the library's one ladder. Every scalar is GLV-split,
+  /// so each point contributes two half-length terms. A point seen once
+  /// walks width-5 wNAF digits over its odd multiples 1P..15P and over λP's
+  /// (β·x, y) copies of them, built for the call and batch-normalized with
+  /// one inversion. G and every fixed term walk width-8 digits over a
+  /// FixedTable (1Q..127Q and λQ's) built once. Every ladder add is a mixed
+  /// add. `scalars` and `points` must have equal length and every scalar in
+  /// `scalars` and `fixed` must be reduced mod n; violations throw
+  /// std::invalid_argument. `g_scalar` may be any 256-bit value.
   Point msm(const U256& g_scalar, std::span<const U256> scalars,
-            std::span<const Point> points) const;
+            std::span<const Point> points, std::span<const FixedTerm> fixed = {}) const;
 
   /// k*G via a precomputed fixed-base window table (4-bit windows over the
   /// 256-bit scalar: ~64 additions, no doublings). Signing, CoSi
@@ -166,10 +195,8 @@ class Curve {
   /// comb. Every entry is batch-normalized to Z == 1 at construction so table
   /// lookups feed the cheaper mixed addition.
   std::vector<std::array<Point, 15>> g_table_;
-  /// g_odd_[j] == (2j+1)·G and g_lambda_odd_[j] == (2j+1)·λG for j in 0..63,
-  /// normalized: the fixed-base tables of msm's width-8 G terms.
-  std::array<Point, 64> g_odd_;
-  std::array<Point, 64> g_lambda_odd_;
+  /// G's FixedTable: the tables of msm's width-8 G terms.
+  FixedTable g_fixed_;
 };
 
 /// Reduces a 32-byte digest to a scalar in [0, n). Used for Schnorr/CoSi

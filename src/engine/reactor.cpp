@@ -25,15 +25,6 @@ bool is_tf_vote_type(const std::string& type) {
   return type == "tf_vote" || type.compare(0, 8, "tf_vote~") == 0;
 }
 
-/// Public keys of `members`, in member order.
-std::vector<crypto::PublicKey> member_keys(const Cluster& cluster,
-                                           const std::vector<ServerId>& members) {
-  std::vector<crypto::PublicKey> keys;
-  keys.reserve(members.size());
-  for (const ServerId m : members) keys.push_back(cluster.server_keys()[m.value]);
-  return keys;
-}
-
 }  // namespace
 
 RoundPlacement RoundPlacement::global(const Cluster& cluster) {
@@ -128,7 +119,7 @@ TfCommitRound::TfCommitRound(Cluster& cluster, RoundPlacement placement,
     : RoundReactor(cluster, std::move(placement), epoch, observer),
       batch_(std::move(batch)),
       pristine_batch_(batch_),
-      coordinator_(placement_.members, member_keys(cluster, placement_.members)),
+      coordinator_(placement_.members, cluster.server_keys()),
       spec_(spec),
       votes_(placement_.members.size()),
       vote_in_(placement_.members.size(), 0),
@@ -503,16 +494,20 @@ void TfCommitRound::on_deliver(NodeId src, NodeId dst, const Envelope& env,
     ++term_resps_seen_;
     if (term_resps_seen_ == live_expected() && !term_decided_) {
       std::vector<crypto::U256> shares;
-      std::vector<crypto::PublicKey> keys;
+      std::vector<ServerId> signers;
       for (std::uint32_t i = 0; i < n_; ++i) {
         if (!term_live_[i]) continue;
         shares.push_back(term_responses_[i]);
-        keys.push_back(cluster_->server_keys()[i]);
+        signers.push_back(ServerId{i});
       }
       ledger::Block block = term_block_;
       block.cosign =
           crypto::CosiSignature{term_agg_, crypto::cosi_aggregate_responses(shares)};
-      if (!crypto::cosi_verify(block.signing_bytes(), *block.cosign, keys)) return;
+      const crypto::KeyTable* aggregate = cluster_->server_keys().aggregate(signers);
+      if (aggregate == nullptr ||
+          !crypto::cosi_verify(block.signing_bytes(), *block.cosign, *aggregate)) {
+        return;
+      }
       term_decided_ = true;
       metrics_.terminated_by_cohorts = true;
       term_block_ = block;
@@ -677,8 +672,7 @@ void TfCommitRound::begin_termination(Outbox& out) {
 
 void TfCommitRound::restart(Outbox& out) {
   const std::size_t m = placement_.members.size();
-  coordinator_ = commit::TfCommitCoordinator(placement_.members,
-                                             member_keys(*cluster_, placement_.members));
+  coordinator_ = commit::TfCommitCoordinator(placement_.members, cluster_->server_keys());
   votes_.assign(m, {});
   vote_in_.assign(m, 0);
   for (auto& b : buffered_votes_) b.clear();

@@ -48,9 +48,12 @@ commit::SignedEndTxn Client::end(ClientTxn&& txn) {
 }
 
 bool Client::accept_decision(const ledger::Block& block,
-                             std::span<const crypto::PublicKey> server_keys) const {
-  return block.cosign &&
-         crypto::cosi_verify(block.signing_bytes(), *block.cosign, server_keys);
+                             const crypto::KeyRegistry& keys) const {
+  std::vector<ServerId> servers;
+  for (std::uint32_t i = 0; i < keys.num_servers(); ++i) servers.push_back(ServerId{i});
+  const crypto::KeyTable* aggregate = keys.aggregate(servers);
+  return block.cosign && aggregate != nullptr &&
+         crypto::cosi_verify(block.signing_bytes(), *block.cosign, *aggregate);
 }
 
 }  // namespace fides

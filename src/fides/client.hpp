@@ -57,10 +57,10 @@ class Client {
 
   /// Verifies a finalized block's co-sign before accepting the decision
   /// (§4.3.1: "the client, with the public keys of all the servers,
-  /// verifies the co-sign"). Triggers-an-audit is modelled as returning
+  /// verifies the co-sign"): the check runs against the cached aggregate of
+  /// every server in `keys`. Triggers-an-audit is modelled as returning
   /// false.
-  bool accept_decision(const ledger::Block& block,
-                       std::span<const crypto::PublicKey> server_keys) const;
+  bool accept_decision(const ledger::Block& block, const crypto::KeyRegistry& keys) const;
 
   TimestampOracle& oracle() { return oracle_; }
 

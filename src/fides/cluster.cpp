@@ -22,7 +22,7 @@ bool verify_touching_requests(Transport& transport, const Server& server,
   }
   if (!transport.batch_verify()) {
     for (const auto* req : touching) {
-      const crypto::PublicKey* ck = transport.key_of(NodeId::client(req->client));
+      const crypto::KeyTable* ck = transport.key_of(NodeId::client(req->client));
       ++transport.stats().signatures_verified;
       if (ck == nullptr || !req->verify(*ck)) return false;
     }
@@ -38,13 +38,13 @@ bool verify_touching_requests(Transport& transport, const Server& server,
   messages.reserve(touching.size());
   items.reserve(touching.size());
   for (const auto* req : touching) {
-    const crypto::PublicKey* ck = transport.key_of(NodeId::client(req->client));
+    const crypto::KeyTable* ck = transport.key_of(NodeId::client(req->client));
     if (ck == nullptr) {
       missing_key = true;
       break;
     }
     messages.push_back(req->request.serialize());
-    items.push_back(crypto::BatchItem{ck, BytesView{}, &req->signature});
+    items.push_back(crypto::BatchItem{&ck->key(), BytesView{}, &req->signature});
   }
   for (std::size_t i = 0; i < items.size(); ++i) {
     items[i].message = BytesView(messages[i].data(), messages[i].size());
@@ -89,10 +89,8 @@ Cluster::Cluster(ClusterConfig config)
   });
   transport_.set_batch_verify(config_.batch_verify);
   // Key registration mutates the shared transport registry: sequential.
-  server_keys_.reserve(config_.num_servers);
   for (std::uint32_t i = 0; i < config_.num_servers; ++i) {
-    server_keys_.push_back(servers_[i]->public_key());
-    transport_.register_node(NodeId::server(ServerId{i}), server_keys_.back());
+    transport_.register_node(NodeId::server(ServerId{i}), servers_[i]->public_key());
   }
   // Crash/recover schedules: time triggers go straight onto the SimNet
   // clock; transition triggers arm a watch the engine polls per delivery.
@@ -174,9 +172,12 @@ Envelope Cluster::seal_data(const crypto::KeyPair& key, NodeId sender, const cha
   return transport_.wrap(sender, type, std::move(payload));
 }
 
-bool Cluster::open_data(const Envelope& env, const char* type) {
-  if (config_.sign_data_path) return transport_.open(env, type);
-  return env.type == type;
+void Cluster::open_data(const Envelope& env, const char* type) {
+  const bool ok = config_.sign_data_path ? transport_.open(env, type) : env.type == type;
+  if (!ok) {
+    throw DataPathError(std::string(type) + " envelope from " + to_string(env.sender) +
+                        " failed verification");
+  }
 }
 
 void Cluster::client_begin(Client& client, TxnId txn, std::span<const ItemId> items) {
@@ -187,10 +188,9 @@ void Cluster::client_begin(Client& client, TxnId txn, std::span<const ItemId> it
     w.u64(txn.seq);
     Envelope env = seal_data(client.keypair(), NodeId::client(client.id()), "begin_txn",
                              std::move(w).take());
-    if (open_data(env, "begin_txn")) {
-      server.record_client_message(env);
-      server.handle_begin(client.id(), txn);
-    }
+    open_data(env, "begin_txn");
+    server.record_client_message(env);
+    server.handle_begin(client.id(), txn);
   }
 }
 
@@ -203,20 +203,18 @@ store::ReadResult Cluster::client_read(Client& client, TxnId txn, ItemId item) {
   w.u64(item);
   Envelope env =
       seal_data(client.keypair(), NodeId::client(client.id()), "read", std::move(w).take());
-  store::ReadResult result;
-  if (open_data(env, "read")) {
-    server.record_client_message(env);
-    result = server.handle_read(client.id(), txn, item);
-    // Response travels back signed by the server.
-    Writer resp;
-    resp.u64(result.id);
-    resp.bytes(result.value);
-    resp.timestamp(result.rts);
-    resp.timestamp(result.wts);
-    Envelope renv = seal_data(server.keypair(), NodeId::server(server.id()), "read_resp",
-                              std::move(resp).take());
-    open_data(renv, "read_resp");
-  }
+  open_data(env, "read");
+  server.record_client_message(env);
+  store::ReadResult result = server.handle_read(client.id(), txn, item);
+  // Response travels back signed by the server.
+  Writer resp;
+  resp.u64(result.id);
+  resp.bytes(result.value);
+  resp.timestamp(result.rts);
+  resp.timestamp(result.wts);
+  open_data(seal_data(server.keypair(), NodeId::server(server.id()), "read_resp",
+                      std::move(resp).take()),
+            "read_resp");
   return result;
 }
 
@@ -230,19 +228,17 @@ WriteAck Cluster::client_write(Client& client, TxnId txn, ItemId item, Bytes val
   w.bytes(value);
   Envelope env =
       seal_data(client.keypair(), NodeId::client(client.id()), "write", std::move(w).take());
-  WriteAck ack;
-  if (open_data(env, "write")) {
-    server.record_client_message(env);
-    ack = server.handle_write(client.id(), txn, item, std::move(value));
-    Writer resp;
-    resp.u64(ack.id);
-    resp.bytes(ack.old_value);
-    resp.timestamp(ack.rts);
-    resp.timestamp(ack.wts);
-    Envelope renv = seal_data(server.keypair(), NodeId::server(server.id()), "write_ack",
-                              std::move(resp).take());
-    open_data(renv, "write_ack");
-  }
+  open_data(env, "write");
+  server.record_client_message(env);
+  WriteAck ack = server.handle_write(client.id(), txn, item, std::move(value));
+  Writer resp;
+  resp.u64(ack.id);
+  resp.bytes(ack.old_value);
+  resp.timestamp(ack.rts);
+  resp.timestamp(ack.wts);
+  open_data(seal_data(server.keypair(), NodeId::server(server.id()), "write_ack",
+                      std::move(resp).take()),
+            "write_ack");
   return ack;
 }
 

@@ -30,6 +30,7 @@
 
 #include <memory>
 #include <optional>
+#include <stdexcept>
 
 #include "commit/batch.hpp"
 #include "common/thread_pool.hpp"
@@ -133,6 +134,13 @@ struct CheckpointOutcome {
   RoundMetrics metrics;
 };
 
+/// A data-path envelope failed verification: the server refused a client's
+/// request, or the client refused the server's signed reply. The operation
+/// has no result; the caller sees this error instead of a default one.
+struct DataPathError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 /// "Every cohort verifies ... the encapsulated client request": Schnorr
 /// check of every request touching `server`'s shard, counting one
 /// verification per checked request and failing fast on the first bad
@@ -153,8 +161,10 @@ class Cluster {
   const Server& server(ServerId id) const { return *servers_.at(id.value); }
   ServerId coordinator_id() const { return ServerId{0}; }
 
-  /// All servers' public keys, indexed by server id.
-  const std::vector<crypto::PublicKey>& server_keys() const { return server_keys_; }
+  /// The cluster's key registry (the transport's): every server and client
+  /// key as a precomputed table, and one aggregate table per distinct signer
+  /// set, which every co-sign check reads.
+  const crypto::KeyRegistry& server_keys() const { return transport_.keys(); }
 
   Transport& transport() { return transport_; }
 
@@ -219,6 +229,9 @@ class Cluster {
                                              const std::string& type);
 
   // --- Data path (called by Client) -----------------------------------------
+  //
+  // Each call throws DataPathError when a request or reply envelope fails
+  // open_data (a wrong key or a forged signature under sign_data_path).
 
   store::ReadResult client_read(Client& client, TxnId txn, ItemId item);
   WriteAck client_write(Client& client, TxnId txn, ItemId item, Bytes value);
@@ -275,10 +288,11 @@ class Cluster {
 
   /// Data-path envelopes: signed and verified when config().sign_data_path
   /// is set; otherwise wrapped unsigned (still counted) and accepted on
-  /// their type tag. Commit-round traffic always signs.
+  /// their type tag. Commit-round traffic always signs. open_data throws
+  /// DataPathError for an envelope it refuses.
   Envelope seal_data(const crypto::KeyPair& key, NodeId sender, const char* type,
                      Bytes payload);
-  bool open_data(const Envelope& env, const char* type);
+  void open_data(const Envelope& env, const char* type);
 
   /// Runs `body` with the scheduler matching config().network.mode. Direct
   /// mode requires every server to be live (mid-round crash/recovery is a
@@ -297,7 +311,6 @@ class Cluster {
   std::vector<std::unique_ptr<ledger::RoundLog>> round_logs_;
   std::vector<std::unique_ptr<Server>> servers_;
   std::vector<std::unique_ptr<Client>> clients_;
-  std::vector<crypto::PublicKey> server_keys_;
   ordserv::EpochCounter epochs_;
 
   std::vector<unsigned char> crashed_;

@@ -64,9 +64,9 @@ WriteAck Server::handle_write(ClientId /*client*/, TxnId txn, ItemId item, Bytes
 }
 
 Server::ApplyResult Server::apply_decision(const commit::DecisionMsg& msg,
-                                           std::span<const crypto::PublicKey> all_server_keys) {
+                                           const crypto::KeyRegistry& keys) {
   const ledger::Block& block = msg.final_block;
-  if (ledger::verify_block_cosign(block, all_server_keys) != ledger::CosignVerdict::kOk) {
+  if (ledger::verify_block_cosign(block, keys) != ledger::CosignVerdict::kOk) {
     return ApplyResult::kRejected;
   }
   if (block.height < log_.size()) return ApplyResult::kStale;
@@ -83,13 +83,13 @@ Server::ApplyResult Server::apply_decision(const commit::DecisionMsg& msg,
 }
 
 bool Server::handle_decision(const commit::DecisionMsg& msg,
-                             std::span<const crypto::PublicKey> all_server_keys) {
-  return apply_decision(msg, all_server_keys) == ApplyResult::kApplied;
+                             const crypto::KeyRegistry& keys) {
+  return apply_decision(msg, keys) == ApplyResult::kApplied;
 }
 
 Server::ApplyResult Server::apply_sequenced(const ledger::Block& block,
-                                            std::span<const crypto::PublicKey> all_server_keys) {
-  if (ledger::verify_unchained_cosign(block, all_server_keys) !=
+                                            const crypto::KeyRegistry& keys) {
+  if (ledger::verify_unchained_cosign(block, keys) !=
       ledger::CosignVerdict::kOk) {
     return ApplyResult::kRejected;
   }

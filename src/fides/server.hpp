@@ -101,12 +101,12 @@ class Server {
   /// on commit apply the writes to the datastore (steps 6-7 of §4.1). The
   /// datastore-layer faults strike inside this application step.
   ApplyResult apply_decision(const commit::DecisionMsg& msg,
-                             std::span<const crypto::PublicKey> all_server_keys);
+                             const crypto::KeyRegistry& keys);
 
   /// apply_decision() == kApplied, for call sites that only distinguish
   /// "accepted" from "refused".
   bool handle_decision(const commit::DecisionMsg& msg,
-                       std::span<const crypto::PublicKey> all_server_keys);
+                       const crypto::KeyRegistry& keys);
 
   /// Group-commit delivery (§4.6): apply a block sequenced by OrdServ. Same
   /// contract as apply_decision, except the co-sign is verified over the
@@ -115,7 +115,7 @@ class Server {
   /// signer set, while the chain checks run against the delivered
   /// height/prev-hash exactly as for a global decision.
   ApplyResult apply_sequenced(const ledger::Block& block,
-                              std::span<const crypto::PublicKey> all_server_keys);
+                              const crypto::KeyRegistry& keys);
 
   /// 2PC decision handling: append + apply without signature machinery
   /// (kRejected cannot occur — 2PC trusts the coordinator).

@@ -10,13 +10,17 @@ std::string to_string(NodeId n) {
   return (n.kind == NodeId::Kind::kServer ? "S" : "C") + std::to_string(n.id);
 }
 
-void Transport::register_node(NodeId node, crypto::PublicKey key) {
-  registry_[node] = std::move(key);
+void Transport::register_node(NodeId node, const crypto::PublicKey& key) {
+  if (node.kind == NodeId::Kind::kServer) {
+    keys_.set_server(ServerId{node.id}, key);
+  } else {
+    keys_.set_client(ClientId{node.id}, key);
+  }
 }
 
-const crypto::PublicKey* Transport::key_of(NodeId node) const {
-  const auto it = registry_.find(node);
-  return it != registry_.end() ? &it->second : nullptr;
+const crypto::KeyTable* Transport::key_of(NodeId node) const {
+  return node.kind == NodeId::Kind::kServer ? keys_.server(ServerId{node.id})
+                                            : keys_.client(ClientId{node.id});
 }
 
 Bytes Transport::signing_preimage(const Envelope& env) {
@@ -58,7 +62,7 @@ bool Transport::open(const Envelope& env, std::string_view expected_type) {
     ++stats_.rejected;
     return false;
   }
-  const crypto::PublicKey* key = key_of(env.sender);
+  const crypto::KeyTable* key = key_of(env.sender);
   if (key == nullptr) {
     ++stats_.rejected;
     return false;
@@ -86,7 +90,7 @@ std::vector<unsigned char> Transport::open_batch(std::span<const Envelope* const
   items.reserve(envelopes.size());
   for (std::size_t i = 0; i < envelopes.size(); ++i) {
     const Envelope& env = *envelopes[i];
-    const crypto::PublicKey* key = key_of(env.sender);
+    const crypto::KeyTable* key = key_of(env.sender);
     if (key == nullptr) {
       ++stats_.rejected;
       ok[i] = 0;
@@ -95,7 +99,7 @@ std::vector<unsigned char> Transport::open_batch(std::span<const Envelope* const
     ++stats_.signatures_verified;
     idx.push_back(i);
     preimages.push_back(signing_preimage(env));
-    items.push_back(crypto::BatchItem{key, BytesView{}, &env.signature});
+    items.push_back(crypto::BatchItem{&key->key(), BytesView{}, &env.signature});
   }
   for (std::size_t j = 0; j < items.size(); ++j) {
     items[j].message = BytesView(preimages[j].data(), preimages[j].size());

@@ -6,6 +6,9 @@
 // transport keeps the public-key registry (servers and clients know each
 // other's keys) and the traffic statistics the benchmark harness reports.
 //
+// The registry is a crypto::KeyRegistry: each key's precomputed table is
+// built once, at registration, and every open() checks against it.
+//
 // Delivery is a function call: the cluster passes the envelope to the
 // receiving node, which first `open()`s it (signature check) before acting.
 // The latency model is applied analytically by the round driver, not by
@@ -15,10 +18,9 @@
 #include <atomic>
 #include <span>
 #include <string>
-#include <unordered_map>
 
 #include "common/thread_pool.hpp"
-#include "crypto/schnorr.hpp"
+#include "crypto/key_registry.hpp"
 #include "fides/config.hpp"
 
 namespace fides {
@@ -101,8 +103,15 @@ class Transport {
     void reset() { *this = Stats{}; }
   };
 
-  void register_node(NodeId node, crypto::PublicKey key);
-  const crypto::PublicKey* key_of(NodeId node) const;
+  /// Registers (or replaces) a node's key. Setup only; throws
+  /// std::invalid_argument for an invalid key.
+  void register_node(NodeId node, const crypto::PublicKey& key);
+
+  /// The node's key table, or nullptr for an unregistered node.
+  const crypto::KeyTable* key_of(NodeId node) const;
+
+  /// Every registered key, with the cached signer-set aggregates.
+  const crypto::KeyRegistry& keys() const { return keys_; }
 
   /// Wraps and signs a payload. Every seal counts as one message sent.
   Envelope seal(const crypto::KeyPair& sender_key, NodeId sender, std::string type,
@@ -155,11 +164,12 @@ class Transport {
  private:
   static Bytes signing_preimage(const Envelope& env);
 
-  // Audited for the thread-safety pass: registry_ is written only during
-  // cluster setup (before any round traffic or pool fan-out exists) and is
-  // read-only while rounds run, so it needs no lock; everything mutated on
-  // the hot path (stats_ counters, the mode flag) is atomic.
-  std::unordered_map<NodeId, crypto::PublicKey> registry_;  // confined(setup)
+  // Audited for the thread-safety pass: keys are registered only during
+  // cluster setup (before any round traffic or pool fan-out exists) and are
+  // read-only while rounds run; the registry's aggregate cache locks itself.
+  // Everything mutated on the hot path (stats_ counters, the mode flag) is
+  // atomic.
+  crypto::KeyRegistry keys_;  // confined(setup)
   Stats stats_;  // confined(shared-atomics): every field is a relaxed atomic
   std::atomic<bool> batch_verify_{false};
 };

@@ -6,37 +6,29 @@ namespace fides::ledger {
 
 namespace {
 
-/// The co-sign covers the block's declared signer set; resolve their keys
-/// from the full membership. An empty/bogus signer set or one naming an
-/// unknown server cannot validate. `record` renders the signed bytes, and
-/// runs only once the signer set checks out.
+/// The co-sign covers the block's declared signer set; resolve its
+/// aggregate key from the full membership. An empty set, one naming a server
+/// twice, or one naming an unknown server cannot validate. `record` renders
+/// the signed bytes, and runs only once the signer set checks out.
 template <typename Record>
-CosignVerdict verify_cosign_over(const Block& b,
-                                 std::span<const crypto::PublicKey> server_keys,
+CosignVerdict verify_cosign_over(const Block& b, const crypto::KeyRegistry& keys,
                                  Record record) {
   if (!b.cosign) return CosignVerdict::kMissing;
-  if (b.signers.empty()) return CosignVerdict::kBadSignerSet;
-  std::vector<crypto::PublicKey> keys;
-  keys.reserve(b.signers.size());
-  for (const ServerId s : b.signers) {
-    if (s.value >= server_keys.size()) return CosignVerdict::kBadSignerSet;
-    keys.push_back(server_keys[s.value]);
-  }
-  return crypto::cosi_verify(record(b), *b.cosign, keys) ? CosignVerdict::kOk
-                                                         : CosignVerdict::kBadSignature;
+  const crypto::KeyTable* aggregate = keys.aggregate(b.signers);
+  if (aggregate == nullptr) return CosignVerdict::kBadSignerSet;
+  return crypto::cosi_verify(record(b), *b.cosign, *aggregate) ? CosignVerdict::kOk
+                                                               : CosignVerdict::kBadSignature;
 }
 
 }  // namespace
 
-CosignVerdict verify_block_cosign(const Block& block,
-                                  std::span<const crypto::PublicKey> server_keys) {
-  return verify_cosign_over(block, server_keys,
+CosignVerdict verify_block_cosign(const Block& block, const crypto::KeyRegistry& keys) {
+  return verify_cosign_over(block, keys,
                             [](const Block& b) { return b.signing_bytes(); });
 }
 
-CosignVerdict verify_unchained_cosign(const Block& block,
-                                      std::span<const crypto::PublicKey> server_keys) {
-  return verify_cosign_over(block, server_keys,
+CosignVerdict verify_unchained_cosign(const Block& block, const crypto::KeyRegistry& keys) {
+  return verify_cosign_over(block, keys,
                             [](const Block& b) { return unchained_signing_bytes(b); });
 }
 
@@ -50,8 +42,7 @@ ChainMemo::Entry& ChainMemo::entry(std::size_t position, const Block& block) {
   return seen.back();
 }
 
-ChainCheckResult validate_chain(std::span<const Block> blocks,
-                                std::span<const crypto::PublicKey> server_keys,
+ChainCheckResult validate_chain(std::span<const Block> blocks, const crypto::KeyRegistry& keys,
                                 bool require_cosign, ChainMemo* memo) {
   ChainMemo own;
   if (memo == nullptr) memo = &own;
@@ -70,7 +61,7 @@ ChainCheckResult validate_chain(std::span<const Block> blocks,
                                "the digest of the preceding block"});
     }
     if (require_cosign) {
-      if (!e.cosign) e.cosign = verify_block_cosign(b, server_keys);
+      if (!e.cosign) e.cosign = verify_block_cosign(b, keys);
       switch (*e.cosign) {
         case CosignVerdict::kMissing:
           res.issues.push_back({i, "missing collective signature"});
@@ -94,13 +85,13 @@ ChainCheckResult validate_chain(std::span<const Block> blocks,
 }
 
 LogSelection select_correct_log(std::span<const std::span<const Block>> logs,
-                                std::span<const crypto::PublicKey> server_keys) {
+                                const crypto::KeyRegistry& keys) {
   LogSelection sel;
   ChainMemo memo;
   sel.checks.reserve(logs.size());
   for (std::size_t i = 0; i < logs.size(); ++i) {
     sel.checks.push_back(
-        validate_chain(logs[i], server_keys, /*require_cosign=*/true, &memo));
+        validate_chain(logs[i], keys, /*require_cosign=*/true, &memo));
     if (!sel.checks[i].ok) sel.invalid.push_back(i);
   }
 

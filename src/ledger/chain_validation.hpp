@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "crypto/key_registry.hpp"
 #include "ledger/block.hpp"
 
 namespace fides::ledger {
@@ -24,21 +25,20 @@ namespace fides::ledger {
 /// Outcome of checking one block's collective signature.
 enum class CosignVerdict : std::uint8_t {
   kMissing,        ///< the block carries no co-sign
-  kBadSignerSet,   ///< empty signer set, or one naming an unknown server
+  kBadSignerSet,   ///< empty signer set, one naming a server twice or an
+                   ///< unknown server, or one whose keys sum to infinity
   kBadSignature,   ///< the co-sign does not verify under the signers' keys
   kOk,
 };
 
-/// Resolves the block's declared signer set against the full membership
-/// `server_keys` and verifies its co-sign over signing_bytes().
-CosignVerdict verify_block_cosign(const Block& block,
-                                  std::span<const crypto::PublicKey> server_keys);
+/// Resolves the block's declared signer set to its aggregate key in `keys`
+/// (the full membership) and verifies its co-sign over signing_bytes().
+CosignVerdict verify_block_cosign(const Block& block, const crypto::KeyRegistry& keys);
 
 /// verify_block_cosign over the group-commit signing view
 /// (unchained_signing_bytes): the bytes a group signed before OrdServ filled
 /// in the chain position.
-CosignVerdict verify_unchained_cosign(const Block& block,
-                                      std::span<const crypto::PublicKey> server_keys);
+CosignVerdict verify_unchained_cosign(const Block& block, const crypto::KeyRegistry& keys);
 
 struct ChainIssue {
   std::size_t block_index{0};
@@ -78,8 +78,7 @@ class ChainMemo {
 /// full server membership. 2PC logs are validated with require_cosign=false.
 /// With a `memo`, blocks already seen at the same position are not
 /// re-hashed or re-verified.
-ChainCheckResult validate_chain(std::span<const Block> blocks,
-                                std::span<const crypto::PublicKey> server_keys,
+ChainCheckResult validate_chain(std::span<const Block> blocks, const crypto::KeyRegistry& keys,
                                 bool require_cosign, ChainMemo* memo = nullptr);
 
 struct LogSelection {
@@ -97,6 +96,6 @@ struct LogSelection {
 /// Implements the auditor's log-selection step. `logs[i]` is the log
 /// collected from server i. One ChainMemo spans all logs.
 LogSelection select_correct_log(std::span<const std::span<const Block>> logs,
-                                std::span<const crypto::PublicKey> server_keys);
+                                const crypto::KeyRegistry& keys);
 
 }  // namespace fides::ledger

@@ -88,23 +88,16 @@ Checkpoint make_checkpoint(std::span<const Block> log,
   return cp;
 }
 
-bool validate_checkpoint(const Checkpoint& cp,
-                         std::span<const crypto::PublicKey> server_keys) {
-  if (!cp.cosign || cp.signers.empty()) return false;
-  std::vector<crypto::PublicKey> keys;
-  keys.reserve(cp.signers.size());
-  for (const ServerId s : cp.signers) {
-    if (s.value >= server_keys.size()) return false;
-    keys.push_back(server_keys[s.value]);
-  }
-  return crypto::cosi_verify(cp.signing_bytes(), *cp.cosign, keys);
+bool validate_checkpoint(const Checkpoint& cp, const crypto::KeyRegistry& keys) {
+  if (!cp.cosign) return false;
+  const crypto::KeyTable* aggregate = keys.aggregate(cp.signers);
+  return aggregate != nullptr && crypto::cosi_verify(cp.signing_bytes(), *cp.cosign, *aggregate);
 }
 
-ChainCheckResult validate_chain_from(const Checkpoint& cp,
-                                     std::span<const Block> blocks,
-                                     std::span<const crypto::PublicKey> server_keys) {
+ChainCheckResult validate_chain_from(const Checkpoint& cp, std::span<const Block> blocks,
+                                     const crypto::KeyRegistry& keys) {
   ChainCheckResult res;
-  if (!validate_checkpoint(cp, server_keys)) {
+  if (!validate_checkpoint(cp, keys)) {
     res.issues.push_back({static_cast<std::size_t>(cp.height),
                           "checkpoint collective signature does not verify"});
     res.ok = false;
@@ -124,7 +117,7 @@ ChainCheckResult validate_chain_from(const Checkpoint& cp,
     if (!(b.prev_hash == expected_prev)) {
       res.issues.push_back({i, "broken hash pointer after checkpoint"});
     }
-    const CosignVerdict cosign = verify_block_cosign(b, server_keys);
+    const CosignVerdict cosign = verify_block_cosign(b, keys);
     if (cosign == CosignVerdict::kMissing || b.signers.empty()) {
       res.issues.push_back({i, "missing collective signature"});
     } else if (cosign != CosignVerdict::kOk) {

@@ -43,16 +43,16 @@ constexpr std::uint64_t checkpoint_cosi_round(std::uint64_t height) {
 Checkpoint make_checkpoint(std::span<const Block> log,
                            std::vector<ServerId> signers);
 
-/// Verifies the checkpoint's collective signature under the full membership.
-bool validate_checkpoint(const Checkpoint& cp,
-                         std::span<const crypto::PublicKey> server_keys);
+/// Verifies the checkpoint's collective signature under the aggregate key of
+/// its signer set, drawn from `keys` (the full membership). A signer set that
+/// is empty, names a server twice or names an unknown server fails.
+bool validate_checkpoint(const Checkpoint& cp, const crypto::KeyRegistry& keys);
 
 /// Validates the suffix of a log against a trusted checkpoint: the block at
 /// cp.height must chain from cp.head_hash and every suffix block must carry
 /// a valid co-sign. `blocks` is the full log; blocks before cp.height are
 /// not inspected (they may have been archived away — pass what remains).
-ChainCheckResult validate_chain_from(const Checkpoint& cp,
-                                     std::span<const Block> blocks,
-                                     std::span<const crypto::PublicKey> server_keys);
+ChainCheckResult validate_chain_from(const Checkpoint& cp, std::span<const Block> blocks,
+                                     const crypto::KeyRegistry& keys);
 
 }  // namespace fides::ledger

@@ -10,7 +10,7 @@ namespace fides::ordserv {
 
 std::optional<std::string> StreamValidator::check(
     const SequencedBlock& entry,
-    std::span<const crypto::PublicKey> all_server_keys) {
+    const crypto::KeyRegistry& keys) {
   const ledger::Block& b = entry.block;
 
   if (b.height != next_height) {
@@ -19,11 +19,11 @@ std::optional<std::string> StreamValidator::check(
   }
   if (!(b.prev_hash == expected_prev)) return "prev-hash chain broken";
 
-  switch (ledger::verify_unchained_cosign(b, all_server_keys)) {
+  switch (ledger::verify_unchained_cosign(b, keys)) {
     case ledger::CosignVerdict::kMissing:
       return "missing group co-sign";
     case ledger::CosignVerdict::kBadSignerSet:
-      return b.signers.empty() ? "missing group co-sign" : "signer out of range";
+      return b.signers.empty() ? "missing group co-sign" : "invalid signer set";
     case ledger::CosignVerdict::kBadSignature:
       return "group co-sign does not verify";
     case ledger::CosignVerdict::kOk:
@@ -59,10 +59,10 @@ std::optional<std::string> StreamValidator::check(
 
 std::optional<std::size_t> validate_stream(
     std::span<const SequencedBlock> stream,
-    std::span<const crypto::PublicKey> all_server_keys) {
+    const crypto::KeyRegistry& keys) {
   StreamValidator v;
   for (std::size_t i = 0; i < stream.size(); ++i) {
-    if (v.check(stream[i], all_server_keys)) return i;
+    if (v.check(stream[i], keys)) return i;
   }
   return std::nullopt;
 }
@@ -92,12 +92,7 @@ GroupRoundResult GroupCommitRunner::run_group_block(
   }
 
   // TFCommit among the group members only.
-  std::vector<crypto::PublicKey> group_keys;
-  group_keys.reserve(group.members.size());
-  for (const ServerId s : group.members) {
-    group_keys.push_back(cluster_->server_keys()[s.value]);
-  }
-  commit::TfCommitCoordinator coordinator(group.members, group_keys);
+  commit::TfCommitCoordinator coordinator(group.members, cluster_->server_keys());
 
   commit::Block partial = commit::TfCommitCoordinator::make_partial_block(
       /*height=*/0, crypto::Digest::zero(), std::move(txns), group.members);

@@ -92,7 +92,7 @@ struct StreamValidator {
   std::unordered_map<ItemId, std::uint64_t> last_touch;
 
   std::optional<std::string> check(const SequencedBlock& entry,
-                                   std::span<const crypto::PublicKey> all_server_keys);
+                                   const crypto::KeyRegistry& keys);
 };
 
 /// Validates an OrdServ stream from genesis: inner co-sign per entry (over
@@ -101,7 +101,7 @@ struct StreamValidator {
 /// of the first bad entry, or nullopt when clean.
 std::optional<std::size_t> validate_stream(
     std::span<const SequencedBlock> stream,
-    std::span<const crypto::PublicKey> all_server_keys);
+    const crypto::KeyRegistry& keys);
 
 class GroupCommitRunner {
  public:

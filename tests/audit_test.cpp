@@ -307,8 +307,18 @@ TEST_F(LogFaultAuditTest, DivergentBlockAppendedByColluderDetected) {
 
 // --- Differential: memoized log selection vs the per-log reference -----------------
 
-/// Reference oracle for validate_chain: no memo, no shared helper — every
-/// block of the log serialized, hashed and co-sign-verified on its own.
+/// Every server's public key, by id, read back out of the cluster's registry.
+std::vector<crypto::PublicKey> server_public_keys(const Cluster& cluster) {
+  std::vector<crypto::PublicKey> keys;
+  for (std::uint32_t i = 0; i < cluster.num_servers(); ++i) {
+    keys.push_back(cluster.server_keys().server(ServerId{i})->key());
+  }
+  return keys;
+}
+
+/// Reference oracle for validate_chain: no memo, no shared helper, no key
+/// registry — every block of the log serialized, hashed and co-sign-verified
+/// on its own against the keys of its signers, each named at most once.
 ledger::ChainCheckResult reference_validate(std::span<const ledger::Block> blocks,
                                             std::span<const crypto::PublicKey> server_keys) {
   ledger::ChainCheckResult res;
@@ -329,11 +339,13 @@ ledger::ChainCheckResult reference_validate(std::span<const ledger::Block> block
       std::vector<crypto::PublicKey> keys;
       keys.reserve(b.signers.size());
       bool signers_ok = !b.signers.empty();
+      std::vector<bool> named(server_keys.size(), false);
       for (const ServerId s : b.signers) {
-        if (s.value >= server_keys.size()) {
+        if (s.value >= server_keys.size() || named[s.value]) {
           signers_ok = false;
           break;
         }
+        named[s.value] = true;
         keys.push_back(server_keys[s.value]);
       }
       if (!signers_ok) {
@@ -360,7 +372,7 @@ struct ReferenceAudit {
 /// attribution, recompute digests for the cross-check, then replay and
 /// authenticate a copy of the adopted log.
 ReferenceAudit reference_audit(Cluster& cluster) {
-  const auto keys = cluster.server_keys();
+  const auto keys = server_public_keys(cluster);
   std::vector<std::vector<ledger::Block>> logs;
   logs.reserve(cluster.num_servers());
   for (std::uint32_t i = 0; i < cluster.num_servers(); ++i) {
@@ -551,7 +563,7 @@ TEST(AuditDifferential, MemoizedSelectionMatchesPerLogReference) {
     EXPECT_EQ(got.incomplete, want.selection.incomplete);
     EXPECT_EQ(got.checks.size(), logs.size());
     for (std::size_t i = 0; i < std::min(got.checks.size(), logs.size()); ++i) {
-      const auto ref = reference_validate(logs[i], cluster.server_keys());
+      const auto ref = reference_validate(logs[i], server_public_keys(cluster));
       EXPECT_EQ(got.checks[i].ok, ref.ok) << "log " << i;
       EXPECT_EQ(got.checks[i].digests, ref.digests) << "log " << i;
       EXPECT_EQ(issue_list(got.checks[i]), issue_list(ref)) << "log " << i;

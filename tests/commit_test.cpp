@@ -24,6 +24,7 @@ class TfCommitTest : public ::testing::Test {
           to_bytes("init"), store::VersioningMode::kSingle));
       cohort_ids.push_back(ServerId{i});
     }
+    for (std::uint32_t i = 0; i < kServers; ++i) registry.set_server(ServerId{i}, keys[i]);
     for (std::uint32_t i = 0; i < kServers; ++i) {
       round_logs.push_back(std::make_unique<ledger::MemRoundLog>());
       witnesses.push_back(std::make_unique<CosiWitness>(keypairs[i], *round_logs[i]));
@@ -51,7 +52,7 @@ class TfCommitTest : public ::testing::Test {
   TfCommitOutcome run_round(std::vector<txn::Transaction> txns,
                             const std::vector<CohortFaults>& cohort_faults = {},
                             const CoordinatorFaults& coord_faults = {}) {
-    TfCommitCoordinator coordinator(cohort_ids, keys);
+    TfCommitCoordinator coordinator(cohort_ids, registry);
     Block partial = TfCommitCoordinator::make_partial_block(
         round_, prev_hash_, std::move(txns), cohort_ids);
     const GetVoteMsg get_vote = coordinator.start(std::move(partial), {});
@@ -80,6 +81,7 @@ class TfCommitTest : public ::testing::Test {
 
   std::vector<crypto::KeyPair> keypairs;
   std::vector<crypto::PublicKey> keys;
+  crypto::KeyRegistry registry;
   std::vector<std::unique_ptr<store::Shard>> shards;
   std::vector<std::unique_ptr<ledger::MemRoundLog>> round_logs;
   std::vector<std::unique_ptr<CosiWitness>> witnesses;
@@ -261,7 +263,7 @@ TEST(CosiWitnessTest, AnswersOneChallengePerNonceRoundAcrossRestore) {
 
   const auto first = witness.respond(record, kRound, record, v, c);
   ASSERT_TRUE(first.r.has_value());
-  EXPECT_TRUE(crypto::cosi_verify_share(v, *first.r, c, kp.public_key()));
+  EXPECT_TRUE(crypto::cosi_verify_share(v, *first.r, c, crypto::KeyTable(kp.public_key())));
   // The identical challenge re-asked (a deterministic restart) is re-answered.
   const auto again = witness.respond(record, kRound, record, v, c);
   ASSERT_TRUE(again.r.has_value());

@@ -2,11 +2,14 @@
 // secp256k1 group law, Schnorr signatures, CoSi collective signing.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <thread>
 #include <utility>
 
 #include "common/rng.hpp"
 #include "common/serde.hpp"
 #include "crypto/cosi.hpp"
+#include "crypto/key_registry.hpp"
 #include "crypto/schnorr.hpp"
 
 namespace fides::crypto {
@@ -609,6 +612,51 @@ TEST_F(CurveTest, MulAddMatchesReferenceOnGlvEdgeScalars) {
   }
 }
 
+TEST_F(CurveTest, FixedTableMulAddMatchesReferenceOnGlvEdgeScalars) {
+  // The ladder over a precomputed FixedTable: every pair of edge scalars
+  // against the reference double-and-add, for a random Q and for Q == G,
+  // where the key's table and G's hold the same points and the mixed add
+  // meets its doubling and cancelling cases.
+  const std::vector<U256> edges = glv_edge_scalars();
+  const Point p = c.mul_g(scalar_from_digest(sha256(to_bytes("fixed-edge-point"))));
+  for (const Point& q : {p, c.generator()}) {
+    const FixedTable table = c.fixed_table(q);
+    std::vector<Point> bq;
+    for (const U256& b : edges) bq.push_back(c.mul(b, q));
+    for (const U256& a : edges) {
+      const Point ag = c.mul_g(a);
+      for (std::size_t j = 0; j < edges.size(); ++j) {
+        ASSERT_TRUE(c.equal(c.mul_add(a, edges[j], table), c.add(ag, bq[j])))
+            << "a=" << a.hex() << " b=" << edges[j].hex();
+      }
+    }
+  }
+  EXPECT_THROW(c.fixed_table(c.infinity()), std::invalid_argument);
+  EXPECT_THROW(c.mul_add(U256(1), c.order(), c.fixed_table(p)), std::invalid_argument);
+}
+
+TEST_F(CurveTest, MsmMixesFixedTermsWithPoints) {
+  // Fixed terms share the ladder with points seen once: a table used twice,
+  // a table whose point is also passed as a point, and G's own table.
+  const Point p = c.mul_g(scalar_from_digest(sha256(to_bytes("msm-fixed-p"))));
+  const Point q = c.mul_g(scalar_from_digest(sha256(to_bytes("msm-fixed-q"))));
+  const FixedTable tp = c.fixed_table(p);
+  const FixedTable tg = c.fixed_table(c.generator());
+  const auto scalar = [](int i) {
+    return scalar_from_digest(sha256(to_bytes("msm-fixed-s" + std::to_string(i))));
+  };
+  const std::vector<FixedTerm> fixed{{scalar(0), &tp}, {scalar(1), &tg}, {scalar(2), &tp}};
+  const std::vector<Point> points{q, p};
+  const std::vector<U256> scalars{scalar(3), scalar(4)};
+  Point expect = c.mul_g(scalar(5));
+  expect = c.add(expect, c.mul(scalar(0), p));
+  expect = c.add(expect, c.mul(scalar(1), c.generator()));
+  expect = c.add(expect, c.mul(scalar(2), p));
+  expect = c.add(expect, c.mul(scalar(3), q));
+  expect = c.add(expect, c.mul(scalar(4), p));
+  EXPECT_TRUE(c.equal(c.msm(scalar(5), scalars, points, fixed), expect));
+}
+
 TEST_F(CurveTest, MsmMixesShortAndFullWidthScalars) {
   // batch_verify's shape: 128-bit coefficients on some points and full-width
   // scalars on others, in one ladder. Repeated points and λ-related points
@@ -736,6 +784,89 @@ TEST(Schnorr, RejectsTamperedSignature) {
   u256_add(s2, sig.s, U256(1));
   sig.s = s2;
   EXPECT_FALSE(verify(kp.public_key(), msg, sig));
+}
+
+/// verify's equation by the reference double-and-add: R on the curve and
+/// not infinity, s < n, and s·G == R + c·P with c = H(ser(R) ‖ ser(P) ‖ m).
+bool reference_verify(const PublicKey& pk, BytesView message, const Signature& sig) {
+  const Curve& c = Curve::instance();
+  if (sig.r.infinity || !c.on_curve(sig.r) || !u256_less(sig.s, c.order())) return false;
+  Sha256 h;
+  h.update(sig.r.serialize());
+  h.update(pk.serialize());
+  h.update(message);
+  const U256 ch = scalar_from_digest(h.finalize());
+  return c.equal(c.mul(sig.s, c.generator()),
+                 c.add(c.from_affine(sig.r), c.mul(ch, c.from_affine(pk.point))));
+}
+
+TEST(Schnorr, KeyTableVerifyMatchesPublicKeyVerifyAndReference) {
+  // Differential oracle over 320 key/message/signature triples: the ladder
+  // over the cached table, the ladder over a per-call table and the
+  // reference double-and-add agree on valid signatures and on tampered R, s
+  // and message, including s at the GLV edge scalars.
+  const Curve& c = Curve::instance();
+  Rng rng(0x7AB1E);
+  const std::vector<U256> edges = glv_edge_scalars();
+  std::vector<KeyPair> kps;
+  std::vector<std::unique_ptr<KeyTable>> tables;
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    kps.push_back(KeyPair::deterministic(5000 + i));
+    tables.push_back(std::make_unique<KeyTable>(kps.back().public_key()));
+  }
+  int accepted = 0;
+  for (int t = 0; t < 320; ++t) {
+    const std::size_t k = rng.uniform(kps.size());
+    Bytes msg = rng.bytes(1 + rng.uniform(64));
+    Signature sig = kps[k].sign(msg);
+    switch (t % 5) {
+      case 0:
+        break;  // valid
+      case 1:   // tampered R: another point on the curve
+        sig.r = c.to_affine(c.add(c.from_affine(sig.r), c.generator()));
+        break;
+      case 2:   // tampered s: an edge scalar or a random reduced one
+        sig.s = t % 2 == 0 ? edges[rng.uniform(edges.size())]
+                           : scalar_from_digest(sha256(rng.bytes(32)));
+        break;
+      case 3:   // tampered message
+        msg[rng.uniform(msg.size())] ^= 0x01;
+        break;
+      case 4:   // R off the curve
+        sig.r.y = sig.r.x;
+        break;
+    }
+    const bool want = reference_verify(kps[k].public_key(), msg, sig);
+    ASSERT_EQ(verify(*tables[k], msg, sig), want) << "triple " << t;
+    ASSERT_EQ(verify(kps[k].public_key(), msg, sig), want) << "triple " << t;
+    accepted += want ? 1 : 0;
+  }
+  EXPECT_EQ(accepted, 64);  // exactly the untampered fifth
+}
+
+TEST(Schnorr, KeyTableRejectsAnotherKeysSignature) {
+  const KeyPair a = KeyPair::deterministic(1);
+  const KeyPair b = KeyPair::deterministic(2);
+  const KeyTable a_table(a.public_key());
+  const Bytes msg = to_bytes("m");
+  const Signature by_b = b.sign(msg);
+  ASSERT_TRUE(verify(KeyTable(b.public_key()), msg, by_b));
+  EXPECT_FALSE(verify(a_table, msg, by_b));
+  EXPECT_TRUE(verify(a_table, msg, a.sign(msg)));
+  EXPECT_EQ(a_table.key(), a.public_key());
+}
+
+TEST(Schnorr, KeyTableRefusesInvalidKeys) {
+  PublicKey infinity;
+  infinity.point.infinity = true;
+  EXPECT_THROW(KeyTable{infinity}, std::invalid_argument);
+  PublicKey off_curve = KeyPair::deterministic(1).public_key();
+  off_curve.point.y = off_curve.point.x;
+  ASSERT_FALSE(Curve::instance().on_curve(off_curve.point));
+  EXPECT_THROW(KeyTable{off_curve}, std::invalid_argument);
+  KeyRegistry registry;
+  EXPECT_THROW(registry.set_server(ServerId{0}, off_curve), std::invalid_argument);
+  EXPECT_EQ(registry.server(ServerId{0}), nullptr);
 }
 
 TEST(Schnorr, DeterministicSigning) {
@@ -979,6 +1110,8 @@ class CosiTest : public ::testing::Test {
     for (std::uint64_t i = 0; i < 4; ++i) {
       keypairs.push_back(KeyPair::deterministic(100 + i));
       pks.push_back(keypairs.back().public_key());
+      tables.push_back(std::make_unique<KeyTable>(pks.back()));
+      table_ptrs.push_back(tables.back().get());
     }
   }
 
@@ -1000,6 +1133,8 @@ class CosiTest : public ::testing::Test {
 
   std::vector<KeyPair> keypairs;
   std::vector<PublicKey> pks;
+  std::vector<std::unique_ptr<KeyTable>> tables;
+  std::vector<const KeyTable*> table_ptrs;  ///< tables[i], as cosi_find_faulty takes them
   std::vector<CosiCommitment> commitments;
   std::vector<AffinePoint> vs;
   std::vector<U256> responses;
@@ -1036,7 +1171,7 @@ TEST_F(CosiTest, PerShareVerification) {
   const Bytes record = to_bytes("block");
   collective_sign(record, 2);
   for (std::size_t i = 0; i < keypairs.size(); ++i) {
-    EXPECT_TRUE(cosi_verify_share(vs[i], responses[i], challenge, pks[i]));
+    EXPECT_TRUE(cosi_verify_share(vs[i], responses[i], challenge, *tables[i]));
   }
 }
 
@@ -1049,7 +1184,7 @@ TEST_F(CosiTest, FaultyWitnessIdentified) {
   const CosiSignature bad{cosi_aggregate_commitments(vs),
                           cosi_aggregate_responses(responses)};
   EXPECT_FALSE(cosi_verify(record, bad, pks));
-  const auto faulty = cosi_find_faulty(vs, responses, challenge, pks);
+  const auto faulty = cosi_find_faulty(vs, responses, challenge, table_ptrs);
   ASSERT_EQ(faulty.size(), 1u);
   EXPECT_EQ(faulty[0], 1u);
 }
@@ -1059,7 +1194,7 @@ TEST_F(CosiTest, MultipleFaultyWitnessesIdentified) {
   collective_sign(record, 4);
   responses[0] = U256(1);
   responses[3] = U256(2);
-  const auto faulty = cosi_find_faulty(vs, responses, challenge, pks);
+  const auto faulty = cosi_find_faulty(vs, responses, challenge, table_ptrs);
   EXPECT_EQ(faulty, (std::vector<std::size_t>{0, 3}));
 }
 
@@ -1071,10 +1206,97 @@ TEST_F(CosiTest, FindFaultyRejectsMismatchedSpans) {
   collective_sign(record, 6);
   const std::vector<std::size_t> all{0, 1, 2, 3};
   std::vector<U256> short_responses(responses.begin(), responses.end() - 1);
-  EXPECT_EQ(cosi_find_faulty(vs, short_responses, challenge, pks), all);
-  std::vector<PublicKey> short_pks(pks.begin(), pks.end() - 2);
-  EXPECT_EQ(cosi_find_faulty(vs, responses, challenge, short_pks), all);
+  EXPECT_EQ(cosi_find_faulty(vs, short_responses, challenge, table_ptrs), all);
+  std::vector<const KeyTable*> short_keys(table_ptrs.begin(), table_ptrs.end() - 2);
+  EXPECT_EQ(cosi_find_faulty(vs, responses, challenge, short_keys), all);
   EXPECT_TRUE(cosi_find_faulty({}, {}, challenge, {}).empty());
+}
+
+TEST_F(CosiTest, CachedAggregateRejectsAnotherSignerSet) {
+  // The registry's aggregate for {S0, S1} must refuse a co-sign by
+  // {S0, S1, S2}, and the aggregate for {S0, S1, S2} one by {S0, S1}.
+  const KeyRegistry registry(pks);
+  const std::vector<ServerId> two{ServerId{0}, ServerId{1}};
+  const std::vector<ServerId> three{ServerId{0}, ServerId{1}, ServerId{2}};
+  const Bytes record = to_bytes("block");
+  const auto sign_by = [&](std::size_t count) {
+    std::vector<AffinePoint> v;
+    std::vector<CosiCommitment> comms;
+    for (std::size_t i = 0; i < count; ++i) {
+      comms.push_back(cosi_commit(keypairs[i], record, 11));
+      v.push_back(comms.back().v);
+    }
+    const AffinePoint v_agg = cosi_aggregate_commitments(v);
+    const U256 ch = cosi_challenge(v_agg, record);
+    std::vector<U256> r;
+    for (std::size_t i = 0; i < count; ++i) {
+      r.push_back(cosi_respond(keypairs[i], comms[i].secret, ch));
+    }
+    return CosiSignature{v_agg, cosi_aggregate_responses(r)};
+  };
+  const CosiSignature by_two = sign_by(2);
+  const CosiSignature by_three = sign_by(3);
+  const KeyTable* agg_two = registry.aggregate(two);
+  const KeyTable* agg_three = registry.aggregate(three);
+  ASSERT_NE(agg_two, nullptr);
+  ASSERT_NE(agg_three, nullptr);
+  EXPECT_TRUE(cosi_verify(record, by_two, *agg_two));
+  EXPECT_TRUE(cosi_verify(record, by_three, *agg_three));
+  EXPECT_FALSE(cosi_verify(record, by_three, *agg_two));
+  EXPECT_FALSE(cosi_verify(record, by_two, *agg_three));
+  // Cached: the same table every time, whatever the order of the list.
+  EXPECT_EQ(registry.aggregate(std::vector<ServerId>{ServerId{1}, ServerId{0}}), agg_two);
+  // A single signer's aggregate is its own table.
+  EXPECT_EQ(registry.aggregate(std::vector<ServerId>{ServerId{3}}),
+            registry.server(ServerId{3}));
+  // No aggregate for an empty set, a repeated signer or an unknown one.
+  EXPECT_EQ(registry.aggregate({}), nullptr);
+  EXPECT_EQ(registry.aggregate(std::vector<ServerId>{ServerId{0}, ServerId{0}}), nullptr);
+  EXPECT_EQ(registry.aggregate(std::vector<ServerId>{ServerId{0}, ServerId{9}}), nullptr);
+}
+
+TEST_F(CosiTest, AggregateIsBuiltOnceUnderConcurrentRequests) {
+  // Pool workers check co-signs concurrently: every thread asking for a
+  // set's aggregate gets the one table built for it.
+  const KeyRegistry registry(pks);
+  const std::vector<std::vector<ServerId>> sets{
+      {ServerId{0}, ServerId{1}},
+      {ServerId{0}, ServerId{1}, ServerId{2}, ServerId{3}},
+      {ServerId{3}, ServerId{2}}};
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<const KeyTable*>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 20; ++rep) {
+        for (std::size_t i = 0; i < sets.size(); ++i) {
+          got[t].push_back(registry.aggregate(sets[(i + t) % sets.size()]));
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t k = 0; k < got[t].size(); ++k) {
+      const auto& set = sets[(k % sets.size() + t) % sets.size()];
+      ASSERT_NE(got[t][k], nullptr);
+      EXPECT_EQ(got[t][k], registry.aggregate(set));
+    }
+  }
+}
+
+TEST_F(CosiTest, AggregateOfCancellingKeysIsRefused) {
+  // X and −X sum to infinity, under which r·G == V holds for anyone's
+  // (V, r): no aggregate exists, and the uncached check refuses it too.
+  const Curve& c = Curve::instance();
+  PublicKey neg = pks[0];
+  neg.point = c.to_affine(c.negate(c.from_affine(pks[0].point)));
+  const std::vector<PublicKey> cancelling{pks[0], neg};
+  const KeyRegistry registry(cancelling);
+  EXPECT_EQ(registry.aggregate(std::vector<ServerId>{ServerId{0}, ServerId{1}}), nullptr);
+  const U256 r(12345);
+  const CosiSignature forged{c.to_affine(c.mul_g(r)), r};
+  EXPECT_FALSE(cosi_verify(to_bytes("any"), forged, cancelling));
 }
 
 TEST_F(CosiTest, DistinctRoundsDistinctNonces) {

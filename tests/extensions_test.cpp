@@ -335,11 +335,11 @@ TEST_F(MessageRoundTrip, EndTxnRequestAndSignature) {
   const auto back = commit::EndTxnRequest::deserialize(request.request.serialize());
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->txn, request.request.txn);
-  EXPECT_TRUE(request.verify(client->keypair().public_key()));
+  EXPECT_TRUE(request.verify(*cluster->server_keys().client(client->id())));
   // A tweaked request no longer verifies under the client's signature.
   commit::SignedEndTxn forged = request;
   forged.request.txn.commit_ts.logical += 1;
-  EXPECT_FALSE(forged.verify(client->keypair().public_key()));
+  EXPECT_FALSE(forged.verify(*cluster->server_keys().client(client->id())));
 }
 
 TEST_F(MessageRoundTrip, GetVoteMsg) {
@@ -353,7 +353,7 @@ TEST_F(MessageRoundTrip, GetVoteMsg) {
   EXPECT_EQ(back->partial_block, msg.partial_block);
   EXPECT_EQ(back->round, 7u);
   ASSERT_EQ(back->requests.size(), 1u);
-  EXPECT_TRUE(back->requests[0].verify(client->keypair().public_key()));
+  EXPECT_TRUE(back->requests[0].verify(*cluster->server_keys().client(client->id())));
 }
 
 TEST_F(MessageRoundTrip, VoteMsgWithAndWithoutRoot) {

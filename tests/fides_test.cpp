@@ -149,6 +149,36 @@ TEST(Cluster, ClientVerifiesCosignOnDecision) {
   EXPECT_FALSE(client.accept_decision(tampered, cluster.server_keys()));
 }
 
+TEST(Cluster, DataPathRefusesEnvelopesUnderTheWrongKey) {
+  // The transport knows the client under a key it does not sign with: every
+  // data-path request fails verification, and the caller sees an error, not
+  // a default read result or write ack. The server records nothing.
+  Cluster cluster(small_config());
+  Client& client = cluster.make_client();
+  const ItemId item = 0;
+  const Server& owner = cluster.server(cluster.owner_of(item));
+  cluster.transport().register_node(NodeId::client(client.id()),
+                                    crypto::KeyPair::deterministic(0xBAD).public_key());
+  const std::uint64_t rejected = cluster.transport().stats().rejected;
+  ClientTxn txn = client.begin();
+  EXPECT_THROW(cluster.client_begin(client, txn.id(), std::vector<ItemId>{item}),
+               DataPathError);
+  EXPECT_THROW(client.read(txn, item), DataPathError);
+  EXPECT_THROW(client.write(txn, item, to_bytes("x")), DataPathError);
+  EXPECT_EQ(cluster.transport().stats().rejected, rejected + 3);
+  EXPECT_TRUE(owner.client_message_log().empty());
+
+  // Under the right key the request passes, but a reply signed by the owner
+  // fails when the transport holds a wrong key for the server.
+  cluster.transport().register_node(NodeId::client(client.id()),
+                                    client.keypair().public_key());
+  cluster.transport().register_node(NodeId::server(owner.id()),
+                                    crypto::KeyPair::deterministic(0xBAD).public_key());
+  ClientTxn next = client.begin();
+  EXPECT_THROW(client.read(next, item), DataPathError);
+  EXPECT_EQ(owner.client_message_log().size(), 1u);
+}
+
 TEST(Cluster, SequentialBlocksChain) {
   Cluster cluster(small_config());
   Client& client = cluster.make_client();

@@ -4,6 +4,7 @@
 
 #include "crypto/cosi.hpp"
 #include "ledger/chain_validation.hpp"
+#include "ledger/checkpoint.hpp"
 #include "ledger/log.hpp"
 
 namespace fides::ledger {
@@ -29,24 +30,31 @@ txn::Transaction make_txn(std::uint64_t ts, ItemId item, std::string value) {
   return t;
 }
 
-/// Collectively signs a block with all `keys` and fills its cosign.
-void cosign_block(Block& block, const std::vector<crypto::KeyPair>& keys) {
-  block.signers.clear();
-  for (std::uint32_t i = 0; i < keys.size(); ++i) block.signers.push_back(ServerId{i});
-  const Bytes record = block.signing_bytes();
+/// A CoSi round over `record` in which slot i answers with
+/// keys[signers[i]]: a server named twice answers twice, under two nonces.
+crypto::CosiSignature cosign_record(BytesView record, const std::vector<crypto::KeyPair>& keys,
+                                    const std::vector<ServerId>& signers,
+                                    std::uint64_t round) {
   std::vector<crypto::CosiCommitment> comms;
   std::vector<crypto::AffinePoint> vs;
-  for (const auto& k : keys) {
-    comms.push_back(crypto::cosi_commit(k, record, block.height));
+  for (std::size_t i = 0; i < signers.size(); ++i) {
+    comms.push_back(crypto::cosi_commit(keys[signers[i].value], record, round * 64 + i));
     vs.push_back(comms.back().v);
   }
   const auto v = crypto::cosi_aggregate_commitments(vs);
   const auto ch = crypto::cosi_challenge(v, record);
   std::vector<crypto::U256> rs;
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    rs.push_back(crypto::cosi_respond(keys[i], comms[i].secret, ch));
+  for (std::size_t i = 0; i < signers.size(); ++i) {
+    rs.push_back(crypto::cosi_respond(keys[signers[i].value], comms[i].secret, ch));
   }
-  block.cosign = crypto::CosiSignature{v, crypto::cosi_aggregate_responses(rs)};
+  return crypto::CosiSignature{v, crypto::cosi_aggregate_responses(rs)};
+}
+
+/// Collectively signs a block with all `keys` and fills its cosign.
+void cosign_block(Block& block, const std::vector<crypto::KeyPair>& keys) {
+  block.signers.clear();
+  for (std::uint32_t i = 0; i < keys.size(); ++i) block.signers.push_back(ServerId{i});
+  block.cosign = cosign_record(block.signing_bytes(), keys, block.signers, block.height);
 }
 
 Block make_block(std::uint64_t height, const crypto::Digest& prev,
@@ -74,7 +82,7 @@ std::vector<Block> make_chain(std::size_t n, const std::vector<crypto::KeyPair>&
 class LedgerTest : public ::testing::Test {
  protected:
   std::vector<crypto::KeyPair> keys = make_keys(3);
-  std::vector<crypto::PublicKey> pks = pks_of(keys);
+  crypto::KeyRegistry registry{pks_of(keys)};
 };
 
 TEST_F(LedgerTest, BlockSerializationRoundTrip) {
@@ -175,14 +183,14 @@ TEST_F(LedgerTest, LatestBlockWithRoot) {
 
 TEST_F(LedgerTest, ValidateChainAcceptsHonestLog) {
   const auto chain = make_chain(5, keys);
-  const auto res = validate_chain(chain, pks, true);
+  const auto res = validate_chain(chain, registry, true);
   EXPECT_TRUE(res.ok) << (res.issues.empty() ? "" : res.issues[0].what);
 }
 
 TEST_F(LedgerTest, ValidateChainDetectsTamperedBlock) {
   auto chain = make_chain(5, keys);
   chain[2].txns[0].rw.writes[0].new_value = to_bytes("evil");
-  const auto res = validate_chain(chain, pks, true);
+  const auto res = validate_chain(chain, registry, true);
   EXPECT_FALSE(res.ok);
   // The tampered block's cosign breaks, and the next block's prev-hash
   // pointer no longer matches.
@@ -194,20 +202,62 @@ TEST_F(LedgerTest, ValidateChainDetectsTamperedBlock) {
 TEST_F(LedgerTest, ValidateChainDetectsReorder) {
   auto chain = make_chain(5, keys);
   std::swap(chain[1], chain[3]);
-  EXPECT_FALSE(validate_chain(chain, pks, true).ok);
+  EXPECT_FALSE(validate_chain(chain, registry, true).ok);
 }
 
 TEST_F(LedgerTest, ValidateChainDetectsMissingCosign) {
   auto chain = make_chain(3, keys);
   chain[1].cosign.reset();
-  const auto res = validate_chain(chain, pks, true);
+  const auto res = validate_chain(chain, registry, true);
   EXPECT_FALSE(res.ok);
 }
 
 TEST_F(LedgerTest, ValidateChainDetectsBogusSignerSet) {
   auto chain = make_chain(2, keys);
   chain[1].signers = {ServerId{42}};  // unknown server
-  EXPECT_FALSE(validate_chain(chain, pks, true).ok);
+  EXPECT_FALSE(validate_chain(chain, registry, true).ok);
+}
+
+TEST_F(LedgerTest, CosignBySignerNamedThriceRejected) {
+  // S0 alone answers all three slots of a signer list {S0, S0, S0}. The
+  // co-sign is valid under 3·X0, the sum of the keys as listed, but a signer
+  // set may name each server once: the block must not pass as co-signed by
+  // three servers.
+  Block b = make_block(0, crypto::Digest::zero(), keys);
+  b.signers = {ServerId{0}, ServerId{0}, ServerId{0}};
+  b.cosign = cosign_record(b.signing_bytes(), keys, b.signers, 0);
+  const std::vector<crypto::PublicKey> as_listed(3, keys[0].public_key());
+  ASSERT_TRUE(crypto::cosi_verify(b.signing_bytes(), *b.cosign, as_listed));
+  EXPECT_EQ(verify_block_cosign(b, registry), CosignVerdict::kBadSignerSet);
+  EXPECT_EQ(verify_unchained_cosign(b, registry), CosignVerdict::kBadSignerSet);
+  const auto res = validate_chain(std::vector<Block>{b}, registry, true);
+  EXPECT_FALSE(res.ok);
+
+  // The same server twice among distinct ones is refused as well.
+  b.signers = {ServerId{0}, ServerId{1}, ServerId{0}};
+  b.cosign = cosign_record(b.signing_bytes(), keys, b.signers, 1);
+  EXPECT_EQ(verify_block_cosign(b, registry), CosignVerdict::kBadSignerSet);
+  // The honest list, in any order, shares one cached aggregate.
+  b.signers = {ServerId{2}, ServerId{0}, ServerId{1}};
+  b.cosign = cosign_record(b.signing_bytes(), keys, b.signers, 2);
+  EXPECT_EQ(verify_block_cosign(b, registry), CosignVerdict::kOk);
+  EXPECT_EQ(registry.aggregate(b.signers),
+            registry.aggregate(std::vector<ServerId>{ServerId{0}, ServerId{1}, ServerId{2}}));
+}
+
+TEST_F(LedgerTest, CheckpointBySignerNamedThriceRejected) {
+  TamperProofLog log;
+  for (const auto& b : make_chain(3, keys)) log.append(b);
+  Checkpoint cp = make_checkpoint(log.blocks(), {ServerId{0}, ServerId{0}, ServerId{0}});
+  cp.cosign = cosign_record(cp.signing_bytes(), keys, cp.signers, 7);
+  const std::vector<crypto::PublicKey> as_listed(3, keys[0].public_key());
+  ASSERT_TRUE(crypto::cosi_verify(cp.signing_bytes(), *cp.cosign, as_listed));
+  EXPECT_FALSE(validate_checkpoint(cp, registry));
+  EXPECT_FALSE(validate_chain_from(cp, log.blocks(), registry).ok);
+
+  cp.signers = {ServerId{0}, ServerId{1}, ServerId{2}};
+  cp.cosign = cosign_record(cp.signing_bytes(), keys, cp.signers, 8);
+  EXPECT_TRUE(validate_checkpoint(cp, registry));
 }
 
 TEST_F(LedgerTest, ValidateChainWithoutCosignFor2pc) {
@@ -219,7 +269,7 @@ TEST_F(LedgerTest, ValidateChainWithoutCosignFor2pc) {
     b.prev_hash = prev;
     prev = b.digest();
   }
-  EXPECT_TRUE(validate_chain(chain, pks, false).ok);
+  EXPECT_TRUE(validate_chain(chain, registry, false).ok);
 }
 
 TEST_F(LedgerTest, SelectCorrectLogPicksLongestValid) {
@@ -228,7 +278,7 @@ TEST_F(LedgerTest, SelectCorrectLogPicksLongestValid) {
   logs[1].resize(4);                                      // Lemma 7: truncated tail
   logs[2][1].txns[0].commit_ts = Timestamp{999, 9};       // Lemma 6: tampered
   const std::vector<std::span<const Block>> views(logs.begin(), logs.end());
-  const auto sel = select_correct_log(views, pks);
+  const auto sel = select_correct_log(views, registry);
   ASSERT_TRUE(sel.chosen.has_value());
   EXPECT_EQ(*sel.chosen, 0u);
   EXPECT_EQ(sel.incomplete, (std::vector<std::size_t>{1}));
@@ -239,7 +289,7 @@ TEST_F(LedgerTest, SelectCorrectLogAllInvalid) {
   auto chain = make_chain(3, keys);
   chain[0].decision = Decision::kAbort;  // breaks cosign everywhere
   const std::vector<std::span<const Block>> logs(3, chain);
-  const auto sel = select_correct_log(logs, pks);
+  const auto sel = select_correct_log(logs, registry);
   EXPECT_FALSE(sel.chosen.has_value());
   EXPECT_EQ(sel.invalid.size(), 3u);
 }
@@ -249,13 +299,13 @@ TEST_F(LedgerTest, LogMaliciousMutators) {
   for (const auto& b : make_chain(5, keys)) log.append(b);
 
   log.reorder(1, 3);
-  EXPECT_FALSE(validate_chain(log.blocks(), pks, true).ok);
+  EXPECT_FALSE(validate_chain(log.blocks(), registry, true).ok);
   log.reorder(1, 3);  // restore
-  EXPECT_TRUE(validate_chain(log.blocks(), pks, true).ok);
+  EXPECT_TRUE(validate_chain(log.blocks(), registry, true).ok);
 
   log.truncate_tail(3);
   EXPECT_EQ(log.size(), 3u);
-  EXPECT_TRUE(validate_chain(log.blocks(), pks, true).ok);  // prefix still valid
+  EXPECT_TRUE(validate_chain(log.blocks(), registry, true).ok);  // prefix still valid
 
   // The blocks carry no reads, so targeting one is an error, not UB.
   EXPECT_THROW(log.tamper_read_value(0, 0, 0, to_bytes("evil")), std::out_of_range);
@@ -267,9 +317,9 @@ TEST_F(LedgerTest, TamperReadValueBreaksCosign) {
   b.txns[0].rw.reads.push_back(txn::ReadEntry{5, to_bytes("honest"), {}, {}});
   cosign_block(b, keys);  // re-sign after adding the read
   log.append(b);
-  EXPECT_TRUE(validate_chain(log.blocks(), pks, true).ok);
+  EXPECT_TRUE(validate_chain(log.blocks(), registry, true).ok);
   log.tamper_read_value(0, 0, 0, to_bytes("lie"));
-  EXPECT_FALSE(validate_chain(log.blocks(), pks, true).ok);
+  EXPECT_FALSE(validate_chain(log.blocks(), registry, true).ok);
 }
 
 }  // namespace

@@ -84,6 +84,8 @@ GUARDED_FIELD_FILES = [
     "src/ordserv/sequencer.cpp",
     "src/ordserv/group_engine.cpp",
     "src/fides/transport.hpp",
+    "src/crypto/key_registry.hpp",
+    "src/crypto/key_registry.cpp",
     "src/net/poller.hpp",
     "src/net/poller.cpp",
     "src/net/socket_scheduler.hpp",
