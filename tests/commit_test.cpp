@@ -173,6 +173,10 @@ TEST_F(TfCommitTest, MultipleCorruptCosignersAllIdentified) {
   EXPECT_FALSE(outcome.cosign_valid);
   EXPECT_EQ(outcome.faulty_cosigners,
             (std::vector<ServerId>{ServerId{1}, ServerId{3}}));
+  // Byte pin: the decision block (with its invalid co-sign) the coordinator
+  // broadcasts, as the SHA-256 of its full serialization.
+  EXPECT_EQ(outcome.block.digest().hex(),
+            "ef3054cf5f053134a0483949c07d3b8a88fd298db421f7065e84ea92a3116d3a");
 }
 
 // --- Scenario 2: fake Merkle root in the block ---------------------------------

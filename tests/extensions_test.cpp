@@ -113,6 +113,9 @@ TEST_F(CheckpointTest, CreateAndValidate) {
   EXPECT_EQ(cp->head_hash, cluster->server(ServerId{0}).log().head_hash());
   EXPECT_TRUE(ledger::validate_checkpoint(*cp, cluster->server_keys()));
   EXPECT_FALSE(cp->roots.empty());
+  // Byte pin: the SHA-256 of the serialized checkpoint, co-sign included.
+  EXPECT_EQ(crypto::sha256(cp->serialize()).hex(),
+            "8e116e646c768ba202b6baf6b0bd62c6c8a36c3250213298f116eac5559c5592");
 }
 
 TEST_F(CheckpointTest, SerializationRoundTrip) {

@@ -672,6 +672,12 @@ TEST(CoordinatorCrash, TfCommitCohortsTerminateWhile2pcBlocks) {
       EXPECT_EQ(block.signers,
                 (std::vector<ServerId>{ServerId{1}, ServerId{2}, ServerId{3}}));
       ASSERT_TRUE(block.cosign.has_value());
+      // Byte pin: the SHA-256 of the full block, co-sign included. Every
+      // server holds the same bytes, and a refactor of the termination
+      // leader must reproduce them exactly.
+      EXPECT_EQ(block.digest().hex(),
+                "9f4dfea880927ee0ca3fad39df7e3633243daa8663eeed99af6ddd1737d30931")
+          << "S" << i;
     }
   }
 
