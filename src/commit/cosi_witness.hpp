@@ -5,7 +5,8 @@
 // never answers two distinct challenges under one deterministic nonce (two
 // responses r = v + c·x and r' = v + c'·x give the key x away). TFCommit
 // commit rounds, cohort termination and checkpoints all co-sign through this
-// class, so both rules live here once and nonce secrets never leave it.
+// class, so both rules live here once and nonce secrets never leave it; they
+// all lead through its counterpart, commit::CosiLeader.
 //
 // The respond-once guard is durable: the answered challenge is written to the
 // server's RoundLog as a kResponse record before the response leaves, and

@@ -331,10 +331,6 @@ ResponseMsg TfCommitCohort::handle_term_challenge(std::uint64_t round,
 
 // --- Coordinator ------------------------------------------------------------
 
-TfCommitCoordinator::TfCommitCoordinator(std::vector<ServerId> cohorts,
-                                         const crypto::KeyRegistry& keys)
-    : cohorts_(std::move(cohorts)), keys_(&keys) {}
-
 Block TfCommitCoordinator::make_partial_block(std::uint64_t height,
                                               const crypto::Digest& prev_hash,
                                               std::vector<txn::Transaction> txns,
@@ -351,7 +347,6 @@ Block TfCommitCoordinator::make_partial_block(std::uint64_t height,
 GetVoteMsg TfCommitCoordinator::start(Block partial_block,
                                       std::vector<SignedEndTxn> requests) {
   block_ = std::move(partial_block);
-  commitments_.clear();
   GetVoteMsg msg;
   msg.partial_block = block_;
   msg.requests = std::move(requests);
@@ -361,62 +356,40 @@ GetVoteMsg TfCommitCoordinator::start(Block partial_block,
 
 std::vector<ChallengeMsg> TfCommitCoordinator::on_votes(std::span<const VoteMsg> votes,
                                                         const CoordinatorFaults& faults) {
-  // 2PC decision rule: commit iff no involved cohort voted abort.
   bool all_commit = true;
-  for (const auto& v : votes) {
-    if (v.involved && v.vote == txn::Vote::kAbort) all_commit = false;
-  }
-  if (faults.force_commit) all_commit = true;
-
-  block_.decision = all_commit ? Decision::kCommit : Decision::kAbort;
   block_.roots.clear();
+  std::vector<crypto::AffinePoint> commitments;
+  commitments.reserve(votes.size());
   for (const auto& v : votes) {
+    // 2PC decision rule: commit iff no involved cohort voted abort.
+    if (v.involved && v.vote == txn::Vote::kAbort) all_commit = false;
     // Roots from cohorts that voted commit; on abort "the respective roots
     // will be missing in the block" (§4.3.1 phase 3).
     if (v.involved && v.root) block_.set_root(v.cohort, *v.root);
+    commitments.push_back(v.sch_commitment);
   }
+  block_.decision = all_commit || faults.force_commit ? Decision::kCommit : Decision::kAbort;
   if (faults.fake_root_victim) {
     block_.set_root(*faults.fake_root_victim,
                     crypto::sha256(to_bytes("forged-root")));  // Scenario 2
   }
+  const CosiLeader::Challenge ch = leader_.challenge(commitments, block_.signing_bytes());
+  const ChallengeMsg honest{ch.c, ch.v, block_};
 
-  commitments_.clear();
-  commitments_.reserve(votes.size());
-  for (const auto& v : votes) commitments_.push_back(v.sch_commitment);
-  aggregate_v_ = crypto::cosi_aggregate_commitments(commitments_);
-  challenge_ = crypto::cosi_challenge(aggregate_v_, block_.signing_bytes());
-
-  ChallengeMsg honest;
-  honest.challenge = challenge_;
-  honest.aggregate_commitment = aggregate_v_;
-  honest.block = block_;
-
-  if (faults.equivocate == CoordinatorFaults::Equivocation::kNone) {
-    // Broadcast: one message, every cohort receives the same bytes.
-    std::vector<ChallengeMsg> out;
-    out.push_back(std::move(honest));
-    if (faults.drop_last_challenge) {
-      out.assign(cohorts_.size(), out.front());
-      out.pop_back();
-    }
-    return out;
-  }
-
-  std::vector<ChallengeMsg> out(cohorts_.size(), honest);
-  {
-    // Build the conflicting abort variant b_a of the block (Lemma 5).
-    Block abort_variant = block_;
-    abort_variant.decision = Decision::kAbort;
-    abort_variant.roots.clear();
-
-    ChallengeMsg lie;
-    lie.aggregate_commitment = aggregate_v_;
-    lie.block = abort_variant;
-    lie.challenge =
-        faults.equivocate == CoordinatorFaults::Equivocation::kSameChallenge
-            ? challenge_  // Case 1: challenge matches only the commit block
-            : crypto::cosi_challenge(aggregate_v_, abort_variant.signing_bytes());  // Case 2
-
+  // An honest coordinator broadcasts: one message, every cohort receives the
+  // same bytes. An equivocating one sends one message per cohort.
+  const bool equivocate = faults.equivocate != CoordinatorFaults::Equivocation::kNone;
+  const std::size_t m = leader_.signers().size();
+  std::vector<ChallengeMsg> out(equivocate || faults.drop_last_challenge ? m : 1, honest);
+  if (equivocate) {
+    // The conflicting abort variant b_a of the block (Lemma 5), under the
+    // same V.
+    ChallengeMsg lie = honest;
+    lie.block.decision = Decision::kAbort;
+    lie.block.roots.clear();
+    if (faults.equivocate == CoordinatorFaults::Equivocation::kMatchingChallenges) {
+      lie.challenge = leader_.rechallenge(lie.block.signing_bytes());  // Case 2
+    }  // Case 1 keeps the challenge, which matches only the commit block
     for (const std::size_t victim : faults.equivocation_victims) {
       if (victim < out.size()) out[victim] = lie;
     }
@@ -439,24 +412,17 @@ TfCommitOutcome TfCommitCoordinator::on_responses(std::span<const ResponseMsg> r
     shares.push_back(r.sch_response);
   }
 
-  block_.cosign = crypto::CosiSignature{
-      aggregate_v_, crypto::cosi_aggregate_responses(shares)};
-
-  const crypto::KeyTable* aggregate = keys_->aggregate(cohorts_);
-  outcome.cosign_valid =
-      !any_refused && aggregate != nullptr &&
-      crypto::cosi_verify(block_.signing_bytes(), *block_.cosign, *aggregate);
-
-  if (!outcome.cosign_valid) {
+  // An invalid co-sign is still set on the block: the broadcast decision
+  // carries it, and every server refuses to append it.
+  const CosiLeader::Seal seal = leader_.seal(shares, any_refused);
+  block_.cosign = seal.signature;
+  outcome.cosign_valid = seal.valid;
+  if (!seal.valid) {
     // Lemma 4: binary-search-free attribution — check each share against its
     // commitment; the server(s) with invalid shares are the culprits. The
     // coordinator is incentivised to do this: an unverifiable block makes
     // the auditor suspect the coordinator itself.
-    std::vector<const crypto::KeyTable*> keys;
-    keys.reserve(cohorts_.size());
-    for (const ServerId s : cohorts_) keys.push_back(keys_->server(s));
-    const auto faulty = crypto::cosi_find_faulty(commitments_, shares, challenge_, keys);
-    for (const std::size_t idx : faulty) outcome.faulty_cosigners.push_back(cohorts_[idx]);
+    outcome.faulty_cosigners = leader_.faulty(shares);
   }
 
   outcome.decision = block_.decision;

@@ -20,9 +20,9 @@
 #include <map>
 #include <span>
 
+#include "commit/cosi_leader.hpp"
 #include "commit/cosi_witness.hpp"
 #include "commit/messages.hpp"
-#include "crypto/key_registry.hpp"
 #include "store/shard.hpp"
 
 namespace fides::commit {
@@ -212,7 +212,8 @@ class TfCommitCoordinator {
   /// servers, including the coordinator itself, co-sign every block).
   /// `keys` holds every cohort's key and must outlive the coordinator; the
   /// co-sign is checked against the cohorts' cached aggregate.
-  TfCommitCoordinator(std::vector<ServerId> cohorts, const crypto::KeyRegistry& keys);
+  TfCommitCoordinator(std::vector<ServerId> cohorts, const crypto::KeyRegistry& keys)
+      : leader_(std::move(cohorts), keys) {}
 
   /// Assembles the phase-1 partial block from a batch. `signers` is the
   /// witness set whose co-sign will seal the block (all servers under the
@@ -244,13 +245,8 @@ class TfCommitCoordinator {
   const Block& block() const { return block_; }
 
  private:
-  std::vector<ServerId> cohorts_;
-  const crypto::KeyRegistry* keys_;
-
+  CosiLeader leader_;  ///< signers: the cohorts, in cohort order
   Block block_;
-  std::vector<crypto::AffinePoint> commitments_;  // per cohort
-  crypto::AffinePoint aggregate_v_;
-  crypto::U256 challenge_;
 };
 
 /// Identifies which servers a block involves, via item placement: server i

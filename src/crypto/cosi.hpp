@@ -14,8 +14,9 @@
 //
 // The functions here are the pure-crypto core. Every server's witness side
 // (nonce derivation, the challenge check, respond-once) is one
-// commit::CosiWitness (commit/cosi_witness.*); the leaders are the TFCommit
-// coordinator, the termination backup and the checkpoint round.
+// commit::CosiWitness (commit/cosi_witness.*), and the TFCommit coordinator,
+// the termination backup and the checkpoint round all lead through one
+// commit::CosiLeader (commit/cosi_leader.*).
 #pragma once
 
 #include <span>

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/cpu_time.hpp"
-#include "crypto/cosi.hpp"
 
 namespace fides::engine {
 
@@ -23,6 +22,14 @@ std::string tf_vote_type(std::uint64_t base) {
 
 bool is_tf_vote_type(const std::string& type) {
   return type == "tf_vote" || type.compare(0, 8, "tf_vote~") == 0;
+}
+
+/// Position of `server` in the ascending id list `ids`, or nullopt.
+std::optional<std::size_t> position_of(std::span<const ServerId> ids, std::uint32_t server) {
+  const auto it = std::lower_bound(ids.begin(), ids.end(), ServerId{server},
+                                   [](ServerId a, ServerId b) { return a.value < b.value; });
+  if (it == ids.end() || it->value != server) return std::nullopt;
+  return static_cast<std::size_t>(it - ids.begin());
 }
 
 }  // namespace
@@ -55,10 +62,12 @@ Envelope RoundReactor::seal_framed(const Server& sender, const char* type,
                           frame_payload(epoch_, payload));
 }
 
-void RoundReactor::broadcast(Outbox& out, const Envelope& env) {
-  for (std::size_t i = 0; i < placement_.members.size(); ++i) {
+void RoundReactor::broadcast(Outbox& out, const Envelope& env,
+                             std::span<const ServerId> to) {
+  if (to.empty()) to = placement_.members;
+  for (std::size_t i = 0; i < to.size(); ++i) {
     if (i > 0) transport_->count_copy(env);
-    out.send(env.sender, server_node(placement_.members[i].value), env);
+    out.send(env.sender, server_node(to[i].value), env);
   }
 }
 
@@ -122,28 +131,19 @@ TfCommitRound::TfCommitRound(Cluster& cluster, RoundPlacement placement,
       coordinator_(placement_.members, cluster.server_keys()),
       spec_(spec),
       votes_(placement_.members.size()),
-      vote_in_(placement_.members.size(), 0),
       buffered_votes_(placement_.members.size()),
       responses_(placement_.members.size()),
-      resp_in_(placement_.members.size(), 0),
-      term_live_(n_, 0),
-      term_votes_(n_),
-      term_commitments_(n_),
-      term_vote_in_(n_, 0),
+      term_votes_(0),
       term_waiting_(n_, 0),
-      term_responses_(n_),
-      term_resp_in_(n_, 0) {
+      term_shares_(0) {
   metrics_.txns_in_block = batch_.size();
   metrics_.network_legs = 6;  // end_txn + get_vote + vote + challenge + response + decision
 }
 
 std::optional<std::size_t> TfCommitRound::slot_of(std::uint32_t server) const {
-  const auto& m = placement_.members;
-  const auto it = std::lower_bound(m.begin(), m.end(), ServerId{server},
-                                   [](ServerId a, ServerId b) { return a.value < b.value; });
-  if (it == m.end() || it->value != server) return std::nullopt;
-  return static_cast<std::size_t>(it - m.begin());
+  return position_of(placement_.members, server);
 }
+
 
 void TfCommitRound::start(Outbox& out) {
   // A dead coordinator opens nothing; its recovery restarts the round.
@@ -244,7 +244,7 @@ void TfCommitRound::handle_get_vote(NodeId dst, BytesView body, bool authentic,
   }
   // A termination query arrived before this cohort had voted: settle the
   // deferred reply now that it has.
-  if (term_started_ && term_waiting_[dst.id] && server.logged_vote(epoch_) != nullptr) {
+  if (term_leader_ && term_waiting_[dst.id] && server.logged_vote(epoch_) != nullptr) {
     term_waiting_[dst.id] = 0;
     send_term_vote(server, out);
   }
@@ -335,7 +335,7 @@ void TfCommitRound::on_deliver(NodeId src, NodeId dst, const Envelope& env,
     // in: aggregate the co-sign and decide.
     const auto t = Clock::now();
     const auto slot = slot_of(src.id);
-    if (slot.has_value() && dst == coord_node_ && !resp_in_[*slot]) {
+    if (slot.has_value() && dst == coord_node_ && !responses_.has(*slot)) {
       commit::ResponseMsg resp;
       resp.cohort = ServerId{src.id};
       resp.refused = true;
@@ -343,12 +343,10 @@ void TfCommitRound::on_deliver(NodeId src, NodeId dst, const Envelope& env,
       if (authentic) {
         if (const auto msg = commit::ResponseMsg::deserialize(body)) resp = *msg;
       }
-      responses_[*slot] = std::move(resp);
-      resp_in_[*slot] = 1;
-      ++resps_seen_;
+      responses_.fill(*slot, std::move(resp));
     }
-    if (resps_seen_ == placement_.members.size() && !outcome_.has_value()) {
-      decide(coordinator_.on_responses(responses_), out);
+    if (responses_.full() && !outcome_.has_value()) {
+      decide(coordinator_.on_responses(responses_.values()), out);
     }
     coord_us_ += since_us(t);
 
@@ -385,7 +383,7 @@ void TfCommitRound::on_deliver(NodeId src, NodeId dst, const Envelope& env,
   } else if (env.type == "tf_term_query") {
     // Termination step 1: the backup asks every surviving cohort for its
     // recorded vote plus a fresh CoSi commitment.
-    if (!authentic || !term_started_) return;
+    if (!authentic || !term_leader_) return;
     Server& server = cluster_->server(ServerId{dst.id});
     if (server.logged_vote(epoch_) == nullptr) {
       term_waiting_[dst.id] = 1;  // reply once the opening reaches us
@@ -395,8 +393,9 @@ void TfCommitRound::on_deliver(NodeId src, NodeId dst, const Envelope& env,
 
   } else if (env.type == "tf_term_vote") {
     // Termination step 2, at the backup: collect votes from the live set.
-    if (!authentic || !term_started_ || dst.id != term_backup_) return;
-    if (src.id >= n_ || !term_live_[src.id] || term_vote_in_[src.id]) return;
+    if (!authentic || !term_leader_ || dst.id != term_backup_) return;
+    const auto slot = position_of(term_leader_->signers(), src.id);
+    if (!slot || term_votes_.has(*slot)) return;
     try {
       Reader r(body);
       const Bytes vote_bytes = r.bytes();
@@ -406,14 +405,11 @@ void TfCommitRound::on_deliver(NodeId src, NodeId dst, const Envelope& env,
       const auto point = crypto::AffinePoint::deserialize(commit_bytes);
       if (!vote || !point) return;
       note_vote_bytes(src.id, vote->base_key(), vote_bytes);
-      term_votes_[src.id] = *vote;
-      term_commitments_[src.id] = *point;
-      term_vote_in_[src.id] = 1;
-      ++term_votes_seen_;
+      term_votes_.fill(*slot, {*vote, *point});
     } catch (const DecodeError&) {
       return;
     }
-    if (term_votes_seen_ == live_expected() && !term_block_built_ && !term_decided_) {
+    if (term_votes_.full() && !term_block_ && !term_decided_) {
       // All survivors reported. The coordinator's vote is unknowable, so the
       // only safe decision is abort — and no commit block can exist, because
       // a TFCommit decision needs every signer's co-sign response.
@@ -433,32 +429,17 @@ void TfCommitRound::on_deliver(NodeId src, NodeId dst, const Envelope& env,
       }
       block.decision = ledger::Decision::kAbort;
       block.roots.clear();
-      std::vector<ServerId> signers;
       std::vector<crypto::AffinePoint> commitments;
-      for (std::uint32_t i = 0; i < n_; ++i) {
-        if (!term_live_[i]) continue;
-        signers.push_back(ServerId{i});
-        commitments.push_back(term_commitments_[i]);
-        const commit::VoteMsg& v = term_votes_[i];
-        if (v.involved && v.root) block.set_root(v.cohort, *v.root);
+      for (const TermVote& tv : term_votes_.values()) {
+        commitments.push_back(tv.commitment);
+        if (tv.vote.involved && tv.vote.root) block.set_root(tv.vote.cohort, *tv.vote.root);
       }
-      block.signers = std::move(signers);
-      term_agg_ = crypto::cosi_aggregate_commitments(commitments);
-      term_challenge_ = crypto::cosi_challenge(term_agg_, block.signing_bytes());
-      term_block_ = block;
-      term_block_built_ = true;
-
-      commit::ChallengeMsg challenge;
-      challenge.challenge = term_challenge_;
-      challenge.aggregate_commitment = term_agg_;
-      challenge.block = term_block_;
-      const Envelope env_out =
-          seal_framed(backup, "tf_term_challenge", challenge.serialize());
-      for (std::uint32_t i = 0; i < n_; ++i) {
-        if (!term_live_[i]) continue;
-        if (i != term_backup_) transport_->count_copy(env_out);
-        out.send(server_node(term_backup_), server_node(i), env_out);
-      }
+      block.signers = term_leader_->signers();
+      const auto [v, c] = term_leader_->challenge(commitments, block.signing_bytes());
+      term_block_ = std::move(block);
+      const commit::ChallengeMsg challenge{c, v, *term_block_};
+      broadcast(out, seal_framed(backup, "tf_term_challenge", challenge.serialize()),
+                term_leader_->signers());
     }
 
   } else if (env.type == "tf_term_challenge") {
@@ -484,50 +465,35 @@ void TfCommitRound::on_deliver(NodeId src, NodeId dst, const Envelope& env,
 
   } else if (env.type == "tf_term_response") {
     // Termination step 4, at the backup: aggregate, validate, broadcast.
-    if (!authentic || !term_started_ || dst.id != term_backup_) return;
-    if (src.id >= n_ || !term_live_[src.id] || term_resp_in_[src.id]) return;
+    if (!authentic || !term_leader_ || dst.id != term_backup_) return;
+    const auto slot = position_of(term_leader_->signers(), src.id);
+    if (!slot || term_shares_.has(*slot)) return;
     const auto msg = commit::ResponseMsg::deserialize(body);
     if (!msg) return;
     if (msg->refused) return;  // a survivor holds a decided block: stand down
-    term_responses_[src.id] = msg->sch_response;
-    term_resp_in_[src.id] = 1;
-    ++term_resps_seen_;
-    if (term_resps_seen_ == live_expected() && !term_decided_) {
-      std::vector<crypto::U256> shares;
-      std::vector<ServerId> signers;
-      for (std::uint32_t i = 0; i < n_; ++i) {
-        if (!term_live_[i]) continue;
-        shares.push_back(term_responses_[i]);
-        signers.push_back(ServerId{i});
-      }
-      ledger::Block block = term_block_;
-      block.cosign =
-          crypto::CosiSignature{term_agg_, crypto::cosi_aggregate_responses(shares)};
-      const crypto::KeyTable* aggregate = cluster_->server_keys().aggregate(signers);
-      if (aggregate == nullptr ||
-          !crypto::cosi_verify(block.signing_bytes(), *block.cosign, *aggregate)) {
-        return;
-      }
+    term_shares_.fill(*slot, msg->sch_response);
+    if (term_shares_.full() && term_block_ && !term_decided_) {
+      // A co-sign that fails leaves the round undecided, with no attribution.
+      const commit::CosiLeader::Seal seal = term_leader_->seal(term_shares_.values());
+      if (!seal.valid) return;
       term_decided_ = true;
       metrics_.terminated_by_cohorts = true;
-      term_block_ = block;
-      const commit::DecisionMsg decision{block};
+      term_block_->cosign = seal.signature;
+      const commit::DecisionMsg decision{*term_block_};
       term_decision_env_ = seal_framed(cluster_->server(ServerId{term_backup_}),
                                        "tf_term_decision", decision.serialize());
       broadcast(out, term_decision_env_);
       if (observer_ != nullptr) {
-        observer_->on_outcome(epoch_, block, /*appended=*/true, out);
+        observer_->on_outcome(epoch_, *term_block_, /*appended=*/true, out);
       }
     }
   }
 }
 
 void TfCommitRound::ingest_vote(std::size_t slot, commit::VoteMsg vote, Outbox& out) {
-  if (vote_in_[slot]) return;  // a validated vote already holds the slot
+  if (votes_.has(slot)) return;  // a validated vote already holds the slot
   if (spec_ == nullptr) {
-    votes_[slot] = std::move(vote);
-    vote_in_[slot] = 1;
-    ++votes_seen_;
+    votes_.fill(slot, std::move(vote));
     maybe_fire_challenge(out);
     return;
   }
@@ -553,15 +519,13 @@ void TfCommitRound::try_accept_votes(Outbox& out) {
   if (spec_ == nullptr || !spec_->base_resolved(epoch_)) return;
   for (std::size_t i = 0; i < buffered_votes_.size(); ++i) {
     auto& candidates = buffered_votes_[i];
-    if (vote_in_[i]) {
+    if (votes_.has(i)) {
       candidates.clear();
       continue;
     }
     for (auto it = candidates.begin(); it != candidates.end();) {
       if (spec_base_valid(it->second)) {
-        votes_[i] = std::move(it->second);
-        vote_in_[i] = 1;
-        ++votes_seen_;
+        votes_.fill(i, std::move(it->second));
         candidates.clear();
         break;
       }
@@ -577,7 +541,7 @@ void TfCommitRound::try_accept_votes(Outbox& out) {
 
 void TfCommitRound::maybe_fire_challenge(Outbox& out) {
   const std::size_t m = placement_.members.size();
-  if (votes_seen_ != m || !challenges_.empty() || outcome_.has_value()) return;
+  if (!votes_.full() || !challenges_.empty() || outcome_.has_value()) return;
   if (spec_ != nullptr && !placement_.unchained) {
     // Pin the true chain position before the challenge block is hashed —
     // every round below has decided (base_resolved gated the acceptance).
@@ -586,7 +550,7 @@ void TfCommitRound::maybe_fire_challenge(Outbox& out) {
     height_ = base.height;
   }
   Server& coord = coord_server();
-  challenges_ = coordinator_.on_votes(votes_, coord.faults().coordinator);
+  challenges_ = coordinator_.on_votes(votes_.values(), coord.faults().coordinator);
   if (challenges_.size() != 1 && challenges_.size() != m) {
     // An honest coordinator broadcasts one challenge and an equivocating one
     // signs one per cohort; any other fan-out is malformed. Refuse the
@@ -643,45 +607,32 @@ void TfCommitRound::send_term_vote(Server& server, Outbox& out) {
   out.send(NodeId::server(server.id()), server_node(term_backup_), std::move(env));
 }
 
-std::size_t TfCommitRound::live_expected() const {
-  std::size_t live = 0;
-  for (std::uint32_t i = 0; i < n_; ++i) live += term_live_[i] ? 1 : 0;
-  return live;
-}
-
 void TfCommitRound::begin_termination(Outbox& out) {
   // Already decided (the decision is on the wire and will land everywhere),
   // already terminating, or never opened: nothing for the cohorts to do.
-  if (outcome_.has_value() || term_started_ || term_decided_ || !opening_sent_) return;
+  if (outcome_.has_value() || term_leader_ || term_decided_ || !opening_sent_) return;
   const auto backup = cluster_->backup_for(placement_.coordinator);
   if (!backup.has_value()) return;
   Server& b = cluster_->server(*backup);
   if (b.tf_cohort().partial_of(epoch_) == nullptr) return;  // backup lacks the opening
-  term_started_ = true;
   term_backup_ = backup->value;
+  std::vector<ServerId> live;
   for (std::uint32_t i = 0; i < n_; ++i) {
-    term_live_[i] = cluster_->is_crashed(ServerId{i}) ? 0 : 1;
+    if (!cluster_->is_crashed(ServerId{i})) live.push_back(ServerId{i});
   }
-  const Envelope query = seal_framed(b, "tf_term_query", Bytes{});
-  for (std::uint32_t i = 0; i < n_; ++i) {
-    if (!term_live_[i]) continue;
-    if (i != term_backup_) transport_->count_copy(query);
-    out.send(server_node(term_backup_), server_node(i), query);
-  }
+  term_votes_ = FillOnceSlots<TermVote>(live.size());
+  term_shares_ = FillOnceSlots<crypto::U256>(live.size());
+  term_leader_.emplace(std::move(live), cluster_->server_keys());
+  broadcast(out, seal_framed(b, "tf_term_query", Bytes{}), term_leader_->signers());
 }
 
 void TfCommitRound::restart(Outbox& out) {
-  const std::size_t m = placement_.members.size();
   coordinator_ = commit::TfCommitCoordinator(placement_.members, cluster_->server_keys());
-  votes_.assign(m, {});
-  vote_in_.assign(m, 0);
+  votes_.clear();
   for (auto& b : buffered_votes_) b.clear();
-  votes_seen_ = 0;
   challenges_.clear();
   challenge_envs_.clear();
-  responses_.assign(m, {});
-  resp_in_.assign(m, 0);
-  resps_seen_ = 0;
+  responses_.clear();
   outcome_.reset();
   batch_ = pristine_batch_;
   // Deterministic re-run: the same log head, batch, recorded votes, and
@@ -701,7 +652,7 @@ void TfCommitRound::on_recover(std::uint32_t server, Outbox& out) {
     // round now: restarting it would race their in-flight termination
     // co-sign and fork the chain. Their tf_term_decision broadcast reaches
     // this (now live) node normally.
-    if (!term_started_) restart(out);
+    if (!term_leader_) restart(out);
     return;
   }
   // Catch-up, in causal order over the FIFO replay stream. A chained round
@@ -716,7 +667,7 @@ void TfCommitRound::on_recover(std::uint32_t server, Outbox& out) {
   const auto slot = slot_of(server);
   if (!opening_sent_ || !slot.has_value()) return;
   out.send_replay(coord_node_, node, opening_env_);
-  if (!challenge_envs_.empty() && !resp_in_[*slot]) {
+  if (!challenge_envs_.empty() && !responses_.has(*slot)) {
     const std::size_t ci = challenge_envs_.size() == 1 ? 0 : *slot;
     out.send_replay(coord_node_, node, challenge_envs_[ci]);
   }
@@ -730,15 +681,15 @@ void TfCommitRound::finalize() {
     metrics_.faulty_cosigners = outcome_->faulty_cosigners;
     metrics_.refusals = outcome_->refusals;
   } else if (term_decided_) {
-    metrics_.decision = term_block_.decision;
+    metrics_.decision = term_block_->decision;
     metrics_.cosign_valid = true;
   }
 }
 
 std::string TfCommitRound::progress() const {
   const std::string m = "/" + std::to_string(placement_.members.size());
-  return "opened=" + std::to_string(opening_sent_) + " votes=" + std::to_string(votes_seen_) +
-         m + " responses=" + std::to_string(resps_seen_) + m +
+  return "opened=" + std::to_string(opening_sent_) + " votes=" + std::to_string(votes_.filled()) +
+         m + " responses=" + std::to_string(responses_.filled()) + m +
          " decided=" + std::to_string(outcome_.has_value());
 }
 
@@ -751,8 +702,7 @@ TwoPhaseRound::TwoPhaseRound(Cluster& cluster, std::uint64_t epoch,
       batch_(std::move(batch)),
       pristine_batch_(batch_),
       coordinator_(placement_.members),
-      votes_(n_),
-      vote_in_(n_, 0) {
+      votes_(n_) {
   metrics_.txns_in_block = batch_.size();
   metrics_.network_legs = 4;  // end_txn + prepare + vote + decision
 }
@@ -814,7 +764,7 @@ void TwoPhaseRound::on_deliver(NodeId src, NodeId dst, const Envelope& env,
   } else if (env.type == "2pc_vote") {
     const auto t = Clock::now();
     if (authentic && src.id < n_) note_vote_bytes(src.id, 0, body);
-    if (src.id < n_ && !vote_in_[src.id]) {
+    if (src.id < n_ && !votes_.has(src.id)) {
       commit::PrepareVoteMsg vote;
       vote.cohort = ServerId{src.id};
       vote.involved = true;
@@ -822,12 +772,10 @@ void TwoPhaseRound::on_deliver(NodeId src, NodeId dst, const Envelope& env,
       if (authentic) {
         if (const auto msg = commit::PrepareVoteMsg::deserialize(body)) vote = *msg;
       }
-      votes_[src.id] = std::move(vote);
-      vote_in_[src.id] = 1;
-      ++votes_seen_;
+      votes_.fill(src.id, std::move(vote));
     }
-    if (votes_seen_ == n_ && !outcome_.has_value()) {
-      outcome_ = coordinator_.on_votes(votes_);
+    if (votes_.full() && !outcome_.has_value()) {
+      outcome_ = coordinator_.on_votes(votes_.values());
       const commit::CommitDecisionMsg decision{outcome_->block};
       decision_env_ = seal_framed(coord_server(), "2pc_decision", decision.serialize());
       broadcast(out, decision_env_);
@@ -856,9 +804,7 @@ void TwoPhaseRound::on_deliver(NodeId src, NodeId dst, const Envelope& env,
 
 void TwoPhaseRound::restart(Outbox& out) {
   coordinator_ = commit::TwoPhaseCommitCoordinator(placement_.members);
-  votes_.assign(n_, {});
-  vote_in_.assign(n_, 0);
-  votes_seen_ = 0;
+  votes_.clear();
   outcome_.reset();
   batch_ = pristine_batch_;
   start(out);
@@ -880,7 +826,7 @@ void TwoPhaseRound::on_recover(std::uint32_t server, Outbox& out) {
     out.send_replay(coord_node_, node, decision_env_);
     return;
   }
-  if (opening_sent_ && !vote_in_[server]) {
+  if (opening_sent_ && !votes_.has(server)) {
     out.send_replay(coord_node_, node, opening_env_);
   }
 }
@@ -891,7 +837,7 @@ void TwoPhaseRound::finalize() {
 }
 
 std::string TwoPhaseRound::progress() const {
-  return "opened=" + std::to_string(opening_sent_) + " votes=" + std::to_string(votes_seen_) +
+  return "opened=" + std::to_string(opening_sent_) + " votes=" + std::to_string(votes_.filled()) +
          "/" + std::to_string(n_) + " decided=" + std::to_string(outcome_.has_value());
 }
 
@@ -899,11 +845,9 @@ std::string TwoPhaseRound::progress() const {
 
 CheckpointRound::CheckpointRound(Cluster& cluster, std::uint64_t epoch)
     : RoundReactor(cluster, RoundPlacement::global(cluster), epoch, nullptr),
-      commitments_(n_),
-      agrees_(n_, 0),
-      commit_in_(n_, 0),
-      responses_(n_),
-      resp_in_(n_, 0) {
+      leader_(placement_.members, cluster.server_keys()),
+      commits_(n_),
+      shares_(n_) {
   metrics_.network_legs = 4;  // propose + commit + challenge + response
 }
 
@@ -911,7 +855,6 @@ void CheckpointRound::start(Outbox& out) {
   Server& coord = coord_server();
   const auto t0 = Clock::now();
   cp_ = ledger::make_checkpoint(coord.log().blocks(), placement_.members);
-  record_ = cp_.signing_bytes();
   propose_env_ = seal_framed(coord, "cp_propose", cp_.serialize());
   propose_sent_ = true;
   coord_us_ += since_us(t0);
@@ -948,32 +891,23 @@ void CheckpointRound::on_deliver(NodeId src, NodeId dst, const Envelope& env,
     // The authenticated sender — not the payload — names the slot; an
     // unauthenticated or mislabelled commit counts as a refusal.
     const auto t = Clock::now();
-    if (src.id < n_ && !commit_in_[src.id]) {
-      commit_in_[src.id] = 1;
-      ++commits_seen_;
-      if (authentic) {
-        Reader r(body);
-        const std::uint32_t i = r.u32();
-        const bool agree = r.boolean();
-        if (i == src.id && agree) {
-          if (const auto pt = crypto::AffinePoint::deserialize(r.bytes())) {
-            agrees_[src.id] = 1;
-            commitments_[src.id] = *pt;
-          }
-        }
-      }
+    auto* commitment = src.id < n_ ? commits_.claim(src.id) : nullptr;
+    if (commitment != nullptr && authentic) {
+      Reader r(body);
+      const std::uint32_t i = r.u32();
+      const bool agree = r.boolean();
+      if (i == src.id && agree) *commitment = crypto::AffinePoint::deserialize(r.bytes());
     }
-    if (commits_seen_ == n_ && !challenge_sent_) {
-      for (std::uint32_t j = 0; j < n_; ++j) {
-        if (!agrees_[j]) refused_ = true;
+    if (commits_.full() && !challenge_sent_) {
+      std::vector<crypto::AffinePoint> commitments;
+      for (const auto& c : commits_.values()) {
+        if (c.has_value()) commitments.push_back(*c);
       }
-      if (!refused_) {
-        const crypto::AffinePoint v = crypto::cosi_aggregate_commitments(commitments_);
-        challenge_ = crypto::cosi_challenge(v, record_);
-        cp_.cosign = crypto::CosiSignature{v, crypto::U256{}};  // r filled later
+      if (commitments.size() == n_) {  // else a refusal sank the checkpoint
+        const auto [v, c] = leader_.challenge(commitments, cp_.signing_bytes());
         Writer w;
         w.bytes(v.serialize());
-        const auto cb = challenge_.to_bytes_be();
+        const auto cb = c.to_bytes_be();
         w.raw(BytesView(cb.data(), cb.size()));
         challenge_env_ = seal_framed(coord_server(), "cp_challenge", std::move(w).take());
         challenge_sent_ = true;
@@ -1008,36 +942,28 @@ void CheckpointRound::on_deliver(NodeId src, NodeId dst, const Envelope& env,
 
   } else if (env.type == "cp_response") {
     const auto t = Clock::now();
-    if (src.id < n_ && !resp_in_[src.id]) {
-      resp_in_[src.id] = 1;
-      ++resps_seen_;
-      if (authentic) {
-        Reader r(body);
-        const std::uint32_t i = r.u32();
-        const crypto::U256 ri = crypto::U256::from_bytes_be(r.raw(32));
-        // Unauthenticated => the share stays zero and the aggregate co-sign
-        // fails validation, sinking the checkpoint.
-        if (i == src.id) responses_[src.id] = ri;
-      }
+    auto* share = src.id < n_ ? shares_.claim(src.id) : nullptr;
+    if (share != nullptr && authentic) {
+      Reader r(body);
+      const std::uint32_t i = r.u32();
+      const crypto::U256 ri = crypto::U256::from_bytes_be(r.raw(32));
+      // Unauthenticated => the share stays zero and the aggregate co-sign
+      // fails validation, sinking the checkpoint.
+      if (i == src.id) *share = ri;
     }
-    if (resps_seen_ == n_ && !finalized_) {
-      finalized_ = true;
-      cp_.cosign->r = crypto::cosi_aggregate_responses(responses_);
+    if (share != nullptr && shares_.full()) {  // the last share just came in
+      const commit::CosiLeader::Seal seal = leader_.seal(shares_.values());
+      cp_.cosign = seal.signature;
+      if (seal.valid) result_ = cp_;
     }
     coord_us_ += since_us(t);
   }
 }
 
 void CheckpointRound::restart(Outbox& out) {
-  commitments_.assign(n_, {});
-  agrees_.assign(n_, 0);
-  commit_in_.assign(n_, 0);
-  commits_seen_ = 0;
-  responses_.assign(n_, {});
-  resp_in_.assign(n_, 0);
-  resps_seen_ = 0;
-  refused_ = false;
-  finalized_ = false;
+  commits_.clear();
+  shares_.clear();
+  result_.reset();
   challenge_sent_ = false;
   // Deterministic nonces make the rebuilt checkpoint — including the
   // aggregate signature bits — identical to an uncrashed run's.
@@ -1047,25 +973,17 @@ void CheckpointRound::restart(Outbox& out) {
 void CheckpointRound::on_recover(std::uint32_t server, Outbox& out) {
   const NodeId node = server_node(server);
   if (server == placement_.coordinator.value) {
-    if (!finalized_ && propose_sent_) restart(out);
+    if (!shares_.full() && propose_sent_) restart(out);
     return;
   }
-  if (finalized_) return;  // the round no longer needs this witness
+  if (shares_.full()) return;  // the round no longer needs this witness
   if (!propose_sent_) return;
-  if (!commit_in_[server]) {
+  if (!commits_.has(server)) {
     out.send_replay(coord_node_, node, propose_env_);
   }
-  if (challenge_sent_ && !resp_in_[server]) {
+  if (challenge_sent_ && !shares_.has(server)) {
     out.send_replay(coord_node_, node, challenge_env_);
   }
-}
-
-void CheckpointRound::finalize() { RoundReactor::finalize(); }
-
-std::optional<ledger::Checkpoint> CheckpointRound::result() const {
-  if (refused_ || !finalized_ || !cp_.cosign.has_value()) return std::nullopt;
-  if (!ledger::validate_checkpoint(cp_, cluster_->server_keys())) return std::nullopt;
-  return cp_;
 }
 
 }  // namespace fides::engine

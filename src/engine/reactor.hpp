@@ -23,6 +23,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "engine/scheduler.hpp"
@@ -102,6 +103,37 @@ struct RoundPlacement {
   static RoundPlacement global(const Cluster& cluster);
 };
 
+/// One value per slot that a round collects once, e.g. one vote per cohort:
+/// the first fill of a slot wins and later copies are dropped.
+template <typename T>
+class FillOnceSlots {
+ public:
+  explicit FillOnceSlots(std::size_t n) : values_(n), in_(n, 0) {}
+
+  /// Marks slot i filled and returns its value to write, or nullptr when it
+  /// was filled already (a payload that then fails to parse leaves T{}).
+  T* claim(std::size_t i) {
+    if (in_[i]) return nullptr;
+    in_[i] = 1;
+    ++filled_;
+    return &values_[i];
+  }
+  void fill(std::size_t i, T value) {
+    if (T* slot = claim(i)) *slot = std::move(value);
+  }
+  void clear() { *this = FillOnceSlots(values_.size()); }
+
+  bool has(std::size_t i) const { return in_[i] != 0; }
+  std::size_t filled() const { return filled_; }
+  bool full() const { return filled_ == values_.size(); }
+  const std::vector<T>& values() const { return values_; }
+
+ private:
+  std::vector<T> values_;
+  std::vector<unsigned char> in_;
+  std::size_t filled_{0};
+};
+
 /// Shared wiring of the coordinator/cohort reactors.
 class RoundReactor {
  public:
@@ -136,9 +168,10 @@ class RoundReactor {
   virtual void on_recover(std::uint32_t server, Outbox& out) = 0;
 
   /// Coordinator-death termination (TFCommit only): the lowest-id surviving
-  /// cohort drives the in-flight round to a co-signed abort instead of
-  /// blocking until the coordinator returns. Default: no termination — the
-  /// 2PC baseline blocks, which is the paper's headline contrast.
+  /// cohort, as the CosiLeader of the survivors, drives the in-flight round
+  /// to a co-signed abort instead of blocking until the coordinator returns.
+  /// Default: no termination — the 2PC baseline blocks, which is the paper's
+  /// headline contrast.
   virtual void begin_termination(Outbox& /*out*/) {}
 
   /// Every round below this one has decided (speculative pipelining): the
@@ -159,8 +192,9 @@ class RoundReactor {
  protected:
   Server& coord_server() const { return cluster_->server(placement_.coordinator); }
   Envelope seal_framed(const Server& sender, const char* type, BytesView payload) const;
-  /// Seal-once / count-every-copy broadcast to the round's members.
-  void broadcast(Outbox& out, const Envelope& env);
+  /// Seal-once / count-every-copy broadcast to `to` (empty: the round's
+  /// members).
+  void broadcast(Outbox& out, const Envelope& env, std::span<const ServerId> to = {});
 
   /// Records the first authentic vote bytes per (sender, speculated base)
   /// and flags any later authentic copy that differs — the cross-restart
@@ -203,8 +237,10 @@ class RoundReactor {
 /// (deterministic CoSi nonces), and a coordinator that stays dead past the
 /// termination timeout is routed around by the surviving cohorts
 /// (begin_termination) — they finish the round as a co-signed abort among
-/// themselves, which the 2PC baseline cannot do. Termination is a global
-/// placement feature; a group round waits for its coordinator to recover.
+/// themselves, with a backup leading through the same commit::CosiLeader as
+/// the coordinator, which the 2PC baseline cannot do. Termination is a
+/// global placement feature; a group round waits for its coordinator to
+/// recover.
 class TfCommitRound final : public RoundReactor {
  public:
   /// `spec` non-null runs the round speculatively (see ClusterConfig::
@@ -255,7 +291,6 @@ class TfCommitRound final : public RoundReactor {
   /// it to the observer.
   void decide(commit::TfCommitOutcome outcome, Outbox& out);
   void send_term_vote(Server& server, Outbox& out);
-  std::size_t live_expected() const;
 
   std::vector<commit::SignedEndTxn> batch_;
   std::vector<commit::SignedEndTxn> pristine_batch_;  ///< for coordinator restart
@@ -273,16 +308,12 @@ class TfCommitRound final : public RoundReactor {
   std::optional<commit::Block> first_partial_;
 
   // Aggregation state, indexed by cohort slot.
-  std::vector<commit::VoteMsg> votes_;
-  std::vector<unsigned char> vote_in_;
-  std::size_t votes_seen_{0};
+  FillOnceSlots<commit::VoteMsg> votes_;
   /// Speculative rounds: votes parked per (slot, base) until the base
   /// resolves and their assumptions can be checked.
   std::vector<std::map<std::uint64_t, commit::VoteMsg>> buffered_votes_;
   std::vector<commit::ChallengeMsg> challenges_;
-  std::vector<commit::ResponseMsg> responses_;
-  std::vector<unsigned char> resp_in_;
-  std::size_t resps_seen_{0};
+  FillOnceSlots<commit::ResponseMsg> responses_;
   std::optional<commit::TfCommitOutcome> outcome_;
 
   // Stored wire copies for the recovery replay stream.
@@ -291,24 +322,20 @@ class TfCommitRound final : public RoundReactor {
   std::vector<Envelope> challenge_envs_;
   Envelope decision_env_;
 
-  // Cooperative termination state (global placement only, so server id and
-  // cohort slot coincide). Backup-side slots are per-sender; the
-  // deferred-reply flags are per-destination cohort state.
-  bool term_started_{false};
+  // Cooperative termination state (global placement only). The backup leads
+  // a fresh CoSi exchange through term_leader_, whose signers are the live
+  // set frozen at term start; the backup-side slots follow that signer
+  // order. The deferred-reply flags are per-destination cohort state.
+  struct TermVote {
+    commit::VoteMsg vote;
+    crypto::AffinePoint commitment;  ///< V_i in the termination nonce domain
+  };
+  std::optional<commit::CosiLeader> term_leader_;  ///< set once termination starts
   std::uint32_t term_backup_{0};
-  std::vector<unsigned char> term_live_;     ///< live set frozen at term start
-  std::vector<commit::VoteMsg> term_votes_;
-  std::vector<crypto::AffinePoint> term_commitments_;
-  std::vector<unsigned char> term_vote_in_;
-  std::size_t term_votes_seen_{0};
+  FillOnceSlots<TermVote> term_votes_;
   std::vector<unsigned char> term_waiting_;  ///< cohort owes a term_vote
-  bool term_block_built_{false};
-  ledger::Block term_block_;
-  crypto::AffinePoint term_agg_;
-  crypto::U256 term_challenge_;
-  std::vector<crypto::U256> term_responses_;
-  std::vector<unsigned char> term_resp_in_;
-  std::size_t term_resps_seen_{0};
+  std::optional<ledger::Block> term_block_;  ///< the abort block, once challenged
+  FillOnceSlots<crypto::U256> term_shares_;
   bool term_decided_{false};
   Envelope term_decision_env_;
 };
@@ -336,9 +363,7 @@ class TwoPhaseRound final : public RoundReactor {
   std::vector<commit::SignedEndTxn> pristine_batch_;
   commit::TwoPhaseCommitCoordinator coordinator_;
 
-  std::vector<commit::PrepareVoteMsg> votes_;
-  std::vector<unsigned char> vote_in_;
-  std::size_t votes_seen_{0};
+  FillOnceSlots<commit::PrepareVoteMsg> votes_;
   std::optional<commit::TwoPhaseCommitOutcome> outcome_;
 
   Envelope opening_env_;
@@ -349,7 +374,8 @@ class TwoPhaseRound final : public RoundReactor {
 /// The checkpoint CoSi round (§3.3): propose -> commit -> challenge ->
 /// response. Every server commits only to the checkpoint its own log yields
 /// and answers through its CosiWitness (the challenge carries V next to c);
-/// one refusal sinks the checkpoint.
+/// one refusal sinks the checkpoint. The coordinator leads through a
+/// CosiLeader, whose seal verdict is the round's result.
 class CheckpointRound final : public RoundReactor {
  public:
   CheckpointRound(Cluster& cluster, std::uint64_t epoch);
@@ -358,27 +384,20 @@ class CheckpointRound final : public RoundReactor {
   void on_deliver(NodeId src, NodeId dst, const Envelope& env, bool authentic,
                   Outbox& out) override;
   void on_recover(std::uint32_t server, Outbox& out) override;
-  void finalize() override;
 
   /// The formed-and-validated checkpoint, or nullopt (a server's log
   /// disagreed, or the aggregate co-sign failed validation).
-  std::optional<ledger::Checkpoint> result() const;
+  const std::optional<ledger::Checkpoint>& result() const { return result_; }
 
  private:
   void restart(Outbox& out);
 
   ledger::Checkpoint cp_;
-  Bytes record_;
-  std::vector<crypto::AffinePoint> commitments_;
-  std::vector<unsigned char> agrees_;
-  std::vector<unsigned char> commit_in_;
-  std::size_t commits_seen_{0};
-  std::vector<crypto::U256> responses_;
-  std::vector<unsigned char> resp_in_;
-  std::size_t resps_seen_{0};
-  crypto::U256 challenge_;
-  bool refused_{false};
-  bool finalized_{false};
+  commit::CosiLeader leader_;
+  /// Per server: its commitment, or nullopt when it refused the proposal.
+  FillOnceSlots<std::optional<crypto::AffinePoint>> commits_;
+  FillOnceSlots<crypto::U256> shares_;  ///< an unauthenticated share stays zero
+  std::optional<ledger::Checkpoint> result_;  ///< set when the seal verified
 
   Envelope propose_env_;
   bool propose_sent_{false};

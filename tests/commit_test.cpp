@@ -293,6 +293,85 @@ TEST(CosiWitnessTest, AnswersOneChallengePerNonceRoundAcrossRestore) {
   EXPECT_EQ(*replayed.r, *first.r);
 }
 
+// --- The CoSi leader: aggregate, seal, attribute ---------------------------------
+
+class CosiLeaderTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (std::uint32_t i = 0; i < kServers; ++i) {
+      keypairs.push_back(crypto::KeyPair::deterministic(i));
+      registry.set_server(ServerId{i}, keypairs.back().public_key());
+      all.push_back(ServerId{i});
+    }
+    for (std::uint32_t i = 0; i < kServers; ++i) {
+      logs.push_back(std::make_unique<ledger::MemRoundLog>());
+      witnesses.push_back(std::make_unique<CosiWitness>(keypairs[i], *logs[i]));
+    }
+  }
+
+  /// One exchange over `record` led by `leader`: each signer's witness
+  /// commits, then answers the leader's challenge. Returns the shares.
+  std::vector<crypto::U256> exchange(CosiLeader& leader) {
+    std::vector<crypto::AffinePoint> commitments;
+    for (const ServerId s : leader.signers()) {
+      commitments.push_back(witnesses[s.value]->commit(record, kRound));
+    }
+    const CosiLeader::Challenge ch = leader.challenge(commitments, record);
+    std::vector<crypto::U256> shares;
+    for (const ServerId s : leader.signers()) {
+      const auto answer = witnesses[s.value]->respond(record, kRound, record, ch.v, ch.c);
+      EXPECT_TRUE(answer.r.has_value()) << answer.refusal;
+      shares.push_back(answer.r.value_or(crypto::U256{}));
+    }
+    return shares;
+  }
+
+  static constexpr std::uint64_t kRound = 9;
+  const Bytes record = to_bytes("leader record");
+  std::vector<crypto::KeyPair> keypairs;
+  crypto::KeyRegistry registry;
+  std::vector<ServerId> all;
+  std::vector<std::unique_ptr<ledger::MemRoundLog>> logs;
+  std::vector<std::unique_ptr<CosiWitness>> witnesses;
+};
+
+TEST_F(CosiLeaderTest, HonestSealVerifies) {
+  CosiLeader leader(all, registry);
+  const auto shares = exchange(leader);
+  const CosiLeader::Seal seal = leader.seal(shares);
+  EXPECT_TRUE(seal.valid);
+  EXPECT_TRUE(crypto::cosi_verify(record, seal.signature, *registry.aggregate(all)));
+  EXPECT_TRUE(leader.faulty(shares).empty());
+}
+
+TEST_F(CosiLeaderTest, OneBadShareInvalidatesTheSealAndNamesItsSigner) {
+  CosiLeader leader(all, registry);
+  auto shares = exchange(leader);
+  shares[2] = crypto::U256(0xBADBAD);
+  EXPECT_FALSE(leader.seal(shares).valid);
+  EXPECT_EQ(leader.faulty(shares), std::vector<ServerId>{ServerId{2}});
+}
+
+TEST_F(CosiLeaderTest, RefusedSealIsInvalidWithoutAVerify) {
+  CosiLeader leader(all, registry);
+  const auto shares = exchange(leader);
+  const CosiLeader::Seal refused = leader.seal(shares, /*refused=*/true);
+  EXPECT_FALSE(refused.valid);
+  // The refused seal carries the same signature as an unrefused one, which
+  // verifies: the refusal alone made it invalid.
+  EXPECT_EQ(refused.signature, leader.seal(shares).signature);
+  EXPECT_TRUE(crypto::cosi_verify(record, refused.signature, *registry.aggregate(all)));
+}
+
+TEST_F(CosiLeaderTest, SurvivorSubsetSealsUnderTheSubsetKey) {
+  const std::vector<ServerId> survivors{ServerId{1}, ServerId{2}, ServerId{3}};
+  CosiLeader leader(survivors, registry);
+  const CosiLeader::Seal seal = leader.seal(exchange(leader));
+  EXPECT_TRUE(seal.valid);
+  EXPECT_TRUE(crypto::cosi_verify(record, seal.signature, *registry.aggregate(survivors)));
+  EXPECT_FALSE(crypto::cosi_verify(record, seal.signature, *registry.aggregate(all)));
+}
+
 // --- Batching (§4.6) -------------------------------------------------------------
 
 TEST_F(TfCommitTest, BatchedBlockCommitsManyTransactions) {

@@ -50,6 +50,14 @@ clang, but want diagnosed everywhere):
                    Nested plain-struct fields (no trailing underscore) are
                    guarded transitively through their containers and are out
                    of scope for the heuristic.
+  cosi-roles       in src/, a call to a CoSi role primitive (cosi_commit,
+                   cosi_nonce, cosi_respond, cosi_aggregate_*,
+                   cosi_find_faulty) outside src/crypto/ and the two role
+                   classes, commit::CosiWitness (src/commit/cosi_witness.*)
+                   and commit::CosiLeader (src/commit/cosi_leader.*). Nonce
+                   secrets stay in the witness, and aggregation, sealing and
+                   attribution stay in the leader; cosi_challenge and
+                   cosi_verify stay open to every checker.
 
 Suppressions (always give a reason after `--`):
 
@@ -102,6 +110,7 @@ ALL_RULES = (
     "serde-pairing",
     "assert-effects",
     "guarded-fields",
+    "cosi-roles",
 )
 
 RAW_MUTEX_RE = re.compile(
@@ -156,6 +165,14 @@ MEMBER_DECL_EXCLUDE_RE = re.compile(
 )
 MEMBER_OK_TYPE_RE = re.compile(r"std::atomic\b|common::Mutex\b|common::CondVar\b")
 CONFINED_TAG_RE = re.compile(r"\bconfined\([^)]+\)")
+
+# CoSi role primitives and the files that may call them (src/ only).
+COSI_ROLE_RE = re.compile(
+    r"\bcosi_(?:commit|nonce|respond|aggregate_\w+|find_faulty)\s*\("
+)
+COSI_ROLE_SANCTIONED_RE = re.compile(
+    r"^src/crypto/|^src/commit/cosi_(?:witness|leader)\.[^/]+$"
+)
 
 SUPPRESS_RE = re.compile(r"fides-lint:\s*(allow|allow-file|off|on)\(([\w-]+)\)")
 
@@ -239,6 +256,7 @@ class FileLinter:
         in_sim = rel.startswith("src/sim/")
         in_guarded = rel in GUARDED_FIELD_FILES
         raw_mutex_sanctioned = rel == RAW_MUTEX_SANCTIONED
+        cosi_roles_checked = rel.startswith("src/") and not COSI_ROLE_SANCTIONED_RE.match(rel)
 
         has_decode_def = False
         decode_def_line = 0
@@ -291,6 +309,17 @@ class FileLinter:
                     "sim-wallclock",
                     "host clock read inside src/sim/ -- the simulator runs on a "
                     "virtual clock; host time breaks schedule reproducibility",
+                    suppressed,
+                )
+
+            m = COSI_ROLE_RE.search(code) if cosi_roles_checked else None
+            if m:
+                self.report(
+                    lineno,
+                    "cosi-roles",
+                    "CoSi role primitive %r outside src/crypto/ and the witness/"
+                    "leader classes; co-sign through commit::CosiWitness or "
+                    "commit::CosiLeader" % m.group(0).rstrip("( \t"),
                     suppressed,
                 )
 
@@ -578,6 +607,51 @@ FIXTURES = [
         "file outside guarded list not checked",
         "src/x/h.hpp",
         "class P {\n  std::vector<int> entries_;\n};\n",
+        [],
+    ),
+    (
+        "cosi role primitives outside their roles",
+        "src/engine/r.cpp",
+        "auto v = crypto::cosi_aggregate_commitments(vs);\n"
+        "auto r = cosi_respond(kp, secret, c);\nauto x = cosi_nonce (kp, rec, 1);\n",
+        ["cosi-roles", "cosi-roles", "cosi-roles"],
+    ),
+    (
+        "cosi role primitives in crypto",
+        "src/crypto/cosi.cpp",
+        "auto c = cosi_commit(kp, rec, 1);\nauto f = cosi_find_faulty(vs, rs, c, ks);\n",
+        [],
+    ),
+    (
+        "cosi role primitives in the witness",
+        "src/commit/cosi_witness.cpp",
+        "auto v = crypto::cosi_nonce(kp, rec, 1);\n",
+        [],
+    ),
+    (
+        "cosi role primitives in the leader",
+        "src/commit/cosi_leader.cpp",
+        "auto r = crypto::cosi_aggregate_responses(shares);\n",
+        [],
+    ),
+    (
+        "cosi role primitive allowed with a reason",
+        "src/commit/t.cpp",
+        "auto r = cosi_respond(kp, s, c);  // fides-lint: allow(cosi-roles) -- fixture\n",
+        [],
+    ),
+    (
+        "cosi checks, comments and tests are not role calls",
+        "src/ledger/c.cpp",
+        "// cosi_commit(kp, rec, 1) lives in the witness\n"
+        "bool ok = crypto::cosi_verify(rec, sig, agg);\n"
+        "auto c = crypto::cosi_challenge(v, rec);\nauto n = checkpoint_cosi_round(h);\n",
+        [],
+    ),
+    (
+        "cosi role primitives outside src not checked",
+        "tests/c_test.cpp",
+        "auto v = crypto::cosi_aggregate_commitments(vs);\n",
         [],
     ),
 ]
