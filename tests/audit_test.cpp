@@ -166,6 +166,60 @@ TEST(Auditor, Scenario3Walkthrough) {
   EXPECT_TRUE(report.has(ViolationKind::kDatastoreCorruption));
 }
 
+/// Five blocks over items of all three servers, with one datastore fault on
+/// S0 (item 0) and one on S2 (item 5), both items written more than once.
+/// Item 12 of S0 is then corrupted in place, so a single-versioned audit
+/// reports two items of one server and the pin holds their order too.
+AuditReport datastore_fault_audit(store::VersioningMode mode, bool skip_write) {
+  Cluster cluster(config(mode));
+  Client& client = cluster.make_client();
+  for (const ItemId victim : {ItemId{0}, ItemId{5}}) {
+    FaultConfig& faults = cluster.server(cluster.owner_of(victim)).faults();
+    (skip_write ? faults.skip_write_item : faults.corrupt_after_commit_item) = victim;
+  }
+  const std::vector<std::vector<ItemId>> blocks = {
+      {0, 1, 5, 7, 9}, {3, 0, 4, 11, 14}, {6, 8, 5, 13, 20},
+      {10, 12, 0, 2, 17}, {5, 15, 16, 18, 19}};
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    const auto metrics =
+        cluster.run_block({rw_txn(cluster, client, blocks[b], "b" + std::to_string(b))});
+    EXPECT_EQ(metrics.decision, ledger::Decision::kCommit);
+  }
+  cluster.server(cluster.owner_of(12)).shard().corrupt_value(12, to_bytes("evil"));
+  return Auditor(cluster).run();
+}
+
+TEST(Auditor, DatastoreFaultReportsArePinned) {
+  // Byte pins: the SHA-256 of each full report, so the text and the order
+  // of every datastore violation stay fixed across changes to how the
+  // auditor fetches and checks verification objects.
+  struct Case {
+    const char* name;
+    store::VersioningMode mode;
+    bool skip_write;
+    const char* want;
+  };
+  // The two fault kinds leave the same reports: a violation names the
+  // item, not the value the server stored.
+  const std::vector<Case> cases = {
+      {"corrupt_after_commit, multi", store::VersioningMode::kMulti, false,
+       "ab2d6f4dffe9cb62f2f781d45cc9f74533fbe70befe0a98c0bf9d4f443089a84"},
+      {"corrupt_after_commit, single", store::VersioningMode::kSingle, false,
+       "241be83565959eb9492bdce004f749e96a01415d677bfaef29cdde5e8825925b"},
+      {"skip_write, multi", store::VersioningMode::kMulti, true,
+       "ab2d6f4dffe9cb62f2f781d45cc9f74533fbe70befe0a98c0bf9d4f443089a84"},
+      {"skip_write, single", store::VersioningMode::kSingle, true,
+       "241be83565959eb9492bdce004f749e96a01415d677bfaef29cdde5e8825925b"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const AuditReport report = datastore_fault_audit(c.mode, c.skip_write);
+    const std::string text = report.to_string();
+    EXPECT_TRUE(report.has(ViolationKind::kDatastoreCorruption)) << text;
+    EXPECT_EQ(crypto::sha256(to_bytes(text)).hex(), c.want) << text;
+  }
+}
+
 // --- Lemma 3: serializability ------------------------------------------------------
 
 TEST(Auditor, SerializabilityViolationDetected) {
