@@ -119,7 +119,7 @@ void parallel_engine_section(bench::BenchReport& report) {
 void batch_verify_section(bench::BenchReport& report) {
   const std::uint32_t servers = 9;
   const std::uint32_t threads = std::max<std::uint32_t>(4, fides::bench::bench_threads());
-  const std::size_t rounds = std::max<std::size_t>(2, fides::bench::bench_txns() / 100);
+  const std::size_t rounds = std::max<std::size_t>(4, fides::bench::bench_txns() / 100);
 
   std::printf("\nBatched verification: %u servers, %zu rounds of 100 txns, %u threads\n",
               servers, rounds, threads);
@@ -127,7 +127,7 @@ void batch_verify_section(bench::BenchReport& report) {
   // round takes only tens of ms, so one burst of load from another process
   // could otherwise decide the wall-clock ratio. Runs are deterministic, so
   // every trial reaches the same ledger.
-  constexpr int kTrials = 3;
+  constexpr int kTrials = 5;
   EngineRun off, on;
   for (int t = 0; t < kTrials; ++t) {
     EngineRun o = run_engine(servers, threads, rounds, 100, /*batch_verify=*/false);

@@ -15,6 +15,18 @@ struct ReplayItem {
   Timestamp wts;
 };
 
+/// One server's share of the datastore check: the items it must prove and,
+/// for each, the value the log says it holds.
+struct ServerWrites {
+  std::vector<ItemId> items;
+  std::vector<const Bytes*> expected;
+
+  void add(ItemId item, const Bytes* value) {
+    items.push_back(item);
+    expected.push_back(value);
+  }
+};
+
 }  // namespace
 
 AuditReport Auditor::run() {
@@ -192,48 +204,58 @@ Timestamp Auditor::block_version(const ledger::Block& block) {
   return version;
 }
 
-bool Auditor::check_proof(ServerId server, const AuditItemProof& proof,
-                          const Timestamp& version, const ledger::Block& block,
-                          const Bytes* expected_value, AuditReport& report) {
-  const crypto::Digest* signed_root = block.root_of(server);
-  if (signed_root == nullptr) {
-    report.violations.push_back(Violation{
-        ViolationKind::kDatastoreCorruption, server, block.height, version,
-        "committed block carries no Merkle root for the item's owner"});
-    return false;
-  }
-  ++report.items_authenticated;
-
-  bool clean = true;
-  if (expected_value != nullptr && !(proof.value == *expected_value)) {
-    report.violations.push_back(
-        Violation{ViolationKind::kDatastoreCorruption, server, block.height, version,
-                  "stored value of item " + std::to_string(proof.id) +
-                      " differs from the committed write"});
-    clean = false;
-  }
-  const crypto::Digest leaf = store::item_leaf_digest(proof.id, proof.value);
-  if (!merkle::verify_vo(leaf, proof.vo, *signed_root)) {
-    report.violations.push_back(
-        Violation{ViolationKind::kDatastoreCorruption, server, block.height, version,
-                  "verification object for item " + std::to_string(proof.id) +
-                      " does not fold to the collectively signed root"});
-    clean = false;
-  }
-  return clean;
-}
-
 bool Auditor::authenticate_item(ServerId server, ItemId item, const Timestamp& version,
                                 const ledger::Block& block, const Bytes* expected_value,
                                 AuditReport& report) {
-  if (block.root_of(server) == nullptr) {
-    report.violations.push_back(Violation{
-        ViolationKind::kDatastoreCorruption, server, block.height, version,
-        "committed block carries no Merkle root for the item's owner"});
+  return authenticate_items(server, std::span(&item, 1), std::span(&expected_value, 1),
+                            version, block, report);
+}
+
+bool Auditor::authenticate_items(ServerId server, std::span<const ItemId> items,
+                                 std::span<const Bytes* const> expected_values,
+                                 const Timestamp& version, const ledger::Block& block,
+                                 AuditReport& report) {
+  const crypto::Digest* signed_root = block.root_of(server);
+  if (signed_root == nullptr) {
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      report.violations.push_back(Violation{
+          ViolationKind::kDatastoreCorruption, server, block.height, version,
+          "committed block carries no Merkle root for the item's owner"});
+    }
     return false;
   }
-  const AuditItemProof proof = cluster_->server(server).audit_item(item, version);
-  return check_proof(server, proof, version, block, expected_value, report);
+  const std::vector<AuditItemProof> proofs =
+      cluster_->server(server).audit_items(items, version);
+  std::vector<crypto::Digest> leaves;
+  std::vector<const merkle::VerificationObject*> vos;
+  leaves.reserve(proofs.size());
+  vos.reserve(proofs.size());
+  for (const AuditItemProof& proof : proofs) {
+    leaves.push_back(store::item_leaf_digest(proof.id, proof.value));
+    vos.push_back(&proof.vo);
+  }
+  const std::vector<bool> folds = merkle::verify_vos(leaves, vos, *signed_root);
+  report.items_authenticated += proofs.size();
+
+  bool clean = true;
+  for (std::size_t i = 0; i < proofs.size(); ++i) {
+    const AuditItemProof& proof = proofs[i];
+    if (expected_values[i] != nullptr && !(proof.value == *expected_values[i])) {
+      report.violations.push_back(
+          Violation{ViolationKind::kDatastoreCorruption, server, block.height, version,
+                    "stored value of item " + std::to_string(proof.id) +
+                        " differs from the committed write"});
+      clean = false;
+    }
+    if (!folds[i]) {
+      report.violations.push_back(
+          Violation{ViolationKind::kDatastoreCorruption, server, block.height, version,
+                    "verification object for item " + std::to_string(proof.id) +
+                        " does not fold to the collectively signed root"});
+      clean = false;
+    }
+  }
+  return clean;
 }
 
 void Auditor::check_datastores(std::span<const ledger::Block> log, AuditReport& report) {
@@ -252,27 +274,19 @@ void Auditor::check_datastores(std::span<const ledger::Block> log, AuditReport& 
     // exhaustive policy of §4.2.2; identifies the *precise* version at which
     // a datastore became inconsistent (Lemma 2). Writes are grouped per
     // owning server so each server reconstructs its version tree once per
-    // block, not once per item.
+    // block, not once per item, and its proofs fold together.
     for (const auto& block : log) {
       if (!block.committed()) continue;
       const Timestamp version = block_version(block);
-      std::unordered_map<std::uint32_t,
-                         std::vector<std::pair<ItemId, const Bytes*>>>
-          per_server;
+      std::unordered_map<std::uint32_t, ServerWrites> per_server;
       for (const auto& t : block.txns) {
         for (const auto& w : t.rw.writes) {
-          per_server[cluster_->owner_of(w.id).value].emplace_back(w.id, &w.new_value);
+          per_server[cluster_->owner_of(w.id).value].add(w.id, &w.new_value);
         }
       }
       for (const auto& [server_raw, writes] : per_server) {
-        const ServerId server{server_raw};
-        std::vector<ItemId> items;
-        items.reserve(writes.size());
-        for (const auto& [item, value] : writes) items.push_back(item);
-        const auto proofs = cluster_->server(server).audit_items(items, version);
-        for (std::size_t i = 0; i < writes.size(); ++i) {
-          check_proof(server, proofs[i], version, block, writes[i].second, report);
-        }
+        authenticate_items(ServerId{server_raw}, writes.items, writes.expected, version,
+                           block, report);
       }
     }
     return;
@@ -281,13 +295,18 @@ void Auditor::check_datastores(std::span<const ledger::Block> log, AuditReport& 
   // kLatestOnly: authenticate each server's final shard state against the
   // most recent block carrying that server's root (§4.2.2, the
   // single-versioned policy). Expected values come from the last logged
-  // write of each item.
+  // write of each item; one pass sorts them into per-owner lists, each in
+  // last_write's iteration order, and each server answers one request.
   std::unordered_map<ItemId, const Bytes*> last_write;
   for (const auto& block : log) {
     if (!block.committed()) continue;
     for (const auto& t : block.txns) {
       for (const auto& w : t.rw.writes) last_write[w.id] = &w.new_value;
     }
+  }
+  std::vector<ServerWrites> per_server(cluster_->num_servers());
+  for (const auto& [item, value] : last_write) {
+    per_server[cluster_->owner_of(item).value].add(item, value);
   }
   for (std::uint32_t s = 0; s < cluster_->num_servers(); ++s) {
     const ServerId server{s};
@@ -299,12 +318,8 @@ void Auditor::check_datastores(std::span<const ledger::Block> log, AuditReport& 
       }
     }
     if (latest == nullptr) continue;
-    const Timestamp version = block_version(*latest);
-    for (const auto& [item, value] : last_write) {
-      if (cluster_->owner_of(item) == server) {
-        authenticate_item(server, item, version, *latest, value, report);
-      }
-    }
+    authenticate_items(server, per_server[s].items, per_server[s].expected,
+                       block_version(*latest), *latest, report);
   }
 }
 

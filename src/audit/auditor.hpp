@@ -7,13 +7,13 @@
 //   3. Replay the adopted log: every read must return the latest committed
 //      value (Lemma 1); every conflict must respect commit-timestamp order
 //      and the serialization graph must be acyclic (Lemma 3).
-//   4. Authenticate datastores: for written items, ask the owning server for
-//      (value, verification object) at the written version; the value must
-//      match the log and the VO must fold to the collectively signed Merkle
-//      root (Lemma 2). The paper folds the block's value through the VO; we
-//      additionally compare the server's *claimed* value against the log,
-//      which is what makes single-leaf corruption with otherwise-honest
-//      siblings detectable — see DESIGN.md.
+//   4. Authenticate datastores: ask each server, in one request per signed
+//      root, for (value, verification object) of the items the log wrote;
+//      each value must match the log and each VO must fold to the
+//      collectively signed Merkle root (Lemma 2). The paper folds the
+//      block's value through the VO; we additionally compare the server's
+//      *claimed* value against the log, which is what makes single-leaf
+//      corruption with otherwise-honest siblings detectable — see DESIGN.md.
 //
 // Atomicity (Lemma 5) and CoSi misbehaviour (Lemma 4) surface during step 2
 // as invalid co-signs / divergent blocks, or earlier inside TFCommit itself
@@ -25,6 +25,12 @@
 // n-1 copies of an honest block are only compared memberwise against it. A
 // copy differing in any field is hashed and verified on its own. Attribution
 // and the cross-log check reuse the per-log validation results.
+//
+// Cost of step 4: the single-versioned policy (kLatestOnly) sends each server
+// one request for all its written items; the exhaustive policy sends one per
+// (block, server). Each reply's VOs fold together through
+// merkle::verify_vos, which hashes each Merkle pair their paths share once,
+// not once per item.
 #pragma once
 
 #include "audit/report.hpp"
@@ -71,7 +77,8 @@ class Auditor {
   /// the block's root represents — i.e. the block's final commit timestamp
   /// (roots are per block: they reflect all of the block's writes).
   /// `expected_value`, when given, is compared against the server's claimed
-  /// value. Returns true when clean.
+  /// value. Returns true when clean. The one-item case of the batched check
+  /// step 4 runs, so it reports exactly what step 4 would.
   bool authenticate_item(ServerId server, ItemId item, const Timestamp& version,
                          const ledger::Block& block, const Bytes* expected_value,
                          AuditReport& report);
@@ -85,10 +92,15 @@ class Auditor {
   /// audit_log() (empty when no log is valid).
   std::span<const ledger::Block> select_log(AuditReport& report);
 
-  /// Validates one already-fetched proof against a block's signed root.
-  bool check_proof(ServerId server, const AuditItemProof& proof,
-                   const Timestamp& version, const ledger::Block& block,
-                   const Bytes* expected_value, AuditReport& report);
+  /// Authenticates `items` of one server against the root `block` signed
+  /// for it: one audit_items request, and one merkle::verify_vos fold over
+  /// the replies. Item i's claimed value is compared with
+  /// `expected_values[i]` when that is non-null. Violations are reported in
+  /// item order. Returns true when every item is clean.
+  bool authenticate_items(ServerId server, std::span<const ItemId> items,
+                          std::span<const Bytes* const> expected_values,
+                          const Timestamp& version, const ledger::Block& block,
+                          AuditReport& report);
 
   Cluster* cluster_;
   AuditorOptions options_;

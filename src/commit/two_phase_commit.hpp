@@ -32,15 +32,11 @@ struct TwoPhaseCommitOutcome {
 
 class TwoPhaseCommitCoordinator {
  public:
-  explicit TwoPhaseCommitCoordinator(std::vector<ServerId> cohorts)
-      : cohorts_(std::move(cohorts)) {}
-
   PrepareMsg start(Block partial_block, std::vector<SignedEndTxn> requests);
 
   TwoPhaseCommitOutcome on_votes(std::span<const PrepareVoteMsg> votes);
 
  private:
-  std::vector<ServerId> cohorts_;
   Block block_;
 };
 

@@ -701,7 +701,6 @@ TwoPhaseRound::TwoPhaseRound(Cluster& cluster, std::uint64_t epoch,
     : RoundReactor(cluster, RoundPlacement::global(cluster), epoch, observer),
       batch_(std::move(batch)),
       pristine_batch_(batch_),
-      coordinator_(placement_.members),
       votes_(n_) {
   metrics_.txns_in_block = batch_.size();
   metrics_.network_legs = 4;  // end_txn + prepare + vote + decision
@@ -803,7 +802,7 @@ void TwoPhaseRound::on_deliver(NodeId src, NodeId dst, const Envelope& env,
 }
 
 void TwoPhaseRound::restart(Outbox& out) {
-  coordinator_ = commit::TwoPhaseCommitCoordinator(placement_.members);
+  coordinator_ = commit::TwoPhaseCommitCoordinator();
   votes_.clear();
   outcome_.reset();
   batch_ = pristine_batch_;

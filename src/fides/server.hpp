@@ -167,6 +167,7 @@ class Server {
 
   /// Batched variant: one version-tree reconstruction serves all proofs —
   /// how a real audit RPC would answer "prove these k items at version ts".
+  /// The auditor makes one such request per signed root it checks.
   std::vector<AuditItemProof> audit_items(std::span<const ItemId> items,
                                           const Timestamp& ts) const;
 

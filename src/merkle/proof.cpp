@@ -1,5 +1,9 @@
 #include "merkle/proof.hpp"
 
+#include <algorithm>
+#include <stdexcept>
+#include <utility>
+
 namespace fides::merkle {
 
 Bytes VerificationObject::serialize() const {
@@ -51,6 +55,43 @@ Digest fold_vo(const Digest& leaf_digest, const VerificationObject& vo) {
 bool verify_vo(const Digest& leaf_digest, const VerificationObject& vo,
                const Digest& expected_root) {
   return fold_vo(leaf_digest, vo) == expected_root;
+}
+
+std::vector<bool> verify_vos(std::span<const Digest> leaf_digests,
+                             std::span<const VerificationObject* const> vos,
+                             const Digest& expected_root) {
+  if (leaf_digests.size() != vos.size()) {
+    throw std::invalid_argument("verify_vos: one leaf digest per VO");
+  }
+  // (leaf index, input position): sorted, VOs of one subtree fold together.
+  std::vector<std::pair<std::uint64_t, std::size_t>> order;
+  order.reserve(vos.size());
+  for (std::size_t i = 0; i < vos.size(); ++i) order.emplace_back(vos[i]->leaf_index, i);
+  std::sort(order.begin(), order.end());
+
+  struct Pair {
+    Digest left, right, out;
+  };
+  std::vector<Pair> last;  // last[k]: the most recent pair hashed at level k
+  std::vector<bool> verdicts(vos.size());
+  for (const auto& [leaf_index, i] : order) {
+    const VerificationObject& vo = *vos[i];
+    Digest acc = leaf_digests[i];
+    std::uint64_t idx = leaf_index;
+    for (std::size_t k = 0; k < vo.siblings.size(); ++k, idx >>= 1) {
+      const Digest& sib = vo.siblings[k];
+      const Digest& left = (idx & 1) ? sib : acc;
+      const Digest& right = (idx & 1) ? acc : sib;
+      if (k == last.size()) {
+        last.push_back({left, right, crypto::sha256_pair(left, right)});
+      } else if (last[k].left != left || last[k].right != right) {
+        last[k] = {left, right, crypto::sha256_pair(left, right)};
+      }
+      acc = last[k].out;
+    }
+    verdicts[i] = acc == expected_root;
+  }
+  return verdicts;
 }
 
 }  // namespace fides::merkle

@@ -82,11 +82,14 @@ class Shard {
   crypto::Digest root_after_chain(
       std::span<const std::vector<std::pair<ItemId, Bytes>>> write_batches) const;
 
-  /// Verification Object for an item against the *current* tree.
+  /// Verification Object for an item against the *current* tree. A
+  /// single-versioned audit asks for one per written item, in one request
+  /// per server, and folds them together (merkle::verify_vos).
   merkle::VerificationObject current_vo(ItemId item) const;
 
   /// Rebuilds the Merkle tree of the shard as of version `ts` and returns
-  /// it (multi-versioned audits, Lemma 2). Expensive: O(n) hashing.
+  /// it (multi-versioned audits, Lemma 2). Expensive: O(n) hashing, once
+  /// per (block, server) an exhaustive audit checks, not once per item.
   merkle::MerkleTree tree_at_version(const Timestamp& ts) const;
 
   /// Value visible at version `ts` (multi-versioned mode only).

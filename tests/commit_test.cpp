@@ -428,7 +428,7 @@ TEST_F(BatchBuilderTest, RespectsMaxBatchSize) {
 class TwoPcTest : public TfCommitTest {};
 
 TEST_F(TwoPcTest, HappyPathCommits) {
-  TwoPhaseCommitCoordinator coordinator(cohort_ids);
+  TwoPhaseCommitCoordinator coordinator;
   Block partial = TfCommitCoordinator::make_partial_block(
       0, crypto::Digest::zero(), {make_txn(1, {0, 1})}, cohort_ids);
   const PrepareMsg prepare = coordinator.start(std::move(partial), {});
@@ -445,7 +445,7 @@ TEST_F(TwoPcTest, HappyPathCommits) {
 }
 
 TEST_F(TwoPcTest, AnyAbortVoteAborts) {
-  TwoPhaseCommitCoordinator coordinator(cohort_ids);
+  TwoPhaseCommitCoordinator coordinator;
   // Make server 1's item stale so it votes abort.
   shards[1]->apply_write(1, to_bytes("newer"), Timestamp{50, 0});
   Block partial = TfCommitCoordinator::make_partial_block(

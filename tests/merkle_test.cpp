@@ -289,5 +289,118 @@ TEST_P(OverlayPropertyTest, OverlayAndChainMatchFreshRebuild) {
 INSTANTIATE_TEST_SUITE_P(Sizes, OverlayPropertyTest,
                          ::testing::Values(1, 2, 3, 7, 16, 33, 128));
 
+// Differential sweep for the batched check: verify_vos must return exactly
+// the per-VO verify_vo verdict for every input, hostile ones included. Each
+// trial mixes honest VOs with every way a server could get one wrong, in
+// random leaf order, so the shared fold sees unsorted input, repeated
+// leaves and forged pairs next to honest pairs at every level.
+class VerifyVosDifferentialTest : public ::testing::TestWithParam<std::size_t> {};
+
+std::vector<bool> per_vo_verdicts(const std::vector<Digest>& leaves,
+                                  const std::vector<VerificationObject>& vos,
+                                  const Digest& root) {
+  std::vector<bool> out;
+  for (std::size_t i = 0; i < vos.size(); ++i) out.push_back(verify_vo(leaves[i], vos[i], root));
+  return out;
+}
+
+std::vector<bool> batched_verdicts(const std::vector<Digest>& leaves,
+                                   const std::vector<VerificationObject>& vos,
+                                   const Digest& root) {
+  std::vector<const VerificationObject*> ptrs;
+  for (const auto& vo : vos) ptrs.push_back(&vo);
+  return verify_vos(leaves, ptrs, root);
+}
+
+TEST_P(VerifyVosDifferentialTest, MatchesPerVoVerdicts) {
+  const std::size_t n = GetParam();
+  Rng rng(n * 977 + 5);
+  std::vector<Digest> tree_leaves;
+  for (std::size_t i = 0; i < n; ++i) tree_leaves.push_back(leaf(rng.uniform(1000000)));
+  const MerkleTree t(tree_leaves);
+  std::size_t accepted = 0, rejected = 0;
+
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t k = rng.uniform(3 * n + 2);
+    std::vector<Digest> leaves;
+    std::vector<VerificationObject> vos;
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::size_t idx = rng.uniform(n);
+      Digest d = tree_leaves[idx];
+      VerificationObject vo = make_vo(t, idx);
+      const std::uint64_t depth = vo.siblings.size();
+      switch (rng.uniform(9)) {
+        case 0:  // the stored value differs from the signed one
+          d = leaf(2000000 + rng.uniform(1000));
+          break;
+        case 1:  // a repeat of an earlier entry, forged or not
+          if (!vos.empty()) {
+            const std::size_t e = rng.uniform(vos.size());
+            d = leaves[e];
+            vo = vos[e];
+          }
+          break;
+        case 2:  // same leaf, one sibling changed
+          if (depth > 0) vo.siblings[rng.uniform(depth)] = leaf(3000000 + rng.uniform(1000));
+          break;
+        case 3:  // correct leaf, garbage from some level up
+          for (std::uint64_t l = depth == 0 ? 0 : rng.uniform(depth); l < depth; ++l) {
+            vo.siblings[l] = leaf(4000000 + rng.uniform(1000));
+          }
+          break;
+        case 4:  // one sibling too few or too many
+          if (depth > 0 && rng.uniform(2) == 0) {
+            vo.siblings.pop_back();
+          } else {
+            vo.siblings.push_back(leaf(5000000 + rng.uniform(1000)));
+          }
+          break;
+        case 5:  // leaf index beyond the tree: high bits no fold reads
+          vo.leaf_index += (std::uint64_t{1} + rng.uniform(1000)) << depth;
+          break;
+        case 6:  // a neighbour's position
+          vo.leaf_index ^= std::uint64_t{1} << (depth == 0 ? 0 : rng.uniform(depth));
+          break;
+        default:  // honest
+          break;
+      }
+      leaves.push_back(d);
+      vos.push_back(std::move(vo));
+    }
+
+    const std::vector<bool> want = per_vo_verdicts(leaves, vos, t.root());
+    EXPECT_EQ(batched_verdicts(leaves, vos, t.root()), want) << "n=" << n << " trial " << trial;
+    // Against a root nothing folds to, every verdict is false.
+    EXPECT_EQ(batched_verdicts(leaves, vos, leaf(9999999)), std::vector<bool>(k, false));
+    for (const bool v : want) ++(v ? accepted : rejected);
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, VerifyVosDifferentialTest,
+                         ::testing::Values(1, 2, 3, 7, 16, 33, 200));
+
+TEST(VerifyVos, EmptyAndSingleInputs) {
+  const auto leaves = make_leaves(10);
+  const MerkleTree t(leaves);
+  EXPECT_TRUE(verify_vos({}, {}, t.root()).empty());
+  for (std::size_t i = 0; i < leaves.size(); ++i) {
+    const VerificationObject vo = make_vo(t, i);
+    const VerificationObject* one = &vo;
+    EXPECT_EQ(verify_vos(std::span(&leaves[i], 1), std::span(&one, 1), t.root()),
+              std::vector<bool>{true});
+    EXPECT_EQ(verify_vos(std::span(&leaves[(i + 1) % 10], 1), std::span(&one, 1), t.root()),
+              std::vector<bool>{false});
+  }
+}
+
+TEST(VerifyVos, SizeMismatchThrows) {
+  const MerkleTree t(make_leaves(4));
+  const VerificationObject vo = make_vo(t, 0);
+  const VerificationObject* one = &vo;
+  EXPECT_THROW(verify_vos({}, std::span(&one, 1), t.root()), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace fides::merkle
