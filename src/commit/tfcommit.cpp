@@ -99,9 +99,19 @@ VoteMsg TfCommitCohort::compute_vote(std::uint64_t round, RoundState& state) {
   // below this one resolve the way this cohort predicts. The prediction per
   // round is the cohort's own vote — it cannot know the other shards'
   // verdicts — and every assumption is recorded so the coordinator can
-  // check it against the real decisions.
+  // check it against the real decisions. The stacked blocks' writes on this
+  // shard go into one flat list, in order, ahead of this round's own:
+  // Shard::root_after lets a later write to an item win, so the list's
+  // prefix gives the predicted base root.
   store::ShardOverlay base(*shard_);
-  std::vector<std::vector<std::pair<ItemId, Bytes>>> staged;
+  std::vector<std::pair<ItemId, Bytes>> writes;
+  const auto append_writes = [&](const Block& block) {
+    for (const auto& t : block.txns) {
+      for (const auto& w : t.rw.writes) {
+        if (shard_->contains(w.id)) writes.emplace_back(w.id, w.new_value);
+      }
+    }
+  };
   for (const std::uint64_t e : pending_) {
     if (e == round) break;  // stack strictly below the round being voted
     const auto it = rounds_.find(e);
@@ -111,21 +121,10 @@ VoteMsg TfCommitCohort::compute_vote(std::uint64_t round, RoundState& state) {
     const bool assume_applied = st.vote == txn::Vote::kCommit;
     state.assumed.push_back(SpecAssumption{e, assume_applied});
     if (!assume_applied) continue;
-    std::vector<std::pair<ItemId, Bytes>> writes;
-    for (const auto& t : st.partial.txns) {
-      // Mirrors Server::apply_block: install writes, then advance rts on
-      // every touched item.
-      for (const auto& w : t.rw.writes) {
-        if (!shard_->contains(w.id)) continue;
-        base.stage_write(w.id, w.new_value, t.commit_ts);
-        writes.emplace_back(w.id, w.new_value);
-      }
-      for (const ItemId item : t.rw.touched_items()) {
-        if (shard_->contains(item)) base.bump_rts(item, t.commit_ts);
-      }
-    }
-    staged.push_back(std::move(writes));
+    for (const auto& t : st.partial.txns) txn::apply_committed(base, t);
+    append_writes(st.partial);
   }
+  const std::size_t base_writes = writes.size();
 
   // Local 2PC vote: the batch must be internally non-conflicting (§4.6) and
   // every transaction touching this shard must pass OCC validation — on the
@@ -153,21 +152,15 @@ VoteMsg TfCommitCohort::compute_vote(std::uint64_t round, RoundState& state) {
     // Base identity: the predicted root of this shard *before* this round's
     // own writes — what the decided chain must actually produce for the
     // vote to count.
-    state.base_root = shard_->root_after_chain(staged);
+    state.base_root = shard_->root_after(std::span(writes).first(base_writes));
     vote.spec_base_root = state.base_root;
   }
   if (result.ok()) {
     // Hypothetical root: the shard state as if the in-flight base and then
     // this block committed. The datastore itself is untouched until the
     // decisions arrive.
-    std::vector<std::pair<ItemId, Bytes>> writes;
-    for (const auto& t : state.partial.txns) {
-      for (const auto& w : t.rw.writes) {
-        if (shard_->contains(w.id)) writes.emplace_back(w.id, w.new_value);
-      }
-    }
-    staged.push_back(std::move(writes));
-    state.sent_root = shard_->root_after_chain(staged);
+    append_writes(state.partial);
+    state.sent_root = shard_->root_after(writes);
     vote.root = state.sent_root;
   }
   last_root_compute_us_ = common::thread_cpu_time_us() - start;

@@ -76,13 +76,17 @@ struct CoordinatorFaults {
 /// Speculative voting (GetVoteMsg::spec): a speculative opening arrives
 /// while earlier rounds this cohort has voted on are still deciding. The
 /// cohort predicts each in-flight block's fate from its own vote (it never
-/// vetoed a block it voted commit on; another cohort still might), stacks
-/// the predicted-applied update sets into a store::ShardOverlay + chained
-/// Merkle overlay, and votes against that base — tagging the vote with the
-/// exact assumptions so the coordinator can validate them against the real
-/// decisions. resolve_decision() is the truth feed: when an assumption
-/// proves wrong, the affected later votes are recomputed on the corrected
-/// base and re-sent as *new* logical votes (new (epoch, base) log records).
+/// vetoed a block it voted commit on; another cohort still might), stages
+/// each predicted-applied block into a store::ShardOverlay through
+/// txn::apply_committed (the rule Server::apply_block runs on the real
+/// shard), and votes against that base — tagging the vote with the exact
+/// assumptions so the coordinator can validate them against the real
+/// decisions. The staged blocks' writes, followed by the round's own, form
+/// one flat list: Shard::root_after over its prefix is the predicted base
+/// root, over all of it the root the vote sends. resolve_decision() is the
+/// truth feed: when an assumption proves wrong, the affected later votes are
+/// recomputed on the corrected base and re-sent as *new* logical votes (new
+/// (epoch, base) log records).
 class TfCommitCohort {
  public:
   TfCommitCohort(ServerId id, CosiWitness& witness, store::Shard& shard)

@@ -361,7 +361,8 @@ void TfCommitRound::on_deliver(NodeId src, NodeId dst, const Envelope& env,
     Server::ApplyResult result = Server::ApplyResult::kRejected;
     if (authentic) {
       if (const auto msg = commit::DecisionMsg::deserialize(body)) {
-        result = server.apply_decision(*msg, cluster_->server_keys());
+        result = server.apply_decision(msg->final_block, Server::CosignView::kChained,
+                                       cluster_->server_keys());
         block = msg->final_block;
         processed = true;
       }
@@ -789,7 +790,8 @@ void TwoPhaseRound::on_deliver(NodeId src, NodeId dst, const Envelope& env,
     Server::ApplyResult result = Server::ApplyResult::kStale;
     if (authentic) {
       if (const auto msg = commit::CommitDecisionMsg::deserialize(body)) {
-        result = server.apply_decision_2pc(*msg);
+        result = server.apply_decision(msg->final_block, Server::CosignView::kNone,
+                                       cluster_->server_keys());
         block = msg->final_block;
         processed = true;
       }

@@ -17,11 +17,6 @@ ClientTxn Client::begin() {
 }
 
 Bytes Client::read(ClientTxn& txn, ItemId item) {
-  if (txn.touched_.empty()) {
-    // First access: fan out Begin Transaction (step 1). With lazy fan-out we
-    // send one Begin per first touch of a server — equivalent coverage.
-  }
-  txn.touched_.push_back(item);
   const store::ReadResult r = cluster_->client_read(*this, txn.id_, item);
   oracle_.observe(r.rts);
   oracle_.observe(r.wts);
@@ -30,7 +25,6 @@ Bytes Client::read(ClientTxn& txn, ItemId item) {
 }
 
 void Client::write(ClientTxn& txn, ItemId item, Bytes value) {
-  txn.touched_.push_back(item);
   const WriteAck ack = cluster_->client_write(*this, txn.id_, item, value);
   oracle_.observe(ack.rts);
   oracle_.observe(ack.wts);

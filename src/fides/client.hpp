@@ -22,14 +22,10 @@ class ClientTxn {
  public:
   TxnId id() const { return id_; }
 
-  /// Items this transaction has touched so far (drives Begin fan-out).
-  const std::vector<ItemId>& touched() const { return touched_; }
-
  private:
   friend class Client;
   TxnId id_;
   txn::RwSetBuilder builder_;
-  std::vector<ItemId> touched_;
 };
 
 class Client {
@@ -39,15 +35,17 @@ class Client {
   ClientId id() const { return id_; }
   const crypto::KeyPair& keypair() const { return keypair_; }
 
-  /// Step 1: Begin Transaction (allocates the txn id; the Begin message to
-  /// each involved server is sent lazily at first access).
+  /// Step 1: Begin Transaction (allocates the txn id; Cluster::client_begin
+  /// sends the Begin message to the servers owning the given items).
   ClientTxn begin();
 
   /// Steps 2-3: read an item through its owning server. Returns the value;
   /// records the entry in the read set.
   Bytes read(ClientTxn& txn, ItemId item);
 
-  /// Steps 2-3: write an item (buffered server-side); records the entry.
+  /// Steps 2-3: write an item; records the entry. The owning server only
+  /// acknowledges with the old item state — the value reaches its shard
+  /// when a decided block commits it.
   void write(ClientTxn& txn, ItemId item, Bytes value);
 
   /// Step 4: End Transaction — builds the signed request for the

@@ -201,7 +201,7 @@ class Cluster {
   // --- Crash / recovery -------------------------------------------------------
 
   /// Crashes a server: the Server object — shard, ledger, cohort round
-  /// state, write buffer, client-message log — is destroyed outright. Only
+  /// state, client-message log — is destroyed outright. Only
   /// the durable round log (owned here, not by the Server) survives. In
   /// simulated mode the engine invokes this from CrashFault schedules; the
   /// public API exists so direct-mode tests drive the same path between

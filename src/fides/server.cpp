@@ -56,19 +56,19 @@ store::ReadResult Server::handle_read(ClientId /*client*/, TxnId /*txn*/, ItemId
   return result;
 }
 
-WriteAck Server::handle_write(ClientId /*client*/, TxnId txn, ItemId item, Bytes value) {
+WriteAck Server::handle_write(ClientId /*client*/, TxnId /*txn*/, ItemId item,
+                              Bytes /*value*/) {
   const store::ItemRecord& old = shard_.peek(item);
-  WriteAck ack{item, old.value, old.rts, old.wts};
-  write_buffer_.stage(txn, item, std::move(value));
-  return ack;
+  return WriteAck{item, old.value, old.rts, old.wts};
 }
 
-Server::ApplyResult Server::apply_decision(const commit::DecisionMsg& msg,
+Server::ApplyResult Server::apply_decision(const ledger::Block& block, CosignView view,
                                            const crypto::KeyRegistry& keys) {
-  const ledger::Block& block = msg.final_block;
-  if (ledger::verify_block_cosign(block, keys) != ledger::CosignVerdict::kOk) {
-    return ApplyResult::kRejected;
-  }
+  const ledger::CosignVerdict verdict =
+      view == CosignView::kChained     ? ledger::verify_block_cosign(block, keys)
+      : view == CosignView::kUnchained ? ledger::verify_unchained_cosign(block, keys)
+                                       : ledger::CosignVerdict::kOk;
+  if (verdict != ledger::CosignVerdict::kOk) return ApplyResult::kRejected;
   if (block.height < log_.size()) return ApplyResult::kStale;
   if (block.height > log_.size()) return ApplyResult::kFuture;
   if (!(block.prev_hash == log_.head_hash())) {
@@ -78,38 +78,8 @@ Server::ApplyResult Server::apply_decision(const commit::DecisionMsg& msg,
     // rather than let the log's append discipline throw mid-round.
     return ApplyResult::kRejected;
   }
-  ingest_block(block);
+  apply_block(block);
   return ApplyResult::kApplied;
-}
-
-bool Server::handle_decision(const commit::DecisionMsg& msg,
-                             const crypto::KeyRegistry& keys) {
-  return apply_decision(msg, keys) == ApplyResult::kApplied;
-}
-
-Server::ApplyResult Server::apply_sequenced(const ledger::Block& block,
-                                            const crypto::KeyRegistry& keys) {
-  if (ledger::verify_unchained_cosign(block, keys) !=
-      ledger::CosignVerdict::kOk) {
-    return ApplyResult::kRejected;
-  }
-  if (block.height < log_.size()) return ApplyResult::kStale;
-  if (block.height > log_.size()) return ApplyResult::kFuture;
-  if (!(block.prev_hash == log_.head_hash())) return ApplyResult::kRejected;
-  ingest_block(block);
-  return ApplyResult::kApplied;
-}
-
-Server::ApplyResult Server::apply_decision_2pc(const commit::CommitDecisionMsg& msg) {
-  if (msg.final_block.height < log_.size()) return ApplyResult::kStale;
-  if (msg.final_block.height > log_.size()) return ApplyResult::kFuture;
-  ingest_block(msg.final_block);
-  return ApplyResult::kApplied;
-}
-
-void Server::ingest_block(const ledger::Block& block) {
-  log_.append(block);
-  if (block.committed()) apply_block(block);
 }
 
 Bytes Server::vote_once(std::uint64_t epoch, std::uint64_t base,
@@ -160,38 +130,32 @@ bool Server::restore() {
     } else if (rec.type == ledger::RoundRecord::Type::kDecision) {
       const auto block = ledger::Block::deserialize(rec.payload);
       if (!block.has_value()) return false;
-      ingest_block(*block);
+      apply_block(*block);
     }
   }
   return true;
 }
 
 void Server::apply_block(const ledger::Block& block) {
+  log_.append(block);
+  if (!block.committed()) return;
   const double start = common::thread_cpu_time_us();
   for (const auto& t : block.txns) {
     // Honest application first; datastore faults strike afterwards so the
     // Merkle tree (and hence future signed roots) match the block while the
     // actual stored value does not — the §5 Scenario 3 shape.
-    for (const auto& w : t.rw.writes) {
-      if (!shard_.contains(w.id)) continue;
-      if (faults_.skip_write_item && *faults_.skip_write_item == w.id) {
-        // Pretend to apply: tree and version chain advance (they feed the
-        // signed roots) but the live value silently keeps its old content.
-        const Bytes old_value = shard_.peek(w.id).value;
-        shard_.apply_write(w.id, w.new_value, t.commit_ts);
-        shard_.corrupt_value(w.id, old_value);
-        shard_.corrupt_version(w.id, t.commit_ts, old_value);
-        continue;
-      }
-      shard_.apply_write(w.id, w.new_value, t.commit_ts);
+    const std::optional<ItemId>& skip = faults_.skip_write_item;
+    std::optional<Bytes> kept;  // the live value skip_write_item puts back
+    if (skip && shard_.contains(*skip) && t.rw.find_write(*skip) != nullptr) {
+      kept = shard_.peek(*skip).value;
     }
-    for (const ItemId id : t.rw.touched_items()) {
-      if (shard_.contains(id)) shard_.update_read_ts(id, t.commit_ts);
+    txn::apply_committed(shard_, t);
+    if (kept) {
+      // Pretend to apply: tree and version chain advance (they feed the
+      // signed roots) but the live value silently keeps its old content.
+      shard_.corrupt_value(*skip, *kept);
+      shard_.corrupt_version(*skip, t.commit_ts, *kept);
     }
-    // Drop this transaction's buffered writes (they are now applied or, for
-    // aborted blocks, this code never runs and discard happens lazily).
-    write_buffer_.discard(t.id);
-
     if (faults_.corrupt_after_commit_item) {
       const ItemId victim = *faults_.corrupt_after_commit_item;
       if (shard_.contains(victim)) {
@@ -209,26 +173,20 @@ AuditItemProof Server::audit_item(ItemId item, const Timestamp& ts) const {
 
 std::vector<AuditItemProof> Server::audit_items(std::span<const ItemId> items,
                                                 const Timestamp& ts) const {
+  // Multi-versioned: one version-tree rebuild serves every proof.
+  std::optional<merkle::MerkleTree> past;
+  if (shard_.mode() == store::VersioningMode::kMulti) past = shard_.tree_at_version(ts);
+  const merkle::MerkleTree& tree = past ? *past : shard_.tree();
   std::vector<AuditItemProof> proofs;
   proofs.reserve(items.size());
-  if (shard_.mode() == store::VersioningMode::kMulti) {
-    const merkle::MerkleTree tree = shard_.tree_at_version(ts);
-    for (const ItemId item : items) {
-      AuditItemProof proof;
-      proof.id = item;
-      const auto value = shard_.value_at_version(item, ts);
-      proof.value = value ? *value : Bytes{};
-      proof.vo = merkle::make_vo(tree, shard_.leaf_index(item));
-      proofs.push_back(std::move(proof));
-    }
-  } else {
-    for (const ItemId item : items) {
-      AuditItemProof proof;
-      proof.id = item;
-      proof.value = shard_.peek(item).value;
-      proof.vo = shard_.current_vo(item);
-      proofs.push_back(std::move(proof));
-    }
+  for (const ItemId item : items) {
+    const std::size_t leaf = shard_.leaf_index(item);
+    AuditItemProof proof;
+    proof.id = item;
+    proof.value = past ? shard_.value_at(leaf, ts).value_or(Bytes{})
+                       : shard_.record_at(leaf).value;
+    proof.vo = merkle::make_vo(tree, leaf);
+    proofs.push_back(std::move(proof));
   }
   return proofs;
 }

@@ -19,12 +19,12 @@
 #include "fides/transport.hpp"
 #include "ledger/log.hpp"
 #include "ledger/round_log.hpp"
-#include "store/write_buffer.hpp"
 
 namespace fides {
 
-/// Acknowledgement of a buffered write (§4.2.1): the old value and
-/// timestamps of the item, enabling blind-write bookkeeping at the client.
+/// Acknowledgement of a write (§4.2.1): the old value and timestamps of the
+/// item, enabling blind-write bookkeeping at the client. The write itself
+/// stays buffered in the client's write set until a decided block commits it.
 struct WriteAck {
   ItemId id{};
   Bytes old_value;
@@ -74,7 +74,9 @@ class Server {
   /// while leaving timestamps intact (Scenario 1).
   store::ReadResult handle_read(ClientId client, TxnId txn, ItemId item);
 
-  /// Buffers the write and acknowledges with the old item state.
+  /// Acknowledges a write with the old item state. The value itself travels
+  /// in the client's end-transaction request and reaches the datastore only
+  /// when a decided block commits it (apply_decision).
   WriteAck handle_write(ClientId client, TxnId txn, ItemId item, Bytes value);
 
   // --- Commitment layer ------------------------------------------------------
@@ -91,35 +93,32 @@ class Server {
   /// stragglers that change nothing.
   enum class ApplyResult {
     kApplied,   ///< appended (and applied when committed)
-    kRejected,  ///< bad co-sign: processed and refused — never appended
+    kRejected,  ///< bad co-sign or broken chain: processed and refused —
+                ///< never appended
     kStale,     ///< block already in the log (redelivery after restore)
     kFuture,    ///< ahead of this log's head (in-flight copy outran the
                 ///< recovery replay stream; the replay re-supplies order)
   };
 
-  /// Phase-5 handling: verify the co-sign, append the block to the log, and
-  /// on commit apply the writes to the datastore (steps 6-7 of §4.1). The
-  /// datastore-layer faults strike inside this application step.
-  ApplyResult apply_decision(const commit::DecisionMsg& msg,
+  /// Which co-sign a decided block must carry to be applied.
+  enum class CosignView : std::uint8_t {
+    kChained,    ///< TFCommit decision: over the block as it will be logged
+    kUnchained,  ///< OrdServ entry (§4.6): the group signed height 0 / zero
+                 ///< prev-hash under the block's own signer set, and OrdServ
+                 ///< filled the chain position afterwards
+    kNone,       ///< 2PC decision: no co-sign (2PC trusts the coordinator)
+  };
+
+  /// The one entry from a decided block to this server's state (steps 6-7
+  /// of §4.1), for TFCommit decisions, OrdServ entries and 2PC decisions
+  /// alike. In order: the co-sign under `view` (against `keys`); the height
+  /// against the log's (kStale below it, kFuture above it); the prev-hash
+  /// against the log head. A bad co-sign or a prev-hash the log cannot host
+  /// is kRejected and changes nothing. Otherwise the block is appended and,
+  /// on commit, each transaction goes through txn::apply_committed. The
+  /// datastore-layer faults strike right after that honest application.
+  ApplyResult apply_decision(const ledger::Block& block, CosignView view,
                              const crypto::KeyRegistry& keys);
-
-  /// apply_decision() == kApplied, for call sites that only distinguish
-  /// "accepted" from "refused".
-  bool handle_decision(const commit::DecisionMsg& msg,
-                       const crypto::KeyRegistry& keys);
-
-  /// Group-commit delivery (§4.6): apply a block sequenced by OrdServ. Same
-  /// contract as apply_decision, except the co-sign is verified over the
-  /// *unchained* block bytes (the group signed height 0 / zero prev-hash;
-  /// OrdServ filled the chain position afterwards) under the block's own
-  /// signer set, while the chain checks run against the delivered
-  /// height/prev-hash exactly as for a global decision.
-  ApplyResult apply_sequenced(const ledger::Block& block,
-                              const crypto::KeyRegistry& keys);
-
-  /// 2PC decision handling: append + apply without signature machinery
-  /// (kRejected cannot occur — 2PC trusts the coordinator).
-  ApplyResult apply_decision_2pc(const commit::CommitDecisionMsg& msg);
 
   // --- Crash durability (ledger/round_log.hpp) -------------------------------
 
@@ -187,14 +186,13 @@ class Server {
   void add_mht_time_us(double us) { mht_time_us_ += us; }
 
  private:
+  /// Appends a checked block and, on commit, applies it to the shard — the
+  /// step apply_decision and restore replay share.
   void apply_block(const ledger::Block& block);
-  /// Shared append+apply step of decision handling and restore replay.
-  void ingest_block(const ledger::Block& block);
 
   ServerId id_;
   crypto::KeyPair keypair_;
   store::Shard shard_;
-  store::WriteBuffer write_buffer_;
   ledger::TamperProofLog log_;
   std::unique_ptr<ledger::RoundLog> owned_round_log_;  ///< when not given one
   ledger::RoundLog* round_log_;

@@ -135,25 +135,4 @@ std::vector<unsigned char> Transport::open_batch(std::span<const Envelope* const
   return ok;
 }
 
-std::vector<unsigned char> Transport::open_all(std::span<const Envelope> envelopes,
-                                               std::string_view expected_type,
-                                               common::ThreadPool* pool) {
-  std::vector<unsigned char> ok(envelopes.size(), 0);
-  std::vector<const Envelope*> typed;
-  std::vector<std::size_t> pos;
-  typed.reserve(envelopes.size());
-  pos.reserve(envelopes.size());
-  for (std::size_t i = 0; i < envelopes.size(); ++i) {
-    if (envelopes[i].type != expected_type) {
-      ++stats_.rejected;
-      continue;
-    }
-    typed.push_back(&envelopes[i]);
-    pos.push_back(i);
-  }
-  const auto verdicts = open_batch(typed, pool);
-  for (std::size_t j = 0; j < typed.size(); ++j) ok[pos[j]] = verdicts[j];
-  return ok;
-}
-
 }  // namespace fides

@@ -143,13 +143,6 @@ class Transport {
   std::vector<unsigned char> open_batch(std::span<const Envelope* const> envelopes,
                                         common::ThreadPool* pool = nullptr);
 
-  /// Homogeneous-type convenience over open_batch: envelopes whose type tag
-  /// differs from `expected_type` are rejected up front, the rest go through
-  /// the one batched verification entry point.
-  std::vector<unsigned char> open_all(std::span<const Envelope> envelopes,
-                                      std::string_view expected_type,
-                                      common::ThreadPool* pool = nullptr);
-
   /// Mirrors ClusterConfig::batch_verify so verification sites that only see
   /// the transport (request checks, the pipeline's inbox seam) can route
   /// through the batched path. Toggled only between rounds.

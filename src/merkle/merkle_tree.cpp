@@ -130,26 +130,6 @@ Digest MerkleTree::root_after(
   return read(1);
 }
 
-Digest MerkleTree::root_after_chain(
-    std::span<const std::span<const std::pair<std::size_t, Digest>>> batches) const {
-  // Later batches overwrite earlier ones per leaf — exactly what applying
-  // the batches in order to a real tree would produce, since a leaf digest
-  // depends only on its final value.
-  std::unordered_map<std::size_t, std::size_t> slot_of;  // leaf -> merged slot
-  std::vector<std::pair<std::size_t, Digest>> merged;
-  for (const auto& batch : batches) {
-    for (const auto& [leaf, digest] : batch) {
-      const auto [it, fresh] = slot_of.emplace(leaf, merged.size());
-      if (fresh) {
-        merged.emplace_back(leaf, digest);
-      } else {
-        merged[it->second].second = digest;
-      }
-    }
-  }
-  return root_after(merged);
-}
-
 std::vector<Digest> MerkleTree::sibling_path(std::size_t i) const {
   if (i >= leaf_count_) throw std::out_of_range("MerkleTree::sibling_path");
   std::vector<Digest> path;

@@ -5,14 +5,17 @@
 // auditor checks datastore state against (Lemma 2).
 //
 // The tree is built over a fixed leaf universe (the shard's item set, in
-// item-id order), padded to a power of two with zero digests. Two update
-// modes support the two places the protocol needs roots:
+// item-id order), padded to a power of two with zero digests. The protocol
+// needs roots in two places, and the tree serves each with one call:
 //   * set_leaf      — destructive, applied when a transaction commits;
-//   * root_after    — pure, computes the root that *would* result from a set
+//   * root_after    — pure, computes the root that *would* result from a list
 //                     of leaf updates without touching the tree. This is the
 //                     vote-phase computation: "the MHT reflects all updates
 //                     in Ti assuming Ti commits; the datastore is unaffected
-//                     if Ti eventually aborts" (§4.3.1 phase 2).
+//                     if Ti eventually aborts" (§4.3.1 phase 2). Later
+//                     updates to a leaf win, so a speculative vote stacked on
+//                     in-flight blocks passes their updates first, in order,
+//                     then its own.
 #pragma once
 
 #include <cstddef>
@@ -48,17 +51,10 @@ class MerkleTree {
   /// of interior nodes rehashed (benchmarked in Fig 14/15 reproductions).
   std::size_t set_leaf(std::size_t i, const Digest& d);
 
-  /// Root after hypothetically applying `updates` (index, digest) — the tree
-  /// itself is not modified. Cost O(k·log n) time and space for k updates.
+  /// Root after hypothetically applying `updates` (index, digest) in order —
+  /// the tree itself is not modified, and a later update to a leaf wins.
+  /// Cost O(k·log n) time and space for k updates.
   Digest root_after(std::span<const std::pair<std::size_t, Digest>> updates) const;
-
-  /// Stacked overlay: the root after hypothetically applying `batches` in
-  /// order (batch i+1 on top of batch i on top of the real tree). This is
-  /// the speculative-voting computation: each batch is the update set of one
-  /// in-flight block, and the last batch is the round being voted on. The
-  /// tree is not modified; cost O(K·log n) for K total updates.
-  Digest root_after_chain(
-      std::span<const std::span<const std::pair<std::size_t, Digest>>> batches) const;
 
   /// Sibling path for leaf i, bottom-up — the Verification Object of §2.3.
   std::vector<Digest> sibling_path(std::size_t i) const;

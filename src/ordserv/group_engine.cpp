@@ -273,8 +273,8 @@ class GroupEngine final : public engine::RoundDispatcher {
       if (bad.has_value()) {
         refusals_[s] = DeliveryRefusal{entry.block.height, *bad};
       } else {
-        const Server::ApplyResult result =
-            server.apply_sequenced(entry.block, cluster_->server_keys());
+        const Server::ApplyResult result = server.apply_decision(
+            entry.block, Server::CosignView::kUnchained, cluster_->server_keys());
         if (result == Server::ApplyResult::kApplied) {
           server.record_decision(reactors_[k]->epoch(), "gtf_seq", entry.block);
           applied_to_shard = entry.block.committed();

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "merkle/proof.hpp"
-
 namespace fides::store {
 
 Shard::Shard(ShardId id, std::vector<ItemId> item_ids, Bytes initial_value,
@@ -26,17 +24,9 @@ Shard::Shard(ShardId id, std::vector<ItemId> item_ids, Bytes initial_value,
   tree_ = merkle::MerkleTree(leaves, pool_);
 }
 
-ItemRecord& Shard::record(ItemId item) {
-  const auto it = index_.find(item);
-  if (it == index_.end()) throw std::out_of_range("Shard: unknown item");
-  return records_[it->second];
-}
+ItemRecord& Shard::record(ItemId item) { return records_[leaf_index(item)]; }
 
-const ItemRecord& Shard::peek(ItemId item) const {
-  const auto it = index_.find(item);
-  if (it == index_.end()) throw std::out_of_range("Shard: unknown item");
-  return records_[it->second];
-}
+const ItemRecord& Shard::peek(ItemId item) const { return records_[leaf_index(item)]; }
 
 ReadResult Shard::read(ItemId item) {
   const ItemRecord& rec = peek(item);
@@ -77,28 +67,6 @@ crypto::Digest Shard::root_after(
   return tree_.root_after(updates);
 }
 
-crypto::Digest Shard::root_after_chain(
-    std::span<const std::vector<std::pair<ItemId, Bytes>>> write_batches) const {
-  std::vector<std::vector<std::pair<std::size_t, crypto::Digest>>> digests;
-  digests.reserve(write_batches.size());
-  for (const auto& batch : write_batches) {
-    std::vector<std::pair<std::size_t, crypto::Digest>> updates;
-    updates.reserve(batch.size());
-    for (const auto& [item, value] : batch) {
-      updates.emplace_back(leaf_index(item), item_leaf_digest(item, value));
-    }
-    digests.push_back(std::move(updates));
-  }
-  std::vector<std::span<const std::pair<std::size_t, crypto::Digest>>> spans;
-  spans.reserve(digests.size());
-  for (const auto& d : digests) spans.emplace_back(d);
-  return tree_.root_after_chain(spans);
-}
-
-merkle::VerificationObject Shard::current_vo(ItemId item) const {
-  return merkle::make_vo(tree_, leaf_index(item));
-}
-
 merkle::MerkleTree Shard::tree_at_version(const Timestamp& ts) const {
   if (mode_ != VersioningMode::kMulti) {
     throw std::logic_error("Shard::tree_at_version requires multi-versioned mode");
@@ -115,7 +83,12 @@ merkle::MerkleTree Shard::tree_at_version(const Timestamp& ts) const {
 
 std::optional<Bytes> Shard::value_at_version(ItemId item, const Timestamp& ts) const {
   if (mode_ != VersioningMode::kMulti) return std::nullopt;
-  const auto v = chains_[leaf_index(item)].at(ts);
+  return value_at(leaf_index(item), ts);
+}
+
+std::optional<Bytes> Shard::value_at(std::size_t leaf, const Timestamp& ts) const {
+  if (mode_ != VersioningMode::kMulti) return std::nullopt;
+  const auto v = chains_.at(leaf).at(ts);
   if (!v) return std::nullopt;
   return v->value;
 }
@@ -159,15 +132,15 @@ ItemRecord& ShardOverlay::entry(ItemId item) {
   return overlay_.emplace(item, base_->peek(item)).first->second;
 }
 
-void ShardOverlay::stage_write(ItemId item, BytesView value, const Timestamp& ts) {
+void ShardOverlay::apply_write(ItemId item, BytesView value, const Timestamp& commit_ts) {
   ItemRecord& rec = entry(item);
   rec.value.assign(value.begin(), value.end());
-  rec.wts = ts;
+  rec.wts = commit_ts;
 }
 
-void ShardOverlay::bump_rts(ItemId item, const Timestamp& ts) {
+void ShardOverlay::update_read_ts(ItemId item, const Timestamp& commit_ts) {
   ItemRecord& rec = entry(item);
-  rec.rts = std::max(rec.rts, ts);
+  rec.rts = std::max(rec.rts, commit_ts);
 }
 
 ShardId shard_for_item(ItemId item, std::uint32_t num_shards) {

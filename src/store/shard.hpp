@@ -70,22 +70,13 @@ class Shard {
 
   crypto::Digest merkle_root() const { return tree_.root(); }
 
-  /// Root that would result from applying `writes` (id -> new value) without
-  /// mutating anything — the vote-phase computation of TFCommit (§4.3.1).
+  /// Root that would result from applying `writes` (id -> new value) in
+  /// order, without mutating anything — the vote-phase computation of
+  /// TFCommit (§4.3.1). A later write to an item wins, so the root after a
+  /// chain of blocks (speculative voting: in-flight blocks, then the round
+  /// being voted on) is root_after over their concatenated writes.
   crypto::Digest root_after(
       std::span<const std::pair<ItemId, Bytes>> writes) const;
-
-  /// Stacked variant: the root after applying the write batches in order
-  /// (each batch on top of the previous, all on top of the real tree) —
-  /// the speculative vote-phase computation when earlier blocks are still
-  /// in flight. Nothing is mutated.
-  crypto::Digest root_after_chain(
-      std::span<const std::vector<std::pair<ItemId, Bytes>>> write_batches) const;
-
-  /// Verification Object for an item against the *current* tree. A
-  /// single-versioned audit asks for one per written item, in one request
-  /// per server, and folds them together (merkle::verify_vos).
-  merkle::VerificationObject current_vo(ItemId item) const;
 
   /// Rebuilds the Merkle tree of the shard as of version `ts` and returns
   /// it (multi-versioned audits, Lemma 2). Expensive: O(n) hashing, once
@@ -94,6 +85,14 @@ class Shard {
 
   /// Value visible at version `ts` (multi-versioned mode only).
   std::optional<Bytes> value_at_version(ItemId item, const Timestamp& ts) const;
+
+  /// Reads by leaf index (leaf_index()), for a caller that resolves an item
+  /// once and then reads its record or historical value (peek(),
+  /// value_at_version()) and its Verification Object: merkle::make_vo over
+  /// tree() for the current state, over tree_at_version() for a past one.
+  const ItemRecord& record_at(std::size_t leaf) const { return records_.at(leaf); }
+  std::optional<Bytes> value_at(std::size_t leaf, const Timestamp& ts) const;
+  const merkle::MerkleTree& tree() const { return tree_; }
 
   const ShardStats& stats() const { return stats_; }
 
@@ -131,9 +130,13 @@ class Shard {
 /// in-flight blocks that have not been applied yet. This is what a TFCommit
 /// cohort validates against when it votes on block k while block k-1's
 /// decision is still on the wire (speculative pipelining): reads fall
-/// through to the real shard unless an overlay entry shadows them. The
-/// shard itself is never mutated — if the speculation proves wrong, the
-/// view is simply discarded and the vote recomputed.
+/// through to the real shard unless an overlay entry shadows them. Blocks
+/// are staged through txn::apply_committed, the same rule that applies them
+/// to the shard, so the overlay offers the shard's contains()/peek()/
+/// apply_write()/update_read_ts() surface. It holds item records only; the
+/// predicted Merkle root comes from Shard::root_after. The shard itself is
+/// never mutated — if the speculation proves wrong, the view is simply
+/// discarded and the vote recomputed.
 class ShardOverlay {
  public:
   explicit ShardOverlay(const Shard& base) : base_(&base) {}
@@ -146,13 +149,11 @@ class ShardOverlay {
     return it != overlay_.end() ? it->second : base_->peek(item);
   }
 
-  /// Stages one committed write (mirrors Shard::apply_write + the write-set
-  /// rts bump of the server's apply step).
-  void stage_write(ItemId item, BytesView value, const Timestamp& ts);
+  /// Shard::apply_write on the overlay: installs the value and sets wts.
+  void apply_write(ItemId item, BytesView value, const Timestamp& commit_ts);
 
-  /// Stages the rts advance a committed transaction performs on every item
-  /// it touched (mirrors Shard::update_read_ts).
-  void bump_rts(ItemId item, const Timestamp& ts);
+  /// Shard::update_read_ts on the overlay: rts only grows.
+  void update_read_ts(ItemId item, const Timestamp& commit_ts);
 
  private:
   ItemRecord& entry(ItemId item);

@@ -9,6 +9,12 @@
 //     the commit timestamp exceeds the version it read;
 //   * every write targets items whose current rts and wts both precede the
 //     commit timestamp (no RW-, WW-, or WR-conflict per Lemma 3).
+//
+// Its counterpart is the one apply rule, apply_committed(): every committed
+// transaction reaches shard state through it — a server applying a decided
+// block, a cohort staging in-flight blocks for a speculative vote, and the
+// OrdServ reference runner. Both functions are templates over the state
+// surface, so the shard and its speculative overlay share one definition.
 #pragma once
 
 #include <string>
@@ -74,9 +80,24 @@ ValidationResult validate_occ(const StateT& state, const Transaction& txn) {
   return {Vote::kCommit, {}};
 }
 
-/// Applies the committed transaction's effects on `shard`: installs writes,
-/// advances rts on reads and rts+wts on writes to the commit timestamp
-/// (§4.1 step 7, "Update datastore").
-void apply_committed(store::Shard& shard, const Transaction& txn);
+/// The one apply rule (§4.1 step 7, "Update datastore"): installs the
+/// committed transaction's writes on `state` and advances rts to the commit
+/// timestamp on every item it touched (rts only grows, so the order of the
+/// two does not matter). Items owned by other shards are skipped. `state` is
+/// anything with Shard's contains()/apply_write()/update_read_ts() surface —
+/// the shard itself (a decided block), or a store::ShardOverlay (a cohort
+/// staging the in-flight blocks its speculative vote stacks on).
+template <typename StateT>
+void apply_committed(StateT& state, const Transaction& txn) {
+  const Timestamp ts = txn.commit_ts;
+  for (const auto& w : txn.rw.writes) {
+    if (!state.contains(w.id)) continue;
+    state.apply_write(w.id, w.new_value, ts);
+    state.update_read_ts(w.id, ts);
+  }
+  for (const auto& r : txn.rw.reads) {
+    if (state.contains(r.id)) state.update_read_ts(r.id, ts);
+  }
+}
 
 }  // namespace fides::txn

@@ -417,9 +417,35 @@ TEST(Server, RejectsDecisionWithInvalidCosign) {
   forged.prev_hash = server.log().head_hash();
   forged.txns[0].rw.writes[0].new_value = to_bytes("evil");
   // Old cosign no longer matches the altered contents.
-  EXPECT_FALSE(server.handle_decision(commit::DecisionMsg{forged},
-                                      cluster.server_keys()));
+  EXPECT_EQ(server.apply_decision(forged, Server::CosignView::kChained,
+                                  cluster.server_keys()),
+            Server::ApplyResult::kRejected);
   EXPECT_EQ(server.log().size(), 1u);  // nothing appended
+}
+
+TEST(Server, RefusesTwoPhaseDecisionWithBrokenChain) {
+  // 2PC decisions carry no co-sign, but the chain check still guards the
+  // log: a decision at the log's height whose prev-hash is not the log head
+  // is refused, not handed to the log's append discipline (which throws).
+  ClusterConfig cfg = small_config();
+  cfg.protocol = Protocol::kTwoPhaseCommit;
+  Cluster cluster(cfg);
+  Client& client = cluster.make_client();
+  cluster.run_block({simple_txn(cluster, client, {0}, "x")});
+  Server& server = cluster.server(cluster.owner_of(0));
+  ASSERT_EQ(server.log().size(), 1u);
+  const crypto::Digest head = server.log().head_hash();
+
+  ledger::Block broken = server.log().at(0);
+  broken.height = 1;
+  broken.prev_hash = crypto::sha256(to_bytes("not the log head"));
+  ASSERT_FALSE(broken.prev_hash == head);
+  EXPECT_EQ(server.apply_decision(broken, Server::CosignView::kNone,
+                                  cluster.server_keys()),
+            Server::ApplyResult::kRejected);
+  EXPECT_EQ(server.log().size(), 1u);
+  EXPECT_TRUE(server.log().head_hash() == head);
+  EXPECT_EQ(to_string(server.shard().peek(0).value), "x-0");
 }
 
 TEST(Workload, GeneratesDistinctItemsAndCommits) {

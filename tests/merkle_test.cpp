@@ -134,13 +134,16 @@ TEST(MerkleTree, OverflowingLeafCountThrowsLengthError) {
   EXPECT_THROW(MerkleTree t(kTooBig / 4 + 2), std::length_error);
 }
 
-TEST(MerkleTree, RootAfterChainMatchesSequentialApply) {
+TEST(MerkleTree, RootAfterConcatenatedBatchesMatchesSequentialApply) {
+  // A chain of in-flight blocks is one root_after over their concatenated
+  // updates: a later update to a leaf wins.
   MerkleTree t(make_leaves(8));
   const std::vector<std::pair<std::size_t, Digest>> b1 = {{1, leaf(70)}, {5, leaf(71)}};
   const std::vector<std::pair<std::size_t, Digest>> b2 = {{5, leaf(72)}, {6, leaf(73)}};
   const std::vector<std::pair<std::size_t, Digest>> b3 = {{1, leaf(74)}};
-  const std::vector<std::span<const std::pair<std::size_t, Digest>>> batches = {b1, b2, b3};
-  const Digest chained = t.root_after_chain(batches);
+  std::vector<std::pair<std::size_t, Digest>> flat;
+  for (const auto& batch : {b1, b2, b3}) flat.insert(flat.end(), batch.begin(), batch.end());
+  const Digest chained = t.root_after(flat);
 
   MerkleTree applied(make_leaves(8));
   for (const auto& batch : {b1, b2, b3}) {
@@ -154,14 +157,16 @@ TEST(MerkleTree, RootAfterChainMatchesSequentialApply) {
   wrong_order.set_leaf(6, leaf(73));
   wrong_order.set_leaf(1, leaf(74));
   EXPECT_EQ(chained, wrong_order.root());
+  EXPECT_EQ(t.root(), MerkleTree(make_leaves(8)).root()) << "overlay must not mutate";
 }
 
-TEST(MerkleTree, RootAfterChainEmptyBatches) {
+TEST(MerkleTree, RootAfterConcatenatedEmptyBatches) {
   MerkleTree t(make_leaves(8));
-  EXPECT_EQ(t.root_after_chain({}), t.root());
+  EXPECT_EQ(t.root_after({}), t.root());
   const std::vector<std::pair<std::size_t, Digest>> none;
-  const std::vector<std::span<const std::pair<std::size_t, Digest>>> batches = {none, none};
-  EXPECT_EQ(t.root_after_chain(batches), t.root());
+  std::vector<std::pair<std::size_t, Digest>> flat;
+  for (const auto& batch : {none, none}) flat.insert(flat.end(), batch.begin(), batch.end());
+  EXPECT_EQ(t.root_after(flat), t.root());
 }
 
 TEST(MerkleTree, OutOfRangeThrows) {
@@ -241,14 +246,15 @@ TEST_P(MerklePropertyTest, IncrementalUpdatesMatchRebuildAndProofsHold) {
 INSTANTIATE_TEST_SUITE_P(Sizes, MerklePropertyTest,
                          ::testing::Values(1, 2, 3, 5, 8, 17, 64, 100, 1000));
 
-// Property sweep for the overlay paths: random update batches — duplicate
-// leaves, empty batches, full-tree updates — fed through root_after and the
-// chained (speculative) overlay must always agree with a tree rebuilt from
-// the final leaf values. Covers single-leaf trees, where the root IS the
-// sole leaf and the overlay fold degenerates.
+// Property sweep for the overlay: random update batches — duplicate leaves,
+// empty batches, full-tree updates — concatenated and fed through root_after
+// must always agree with a tree rebuilt from the final leaf values, and so
+// must every batch-boundary prefix (the base a speculative vote stacks on).
+// Covers single-leaf trees, where the root IS the sole leaf and the overlay
+// fold degenerates.
 class OverlayPropertyTest : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(OverlayPropertyTest, OverlayAndChainMatchFreshRebuild) {
+TEST_P(OverlayPropertyTest, ConcatenatedBatchesAndPrefixesMatchFreshRebuild) {
   const std::size_t n = GetParam();
   Rng rng(n * 131 + 3);
 
@@ -257,32 +263,25 @@ TEST_P(OverlayPropertyTest, OverlayAndChainMatchFreshRebuild) {
     MerkleTree t(original);
     auto expected = original;
 
-    std::vector<std::vector<std::pair<std::size_t, Digest>>> batches;
+    std::vector<std::pair<std::size_t, Digest>> flat;
     const std::size_t num_batches = rng.uniform(4);  // 0..3 (0 = empty chain)
     for (std::size_t b = 0; b < num_batches; ++b) {
-      std::vector<std::pair<std::size_t, Digest>> batch;
       std::size_t updates = rng.uniform(2 * n + 1);  // up to a full double pass
       if (rng.uniform(5) == 0) updates = 0;          // empty batch
       for (std::size_t u = 0; u < updates; ++u) {
         // uniform(n) repeats indices freely => duplicate leaves in a batch.
         const std::size_t idx = rng.uniform(n);
         const Digest d = leaf(5000 + rng.uniform(1000000));
-        batch.emplace_back(idx, d);
+        flat.emplace_back(idx, d);
         expected[idx] = d;
       }
-      batches.push_back(std::move(batch));
+      // The prefix up to this batch boundary is the root after batches 0..b.
+      EXPECT_EQ(t.root_after(flat), MerkleTree(expected).root())
+          << "n=" << n << " batch " << b;
     }
 
-    std::vector<std::span<const std::pair<std::size_t, Digest>>> spans;
-    for (const auto& b : batches) spans.emplace_back(b);
-    const Digest chained = t.root_after_chain(spans);
-    EXPECT_EQ(chained, MerkleTree(expected).root()) << "n=" << n;
+    EXPECT_EQ(t.root_after(flat), MerkleTree(expected).root()) << "n=" << n;
     EXPECT_EQ(t.root(), MerkleTree(original).root()) << "overlay must not mutate";
-
-    // The single-batch overlay agrees with the chain of one batch.
-    std::vector<std::pair<std::size_t, Digest>> flat;
-    for (const auto& b : batches) flat.insert(flat.end(), b.begin(), b.end());
-    EXPECT_EQ(t.root_after(flat), chained) << "n=" << n;
   }
 }
 

@@ -218,7 +218,7 @@ TEST(ParallelRound, CheckpointIdenticalAcrossThreadCounts) {
   EXPECT_TRUE(seq->cosign == par->cosign);
 }
 
-TEST(ParallelRound, TransportOpenAllMatchesSerialOpen) {
+TEST(ParallelRound, TransportOpenBatchMatchesSerialOpen) {
   Transport serial_t;
   Transport pooled_t;
   common::ThreadPool pool(4);
@@ -232,11 +232,15 @@ TEST(ParallelRound, TransportOpenAllMatchesSerialOpen) {
                                  to_bytes("payload-" + std::to_string(i))));
   }
   envs[3].payload[0] ^= 1;  // tampered
-  envs[7].type = "other";   // wrong type
+  envs[7].type = "other";   // type tag the signature does not cover
 
+  // open_batch checks each envelope against its own type tag, so the serial
+  // oracle is open(e, e.type).
   std::vector<unsigned char> expected;
-  for (const auto& e : envs) expected.push_back(serial_t.open(e, "msg") ? 1 : 0);
-  const std::vector<unsigned char> actual = pooled_t.open_all(envs, "msg", &pool);
+  for (const auto& e : envs) expected.push_back(serial_t.open(e, e.type) ? 1 : 0);
+  std::vector<const Envelope*> ptrs;
+  for (const auto& e : envs) ptrs.push_back(&e);
+  const std::vector<unsigned char> actual = pooled_t.open_batch(ptrs, &pool);
   EXPECT_EQ(actual, expected);
   // Same verification/rejection accounting as the serial path.
   EXPECT_EQ(pooled_t.stats().signatures_verified.load(),
@@ -245,7 +249,7 @@ TEST(ParallelRound, TransportOpenAllMatchesSerialOpen) {
   EXPECT_EQ(pooled_t.stats().rejected.load(), 2u);
 }
 
-TEST(ParallelRound, TransportOpenAllMixedBatchesAcrossPoolWidths) {
+TEST(ParallelRound, TransportOpenBatchMixedBatchesAcrossPoolWidths) {
   // Rejection accounting under concurrency: batches mixing every failure
   // mode (tampered payload, wrong type tag, unregistered sender, spoofed
   // sender) must produce the same per-slot verdicts and the same
@@ -273,7 +277,7 @@ TEST(ParallelRound, TransportOpenAllMixedBatchesAcrossPoolWidths) {
           env.payload[rng.uniform(env.payload.size())] ^= 0x40;
           ++expected_rejections;
           break;
-        case 2:  // wrong type tag
+        case 2:  // type tag the signature does not cover
           env.type = "other";
           ++expected_rejections;
           break;
@@ -294,8 +298,10 @@ TEST(ParallelRound, TransportOpenAllMixedBatchesAcrossPoolWidths) {
 
     std::vector<unsigned char> expected;
     const auto serial_before_verified = serial_t.stats().signatures_verified.load();
-    for (const auto& e : envs) expected.push_back(serial_t.open(e, "msg") ? 1 : 0);
-    const std::vector<unsigned char> actual = pooled_t.open_all(envs, "msg", &pool);
+    for (const auto& e : envs) expected.push_back(serial_t.open(e, e.type) ? 1 : 0);
+    std::vector<const Envelope*> ptrs;
+    for (const auto& e : envs) ptrs.push_back(&e);
+    const std::vector<unsigned char> actual = pooled_t.open_batch(ptrs, &pool);
 
     EXPECT_EQ(actual, expected) << "pool width " << width;
     EXPECT_EQ(pooled_t.stats().rejected.load(), expected_rejections);
@@ -307,8 +313,8 @@ TEST(ParallelRound, TransportOpenAllMixedBatchesAcrossPoolWidths) {
 
 TEST(ParallelRound, TransportOpenBatchHeterogeneousTypes) {
   // open_batch takes envelopes of mixed types (each checked against its own
-  // env.type), which open_all cannot express: one RLC aggregate over a whole
-  // coordinator inbox of votes, responses, and 2PC messages.
+  // env.type): one RLC aggregate over a whole coordinator inbox of votes,
+  // responses, and 2PC messages.
   Transport serial_t;
   Transport batched_t;
   common::ThreadPool pool(4);

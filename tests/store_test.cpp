@@ -1,9 +1,8 @@
-// Unit tests for the datastore substrate: shards, version chains, write
-// buffers, placement.
+// Unit tests for the datastore substrate: shards, version chains,
+// placement.
 #include <gtest/gtest.h>
 
 #include "store/shard.hpp"
-#include "store/write_buffer.hpp"
 
 namespace fides::store {
 namespace {
@@ -74,10 +73,10 @@ TEST(Shard, RootAfterMatchesActualApply) {
   EXPECT_EQ(s.merkle_root(), predicted);
 }
 
-TEST(Shard, CurrentVoAuthenticatesAgainstRoot) {
+TEST(Shard, CurrentTreeVoAuthenticatesAgainstRoot) {
   Shard s = make_shard(VersioningMode::kSingle);
   s.apply_write(20, to_bytes("x"), Timestamp{1, 0});
-  const auto vo = s.current_vo(20);
+  const auto vo = merkle::make_vo(s.tree(), s.leaf_index(20));
   EXPECT_TRUE(merkle::verify_vo(item_leaf_digest(20, to_bytes("x")), vo,
                                 s.merkle_root()));
 }
@@ -91,7 +90,8 @@ TEST(Shard, CorruptValueLeavesTreeStale) {
   s.corrupt_value(20, to_bytes("evil"));
   EXPECT_EQ(s.merkle_root(), root);  // tree untouched
   EXPECT_FALSE(merkle::verify_vo(
-      item_leaf_digest(20, s.peek(20).value), s.current_vo(20), root));
+      item_leaf_digest(20, s.peek(20).value), merkle::make_vo(s.tree(), s.leaf_index(20)),
+      root));
 }
 
 TEST(Shard, MultiVersionKeepsHistory) {
@@ -144,34 +144,6 @@ TEST(VersionChain, RejectsNonMonotonicAppend) {
   chain.append(Timestamp{10, 0}, to_bytes("v10"));
   EXPECT_THROW(chain.append(Timestamp{10, 0}, to_bytes("dup")), std::invalid_argument);
   EXPECT_THROW(chain.append(Timestamp{5, 0}, to_bytes("old")), std::invalid_argument);
-}
-
-TEST(WriteBuffer, StageTakeDiscard) {
-  WriteBuffer buf;
-  const TxnId t1{1, 1}, t2{1, 2};
-  buf.stage(t1, 10, to_bytes("a"));
-  buf.stage(t1, 20, to_bytes("b"));
-  buf.stage(t2, 10, to_bytes("c"));
-  EXPECT_EQ(buf.pending_transactions(), 2u);
-  EXPECT_EQ(buf.staged(t1).size(), 2u);
-
-  const auto writes = buf.take(t1);
-  EXPECT_EQ(writes.size(), 2u);
-  EXPECT_EQ(buf.pending_transactions(), 1u);
-  EXPECT_TRUE(buf.take(t1).empty());  // already taken
-
-  buf.discard(t2);
-  EXPECT_EQ(buf.pending_transactions(), 0u);
-}
-
-TEST(WriteBuffer, LastWriterWinsWithinTxn) {
-  WriteBuffer buf;
-  const TxnId t{1, 1};
-  buf.stage(t, 10, to_bytes("first"));
-  buf.stage(t, 10, to_bytes("second"));
-  const auto writes = buf.take(t);
-  ASSERT_EQ(writes.size(), 1u);
-  EXPECT_EQ(to_string(writes[0].new_value), "second");
 }
 
 TEST(Placement, RoundRobinPartition) {

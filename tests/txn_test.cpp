@@ -1,6 +1,7 @@
 // Unit tests for the transaction model, RW-set builder, and OCC validation.
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "txn/occ.hpp"
 #include "txn/rw_set.hpp"
 
@@ -195,6 +196,65 @@ TEST(Occ, SequentialTimestampedTransactionsAllCommit) {
     apply_committed(shard, t);
   }
   EXPECT_EQ(to_string(shard.peek(0).value), "v10");
+}
+
+// Differential sweep for the one apply rule: random blocks — duplicate
+// write entries, items of other shards, blind writes, read-only
+// transactions, timestamps in any order — applied through apply_committed
+// to a Shard and to a ShardOverlay over an identical shard must leave every
+// item with the same record, and Shard::root_after over the blocks' flat
+// write list (what a speculative vote computes) must equal the applied
+// shard's root. The overlay's base is never mutated.
+TEST(ApplyCommitted, ShardAndOverlayAgreeOnRandomBlocks) {
+  // Shard 0 of 2 owns the even items of [0, 32); odd items are foreign.
+  const std::vector<ItemId> items = store::items_for_shard(ShardId{0}, 2, 16);
+  const store::Shard pristine(ShardId{0}, items, to_bytes("init"),
+                              store::VersioningMode::kSingle);
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    Rng rng(seed);
+    store::Shard applied = pristine;
+    const store::Shard base = pristine;
+    store::ShardOverlay overlay(base);
+    std::vector<std::pair<ItemId, Bytes>> writes;
+
+    const std::uint64_t blocks = 1 + rng.uniform(4);
+    for (std::uint64_t b = 0; b < blocks; ++b) {
+      const std::uint64_t txns = 1 + rng.uniform(5);
+      for (std::uint64_t i = 0; i < txns; ++i) {
+        Transaction t = make_txn(Timestamp{1 + rng.uniform(40), 0});
+        for (std::uint64_t r = rng.uniform(4); r > 0; --r) {
+          t.rw.reads.push_back(ReadEntry{rng.uniform(32), to_bytes("init"), {}, {}});
+        }
+        const bool read_only = rng.uniform(4) == 0;
+        for (std::uint64_t w = read_only ? 0 : 1 + rng.uniform(4); w > 0; --w) {
+          // One write in three repeats the previous item (duplicate entry).
+          const ItemId id = !t.rw.writes.empty() && rng.uniform(3) == 0
+                                ? t.rw.writes.back().id
+                                : rng.uniform(32);
+          std::optional<Bytes> old_value;
+          if (rng.uniform(2) == 0) old_value = to_bytes("init");  // blind write
+          t.rw.writes.push_back(WriteEntry{
+              id, to_bytes("v" + std::to_string(rng.uniform(1000))), old_value, {}, {}});
+        }
+        apply_committed(applied, t);
+        apply_committed(overlay, t);
+        for (const auto& w : t.rw.writes) {
+          if (base.contains(w.id)) writes.emplace_back(w.id, w.new_value);
+        }
+      }
+    }
+
+    for (const ItemId id : items) {
+      const store::ItemRecord& want = applied.peek(id);
+      const store::ItemRecord& got = overlay.peek(id);
+      EXPECT_EQ(got.value, want.value) << "seed " << seed << " item " << id;
+      EXPECT_EQ(got.rts, want.rts) << "seed " << seed << " item " << id;
+      EXPECT_EQ(got.wts, want.wts) << "seed " << seed << " item " << id;
+      EXPECT_EQ(base.peek(id).value, pristine.peek(id).value) << "base mutated";
+    }
+    EXPECT_EQ(base.root_after(writes), applied.merkle_root()) << "seed " << seed;
+    EXPECT_EQ(base.merkle_root(), pristine.merkle_root()) << "base mutated";
+  }
 }
 
 }  // namespace

@@ -58,6 +58,11 @@ clang, but want diagnosed everywhere):
                    secrets stay in the witness, and aggregation, sealing and
                    attribution stay in the leader; cosi_challenge and
                    cosi_verify stay open to every checker.
+  block-effects    in src/, a call to a shard-state mutator (apply_write,
+                   update_read_ts) outside src/store/ and src/txn/occ.hpp.
+                   A decided block reaches shard state only through the one
+                   apply rule, txn::apply_committed, whether the state is the
+                   shard or a cohort's speculative store::ShardOverlay.
 
 Suppressions (always give a reason after `--`):
 
@@ -111,6 +116,7 @@ ALL_RULES = (
     "assert-effects",
     "guarded-fields",
     "cosi-roles",
+    "block-effects",
 )
 
 RAW_MUTEX_RE = re.compile(
@@ -173,6 +179,11 @@ COSI_ROLE_RE = re.compile(
 COSI_ROLE_SANCTIONED_RE = re.compile(
     r"^src/crypto/|^src/commit/cosi_(?:witness|leader)\.[^/]+$"
 )
+
+# Shard-state mutators and the files that may call them (src/ only): the
+# store that defines them and the one apply rule in txn/occ.hpp.
+BLOCK_EFFECT_RE = re.compile(r"\b(?:apply_write|update_read_ts)\s*\(")
+BLOCK_EFFECT_SANCTIONED_RE = re.compile(r"^src/store/|^src/txn/occ\.hpp$")
 
 SUPPRESS_RE = re.compile(r"fides-lint:\s*(allow|allow-file|off|on)\(([\w-]+)\)")
 
@@ -257,6 +268,9 @@ class FileLinter:
         in_guarded = rel in GUARDED_FIELD_FILES
         raw_mutex_sanctioned = rel == RAW_MUTEX_SANCTIONED
         cosi_roles_checked = rel.startswith("src/") and not COSI_ROLE_SANCTIONED_RE.match(rel)
+        block_effects_checked = (
+            rel.startswith("src/") and not BLOCK_EFFECT_SANCTIONED_RE.match(rel)
+        )
 
         has_decode_def = False
         decode_def_line = 0
@@ -320,6 +334,17 @@ class FileLinter:
                     "CoSi role primitive %r outside src/crypto/ and the witness/"
                     "leader classes; co-sign through commit::CosiWitness or "
                     "commit::CosiLeader" % m.group(0).rstrip("( \t"),
+                    suppressed,
+                )
+
+            m = BLOCK_EFFECT_RE.search(code) if block_effects_checked else None
+            if m:
+                self.report(
+                    lineno,
+                    "block-effects",
+                    "shard-state mutator %r outside src/store/ and src/txn/occ.hpp; "
+                    "apply a committed transaction through txn::apply_committed"
+                    % m.group(0).rstrip("( \t"),
                     suppressed,
                 )
 
@@ -652,6 +677,60 @@ FIXTURES = [
         "cosi role primitives outside src not checked",
         "tests/c_test.cpp",
         "auto v = crypto::cosi_aggregate_commitments(vs);\n",
+        [],
+    ),
+    (
+        # The server's own copy of the apply rule, as it stood before
+        # Server::apply_block called txn::apply_committed.
+        "block effects applied by the server",
+        "src/fides/server.cpp",
+        "for (const auto& w : t.rw.writes) {\n"
+        "  if (!shard_.contains(w.id)) continue;\n"
+        "  shard_.apply_write(w.id, w.new_value, t.commit_ts);\n}\n"
+        "for (const ItemId id : t.rw.touched_items()) {\n"
+        "  if (shard_.contains(id)) shard_.update_read_ts(id, t.commit_ts);\n}\n",
+        ["block-effects", "block-effects"],
+    ),
+    (
+        # The cohort's copy of the rule in its speculative base, with the
+        # overlay's mutators under their shard names.
+        "block effects staged by the cohort",
+        "src/commit/tfcommit.cpp",
+        "base.apply_write(w.id, w.new_value, t.commit_ts);\n"
+        "if (shard_->contains(item)) base.update_read_ts (item, t.commit_ts);\n",
+        ["block-effects", "block-effects"],
+    ),
+    (
+        "block effects in the store",
+        "src/store/shard.cpp",
+        "void ShardOverlay::apply_write(ItemId item, BytesView v, const Timestamp& ts) {}\n"
+        "void Shard::update_read_ts(ItemId item, const Timestamp& ts) {}\n",
+        [],
+    ),
+    (
+        "block effects in the one apply rule",
+        "src/txn/occ.hpp",
+        "state.apply_write(w.id, w.new_value, ts);\nstate.update_read_ts(r.id, ts);\n",
+        [],
+    ),
+    (
+        "block effects in another txn file",
+        "src/txn/occ.cpp",
+        "shard.apply_write(w.id, w.new_value, ts);\n",
+        ["block-effects"],
+    ),
+    (
+        "apply rule calls, comments and lookalikes are not block effects",
+        "src/fides/s.cpp",
+        "// shard_.apply_write(id, v, ts) happens in txn::apply_committed\n"
+        "txn::apply_committed(shard_, t);\nauto n = overlay_apply_write_count(x);\n"
+        "s.apply_write(1, v, ts);  // fides-lint: allow(block-effects) -- fixture\n",
+        [],
+    ),
+    (
+        "block effects outside src not checked",
+        "tests/s_test.cpp",
+        "s.apply_write(10, to_bytes(\"v1\"), ts);\ns.update_read_ts(10, ts);\n",
         [],
     ),
 ]
