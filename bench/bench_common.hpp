@@ -174,8 +174,7 @@ inline workload::ExperimentResult run_point(workload::ExperimentConfig cfg) {
 //            blocks, messages, bytes, signatures) and anything measured on
 //            the virtual clock (open-loop percentiles, spans, virtual tps).
 //            bench_diff compares these byte-for-byte.
-//   approx — contains measured wall/CPU time (modeled latency folds in the
-//            measured compute term); compared directionally with a noise
+//   approx — measured wall/CPU time; compared directionally with a noise
 //            tolerance (*_tps may not drop, *_ms may not rise).
 //   info   — context only (wall seconds, threads); never compared.
 
@@ -325,24 +324,23 @@ inline void add_experiment_point(BenchReport& report, const std::string& label,
   p.exact.set("net_bytes", static_cast<double>(r.net.bytes));
   p.exact.set("signatures_created", static_cast<double>(r.net.signatures_created));
   p.exact.set("signatures_verified", static_cast<double>(r.net.signatures_verified));
-  // Closed-loop percentiles derive from per-block modeled latency, which
-  // folds in measured compute time — their tails (one stray slow round) are
-  // far too noisy to gate, so they land in info. Open-loop percentiles are
-  // pure virtual time and gate exactly.
+  // Closed-loop percentiles derive from per-block measured wall time — their
+  // tails (one stray slow round) are far too noisy to gate, so they land in
+  // info. Open-loop percentiles and throughput are pure virtual time and
+  // gate exactly.
   MetricGroup& timing = r.open_loop ? p.exact : p.info;
   timing.set("p50_ms", r.p50_ms);
   timing.set("p99_ms", r.p99_ms);
   timing.set("p999_ms", r.p999_ms);
   timing.set("max_ms", r.max_ms);
-  (r.open_loop ? p.exact : p.approx).set("throughput_tps", r.throughput_tps);
   if (r.open_loop) {
+    p.exact.set("throughput_tps", r.throughput_tps);
     p.exact.set("offered_tps", r.offered_tps);
     p.exact.set("span_ms", r.span_ms);
     p.exact.set("client_sends", static_cast<double>(r.client_sends));
     p.exact.set("client_retries", static_cast<double>(r.client_retries));
     p.exact.set("dup_responses", static_cast<double>(r.dup_responses));
   }
-  p.approx.set("avg_latency_ms", r.avg_latency_ms);
   p.approx.set("avg_measured_ms", r.avg_measured_ms);
   p.approx.set("measured_throughput_tps", r.measured_throughput_tps);
   p.approx.set("avg_mht_ms", r.avg_mht_ms);

@@ -40,10 +40,10 @@ int main() {
   //    runs TFCommit (2PC + collective signing) across all servers.
   const commit::SignedEndTxn request = client.end(std::move(txn));
   const RoundMetrics metrics = cluster.run_block({request});
-  std::printf("decision: %s, co-sign valid: %s, modeled latency: %.2f ms\n",
+  std::printf("decision: %s, co-sign valid: %s, measured latency: %.2f ms\n",
               metrics.decision == ledger::Decision::kCommit ? "COMMIT" : "ABORT",
               metrics.cosign_valid ? "yes" : "no",
-              metrics.modeled_latency_us / 1000.0);
+              metrics.measured_latency_us / 1000.0);
 
   // 4. The client verifies the collective signature before accepting.
   const ledger::Block& block = cluster.server(ServerId{0}).log().at(0);

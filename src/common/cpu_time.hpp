@@ -1,12 +1,10 @@
 // Per-thread CPU time, for contention-robust compute measurements.
 //
-// The round driver's *modeled* critical path wants each handler's solo
-// compute time — what the handler would cost on an uncontended core. Wall
-// clocks inflate that with scheduler time slices as soon as the thread pool
-// oversubscribes cores; CLOCK_THREAD_CPUTIME_ID does not tick while the
-// thread is preempted, so the analytical model stays comparable between
-// 1-thread and N-thread runs. (Measured wall-clock latency is reported
-// separately and intentionally keeps the contention.)
+// A round's per-cohort compute figures want each handler's solo compute
+// time: what it would cost on an uncontended core. Wall clocks add scheduler
+// time slices once the pool oversubscribes cores; CLOCK_THREAD_CPUTIME_ID
+// does not tick while the thread is preempted, so the figures compare across
+// thread counts. (Measured wall-clock latency keeps the contention.)
 #pragma once
 
 #include <ctime>

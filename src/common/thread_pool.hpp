@@ -4,7 +4,7 @@
 // challenge responses, decision application) genuinely concurrently across
 // servers, and the Merkle layer uses it for parallel tree construction —
 // turning the Figure 14 scaling story (more servers => parallel Merkle work)
-// from an analytical model into a measurable wall-clock effect.
+// into a measurable wall-clock effect.
 //
 // Design constraints:
 //   * parallel_for(n, body) must produce results identical to a serial loop:

@@ -67,7 +67,7 @@ OpenLoopOutcome run_open_loop_rounds(
     Scheduler& sched);
 
 /// Runs one checkpoint CoSi round; metrics are populated uniformly with the
-/// commit paths (modeled + measured latency, network legs, threads).
+/// commit paths (compute, measured wall time, threads).
 CheckpointOutcome run_checkpoint_round(Cluster& cluster, Scheduler& sched);
 
 }  // namespace fides::engine

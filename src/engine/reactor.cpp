@@ -137,7 +137,6 @@ TfCommitRound::TfCommitRound(Cluster& cluster, RoundPlacement placement,
       term_waiting_(n_, 0),
       term_shares_(0) {
   metrics_.txns_in_block = batch_.size();
-  metrics_.network_legs = 6;  // end_txn + get_vote + vote + challenge + response + decision
 }
 
 std::optional<std::size_t> TfCommitRound::slot_of(std::uint32_t server) const {
@@ -704,7 +703,6 @@ TwoPhaseRound::TwoPhaseRound(Cluster& cluster, std::uint64_t epoch,
       pristine_batch_(batch_),
       votes_(n_) {
   metrics_.txns_in_block = batch_.size();
-  metrics_.network_legs = 4;  // end_txn + prepare + vote + decision
 }
 
 void TwoPhaseRound::start(Outbox& out) {
@@ -848,9 +846,7 @@ CheckpointRound::CheckpointRound(Cluster& cluster, std::uint64_t epoch)
     : RoundReactor(cluster, RoundPlacement::global(cluster), epoch, nullptr),
       leader_(placement_.members, cluster.server_keys()),
       commits_(n_),
-      shares_(n_) {
-  metrics_.network_legs = 4;  // propose + commit + challenge + response
-}
+      shares_(n_) {}
 
 void CheckpointRound::start(Outbox& out) {
   Server& coord = coord_server();

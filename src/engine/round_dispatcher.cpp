@@ -84,13 +84,6 @@ RoundMetrics RoundDispatcher::round_metrics(std::size_t k) {
   const Clock::time_point wall_end = r.completed ? r.wall_end : Clock::now();
   m.measured_latency_us =
       std::chrono::duration<double, std::micro>(wall_end - r.wall_start).count();
-  const auto vend = r.completed ? r.virtual_end_us : sched_->virtual_now_us();
-  const double net_term =
-      r.virtual_start_us.has_value() && vend.has_value()
-          ? *vend - *r.virtual_start_us
-          : static_cast<double>(m.network_legs) *
-                cluster_->config().network.one_way_latency_us;
-  m.modeled_latency_us = m.coordinator_us + m.cohort_critical_us + net_term;
   return m;
 }
 
@@ -274,7 +267,6 @@ void RoundDispatcher::drain_starts() {
         {
           common::MutexLock lock(mutex_);
           rounds_[k].wall_start = Clock::now();
-          rounds_[k].virtual_start_us = sched_->virtual_now_us();
         }
         reactor->start(sched_->outbox());
       });
@@ -305,7 +297,6 @@ void RoundDispatcher::complete_locked(Round& r) {
   if (r.completed || r.done_count < r.target) return;
   r.completed = true;
   r.wall_end = Clock::now();
-  r.virtual_end_us = sched_->virtual_now_us();
   ++completed_;
 }
 

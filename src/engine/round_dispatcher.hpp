@@ -79,10 +79,8 @@ class RoundDispatcher : public Dispatcher, public RoundObserver, public SpecCont
   void begin() EXCLUDES(mutex_);
   /// begin() plus a completion predicate, then runs the scheduler.
   void run() EXCLUDES(mutex_);
-  /// Round k's folded metrics (at quiescence): the reactor's totals plus the
-  /// measured wall time and the modeled latency, whose network term is the
-  /// virtual time the round took (SimNet) or legs x one-way latency
-  /// (direct mode). A round no server ends is measured until now.
+  /// Round k's metrics (at quiescence): the reactor's totals plus the
+  /// measured wall time. A round no server ends is measured until now.
   RoundMetrics round_metrics(std::size_t k) EXCLUDES(mutex_);
 
   /// The bare core runs rounds no server ends (the checkpoint round);
@@ -110,7 +108,6 @@ class RoundDispatcher : public Dispatcher, public RoundObserver, public SpecCont
     std::size_t target{0};
     std::vector<ledger::ShardRoot> roots;  ///< an applied outcome's Σroots (spec)
     Clock::time_point wall_start, wall_end;
-    std::optional<double> virtual_start_us, virtual_end_us;
   };
   /// A gated delivery, released later on its destination's context.
   struct Held {

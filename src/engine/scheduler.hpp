@@ -120,12 +120,6 @@ class Scheduler {
     fn();
   }
 
-  /// Virtual network time, when the substrate models one (SimNet). The
-  /// pipeline uses it for the network term of the modeled critical path;
-  /// schedulers without a clock (in-process) return nullopt and the modeled
-  /// term falls back to network_legs x one-way latency.
-  virtual std::optional<double> virtual_now_us() const { return std::nullopt; }
-
   /// Threads handlers may execute on (RoundMetrics::threads_used).
   virtual std::size_t concurrency() const { return 1; }
 

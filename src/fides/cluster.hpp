@@ -7,19 +7,15 @@
 // the cluster's thread pool) and the seeded discrete-event SimNet
 // (ClusterConfig::network.mode == kSimulated).
 //
-// Timing model: all nodes run in one process. Every round reports two
-// latencies:
+// Timing model: all nodes run in one process, and there are two clocks.
 //
-//   * modeled_latency_us — the analytical critical path: coordinator work
-//     plus the slowest cohort's compute, plus a network term (one modeled
-//     leg per protocol hop in direct mode; the schedule's virtual time in
-//     simulated mode). This is what lets the Figure 14 shape (more servers
-//     => more parallel Merkle work => higher throughput) emerge even on a
-//     single core.
-//   * measured_latency_us — the wall clock the round actually took in this
-//     process. With ClusterConfig::num_threads > 1 the engine executes
-//     per-server work concurrently, so on multi-core hardware the measured
-//     number exhibits the parallelism the model assumes.
+//   * The wall clock measures performance: each round reports the wall time
+//     it took (measured_latency_us) and the compute of its coordinator,
+//     slowest cohort and Merkle work. With num_threads > 1 per-server work
+//     runs concurrently, so multi-core hardware shows that parallelism.
+//   * SimNet virtual time (network.mode == kSimulated) is the protocol
+//     model: deterministic given the seed, read from simnet()->now_us(),
+//     never folded into a round's metrics.
 //
 // Execution is deterministic: protocol state is per-server (serialized by
 // the scheduler) or per-slot (one writer), and aggregation fires on message
@@ -59,16 +55,11 @@ struct RoundMetrics {
   double coordinator_us{0};      ///< total coordinator compute
   double cohort_critical_us{0};  ///< slowest cohort's total compute
   double mht_us{0};              ///< max per-server Merkle time in this round
-  std::size_t network_legs{0};   ///< protocol message hops on the latency path
-
-  /// critical-path compute + the network term (legs x one-way latency in
-  /// direct mode; the schedule's virtual time in simulated mode).
-  double modeled_latency_us{0};
 
   /// Wall clock this process actually spent on the round (thread-pool
-  /// fan-out included, modeled network legs excluded). At pipeline depth
-  /// > 1 rounds overlap, so per-round measured latencies do not sum to the
-  /// run's wall time — use PipelineResult::wall_us for throughput.
+  /// fan-out included). At pipeline depth > 1 rounds overlap, so per-round
+  /// measured latencies do not sum to the run's wall time — use
+  /// PipelineResult::wall_us for throughput.
   double measured_latency_us{0};
 
   /// Threads the round executed on (1 = sequential or simulated driver).
@@ -128,7 +119,7 @@ struct OpenLoopOutcome {
 };
 
 /// A checkpoint CoSi round's outcome, with metrics populated uniformly with
-/// the commit paths (modeled + measured latency, legs, threads).
+/// the commit paths (compute, measured wall time, threads).
 struct CheckpointOutcome {
   std::optional<ledger::Checkpoint> checkpoint;
   RoundMetrics metrics;

@@ -46,17 +46,14 @@ enum class Protocol : std::uint8_t {
 
 /// Network model for the in-process transport. Two modes:
 ///
-///   * kDirect (default): delivery is a direct function call, exactly the
-///     original engine. Each message leg contributes a fixed one-way
-///     latency to the analytically computed critical path (the paper's
-///     servers sit in one AWS datacenter, US-West-2, m5.xlarge). The `sim`
-///     knobs are ignored in this mode.
+///   * kDirect (default): delivery is a direct function call; the only
+///     clock is the wall clock. The `sim` knobs are ignored in this mode.
 ///   * kSimulated: commit-round and checkpoint traffic is routed through a
 ///     seeded discrete-event network (sim::SimNet) with per-link delay
 ///     distributions, drop/retransmit, duplication, reorder, and
-///     partition/heal faults. Same seed => byte-identical event trace.
+///     partition/heal faults. Same seed => byte-identical event trace, and
+///     SimNet::now_us() is the protocol's virtual time.
 struct NetworkModel {
-  double one_way_latency_us{100.0};
   sim::NetworkMode mode{sim::NetworkMode::kDirect};
   sim::SimNetConfig sim;
 };

@@ -167,10 +167,6 @@ void Server::apply_block(const ledger::Block& block) {
   add_mht_time_us(common::thread_cpu_time_us() - start);
 }
 
-AuditItemProof Server::audit_item(ItemId item, const Timestamp& ts) const {
-  return audit_items(std::span(&item, 1), ts).front();
-}
-
 std::vector<AuditItemProof> Server::audit_items(std::span<const ItemId> items,
                                                 const Timestamp& ts) const {
   // Multi-versioned: one version-tree rebuild serves every proof.

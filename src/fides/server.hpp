@@ -158,15 +158,12 @@ class Server {
 
   // --- Audit interface -------------------------------------------------------
 
-  /// Produces (value, VO) for `item` at version `ts` (multi-versioned) or
-  /// for the current state (single-versioned; `ts` ignored). The proof is
-  /// built from the server's *actual* datastore: a corrupted store yields a
-  /// proof that cannot authenticate against the co-signed root (Lemma 2).
-  AuditItemProof audit_item(ItemId item, const Timestamp& ts) const;
-
-  /// Batched variant: one version-tree reconstruction serves all proofs —
-  /// how a real audit RPC would answer "prove these k items at version ts".
-  /// The auditor makes one such request per signed root it checks.
+  /// Produces (value, VO) for each of `items` at version `ts` (multi-
+  /// versioned; one version-tree rebuild serves all proofs) or for the
+  /// current state (single-versioned; `ts` ignored), from the server's
+  /// *actual* datastore: a corrupted store yields a proof that cannot
+  /// authenticate against the co-signed root (Lemma 2). The auditor makes
+  /// one such request per signed root it checks.
   std::vector<AuditItemProof> audit_items(std::span<const ItemId> items,
                                           const Timestamp& ts) const;
 

@@ -11,8 +11,7 @@
 //
 // Delivery is a function call: the cluster passes the envelope to the
 // receiving node, which first `open()`s it (signature check) before acting.
-// The latency model is applied analytically by the round driver, not by
-// sleeping — see fides/cluster.hpp.
+// Nothing sleeps: see the timing model in fides/cluster.hpp.
 #pragma once
 
 #include <atomic>

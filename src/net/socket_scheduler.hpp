@@ -82,7 +82,6 @@ class SocketScheduler final : public engine::Scheduler, private engine::Outbox {
   /// runs it itself.
   void post(NodeId dst, std::function<void()> fn) override;
 
-  std::size_t concurrency() const override { return 1; }
   bool supports_crashes() const override { return true; }
   void crash_node(NodeId node) override;
   /// Recovery is driven by the real reconnect (HELLO after restart), not a

@@ -37,13 +37,8 @@ class SimNetScheduler final : public engine::Scheduler, private engine::Outbox {
         [&](const engine::ControlEvent& ev) { dispatcher.on_control(ev, *this); });
   }
 
-  // post() keeps the default inline execution: the event loop is
+  // post() and concurrency() keep their defaults: the event loop is
   // single-threaded, so node-local control actions need no queueing.
-
-  std::optional<double> virtual_now_us() const override { return net_->now_us(); }
-
-  /// The event loop is single-threaded by design.
-  std::size_t concurrency() const override { return 1; }
 
   bool supports_crashes() const override { return true; }
 

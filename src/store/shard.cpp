@@ -28,9 +28,8 @@ ItemRecord& Shard::record(ItemId item) { return records_[leaf_index(item)]; }
 
 const ItemRecord& Shard::peek(ItemId item) const { return records_[leaf_index(item)]; }
 
-ReadResult Shard::read(ItemId item) {
+ReadResult Shard::read(ItemId item) const {
   const ItemRecord& rec = peek(item);
-  ++stats_.reads;
   return ReadResult{item, rec.value, rec.rts, rec.wts};
 }
 
@@ -42,8 +41,7 @@ void Shard::apply_write(ItemId item, BytesView value, const Timestamp& commit_ts
   if (mode_ == VersioningMode::kMulti) {
     chains_[idx].append(commit_ts, rec.value);
   }
-  stats_.merkle_nodes_rehashed += tree_.set_leaf(idx, item_leaf_digest(item, value));
-  ++stats_.committed_writes;
+  tree_.set_leaf(idx, item_leaf_digest(item, value));
 }
 
 void Shard::update_read_ts(ItemId item, const Timestamp& commit_ts) {

@@ -27,13 +27,6 @@ enum class VersioningMode : std::uint8_t {
   kMulti,
 };
 
-/// Cumulative shard statistics surfaced to the benchmark harness.
-struct ShardStats {
-  std::uint64_t reads{0};
-  std::uint64_t committed_writes{0};
-  std::uint64_t merkle_nodes_rehashed{0};
-};
-
 class Shard {
  public:
   /// `item_ids` is the shard's fixed item universe; every item starts with
@@ -51,9 +44,9 @@ class Shard {
   bool contains(ItemId item) const { return index_.count(item) != 0; }
 
   /// Execution-layer read: current value + timestamps (§4.2.1).
-  ReadResult read(ItemId item);
+  ReadResult read(ItemId item) const;
 
-  /// Item state without bumping statistics (used by validation/audit).
+  /// Item state by reference (used by validation/audit).
   const ItemRecord& peek(ItemId item) const;
 
   /// Applies one committed write: installs the value, sets wts, and (in
@@ -94,8 +87,6 @@ class Shard {
   std::optional<Bytes> value_at(std::size_t leaf, const Timestamp& ts) const;
   const merkle::MerkleTree& tree() const { return tree_; }
 
-  const ShardStats& stats() const { return stats_; }
-
   /// Recovery (§4.2.1): "if a failure occurs, the data can be reset to the
   /// last sanitized version and the application can resume from there."
   /// Multi-versioned mode only. Rolls every item back to its version at
@@ -123,7 +114,6 @@ class Shard {
   std::vector<VersionChain> chains_;               // parallel; empty in single mode
   merkle::MerkleTree tree_;
   common::ThreadPool* pool_{nullptr};              // not owned; may be null
-  ShardStats stats_;
 };
 
 /// A speculative view of a shard: the base state plus the staged effects of

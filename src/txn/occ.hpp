@@ -8,7 +8,8 @@
 //   * every read still sees the current version (no intervening writer) and
 //     the commit timestamp exceeds the version it read;
 //   * every write targets items whose current rts and wts both precede the
-//     commit timestamp (no RW-, WW-, or WR-conflict per Lemma 3).
+//     commit timestamp (no RW-, WW-, or WR-conflict per Lemma 3);
+//   * the write set names each owned item once.
 //
 // Its counterpart is the one apply rule, apply_committed(): every committed
 // transaction reaches shard state through it — a server applying a decided
@@ -58,8 +59,17 @@ ValidationResult validate_occ(const StateT& state, const Transaction& txn) {
     }
   }
 
-  for (const auto& w : txn.rw.writes) {
+  const auto& writes = txn.rw.writes;
+  for (std::size_t i = 0; i < writes.size(); ++i) {
+    const auto& w = writes[i];
     if (!state.contains(w.id)) continue;
+    // Only a crafted request repeats an item (RwSetBuilder merges repeats);
+    // write sets hold a handful of entries, so scan rather than allocate.
+    for (std::size_t j = 0; j < i; ++j) {
+      if (writes[j].id == w.id) {
+        return {Vote::kAbort, "write set names item " + std::to_string(w.id) + " twice"};
+      }
+    }
     const store::ItemRecord& cur = state.peek(w.id);
     if (!(cur.wts < ts)) {
       return {Vote::kAbort, "WW-conflict: item " + std::to_string(w.id) +

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <map>
 #include <stdexcept>
 
@@ -14,6 +15,47 @@ void fill_percentiles(ExperimentResult& result) {
   result.p99_ms = result.latency_hist.percentile(99.0);
   result.p999_ms = result.latency_hist.percentile(99.9);
   result.max_ms = result.latency_hist.max();
+}
+
+/// Folds a finished run into `result`, the same for both load shapes. With
+/// `block_latency` (closed loop) every transaction records its block's
+/// measured latency; the open loop records its own before the fold.
+void fold_run(Cluster& cluster, std::span<const RoundMetrics> rounds,
+              double commit_wall_us, bool block_latency,
+              std::chrono::steady_clock::time_point wall_start, ExperimentResult& result) {
+  double total_measured_us = 0;
+  double total_mht_us = 0;
+  for (const RoundMetrics& metrics : rounds) {
+    ++result.blocks;
+    total_measured_us += metrics.measured_latency_us;
+    total_mht_us += metrics.mht_us;
+    if (block_latency) {
+      for (std::size_t t = 0; t < metrics.txns_in_block; ++t) {
+        result.latency_hist.record(metrics.measured_latency_us / 1000.0);
+      }
+    }
+    if (metrics.decision == ledger::Decision::kCommit) {
+      result.committed_txns += metrics.txns_in_block;
+    } else {
+      result.aborted_txns += metrics.txns_in_block;
+    }
+  }
+  if (result.blocks > 0) {
+    result.avg_measured_ms =
+        total_measured_us / 1000.0 / static_cast<double>(result.blocks);
+    result.avg_mht_ms = total_mht_us / 1000.0 / static_cast<double>(result.blocks);
+  }
+  if (commit_wall_us > 0) {
+    result.measured_throughput_tps =
+        static_cast<double>(result.committed_txns) / (commit_wall_us / 1e6);
+  }
+  fill_percentiles(result);
+  result.threads = cluster.round_threads();
+  result.pipeline_depth = std::max<std::uint32_t>(1, cluster.config().pipeline_depth);
+  result.net = cluster.transport().stats();
+  result.wall_seconds = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - wall_start)
+                            .count();
 }
 
 /// Open-loop measurement: clients are SimNet nodes submitting on the
@@ -63,34 +105,11 @@ ExperimentResult run_open_loop_experiment(const ExperimentConfig& config) {
   ExperimentResult result;
   result.open_loop = true;
   result.offered_tps = config.arrival.rate_tps;
-  result.threads = cluster.round_threads();
-  result.pipeline_depth = std::max<std::uint32_t>(1, config.cluster.pipeline_depth);
-
-  double total_latency_us = 0;
-  double total_measured_us = 0;
-  double total_mht_us = 0;
-  for (const RoundMetrics& metrics : run.pipeline.rounds) {
-    ++result.blocks;
-    total_latency_us += metrics.modeled_latency_us;
-    total_measured_us += metrics.measured_latency_us;
-    total_mht_us += metrics.mht_us;
-    if (metrics.decision == ledger::Decision::kCommit) {
-      result.committed_txns += metrics.txns_in_block;
-    } else {
-      result.aborted_txns += metrics.txns_in_block;
-    }
-  }
-  if (result.blocks > 0) {
-    result.avg_latency_ms = total_latency_us / 1000.0 / static_cast<double>(result.blocks);
-    result.avg_measured_ms =
-        total_measured_us / 1000.0 / static_cast<double>(result.blocks);
-    result.avg_mht_ms = total_mht_us / 1000.0 / static_cast<double>(result.blocks);
-  }
-
   for (const double us : run.latency_us) {
     if (us >= 0) result.latency_hist.record(us / 1000.0);
   }
-  fill_percentiles(result);
+  fold_run(cluster, run.pipeline.rounds, run.pipeline.wall_us, /*block_latency=*/false,
+           wall_start, result);
   result.span_ms = run.span_us / 1000.0;
   result.client_sends = run.client_sends;
   result.client_retries = run.client_retries;
@@ -102,14 +121,6 @@ ExperimentResult run_open_loop_experiment(const ExperimentConfig& config) {
     result.throughput_tps =
         static_cast<double>(result.committed_txns) / (run.span_us / 1e6);
   }
-  if (run.pipeline.wall_us > 0) {
-    result.measured_throughput_tps =
-        static_cast<double>(result.committed_txns) / (run.pipeline.wall_us / 1e6);
-  }
-  result.net = cluster.transport().stats();
-  result.wall_seconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - wall_start)
-                            .count();
   return result;
 }
 
@@ -133,18 +144,14 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       config.cluster.items_per_shard;
   YcsbWorkload workload(config.workload, total_items, config.cluster.seed);
 
-  ExperimentResult result;
-  result.threads = cluster.round_threads();
-  result.pipeline_depth = std::max<std::uint32_t>(1, config.cluster.pipeline_depth);
-  double total_latency_us = 0;
-  double total_measured_us = 0;
-  double total_commit_wall_us = 0;
-  double total_mht_us = 0;
+  std::vector<RoundMetrics> rounds;
+  double commit_wall_us = 0;
 
   // Execute one window's transactions against the data path, then terminate
   // them together (§4.6 batching). The window spans pipeline_depth blocks so
   // a deeper pipeline always has its next block ready.
-  const std::size_t window = config.txns_per_block * result.pipeline_depth;
+  const std::size_t window =
+      config.txns_per_block * std::max<std::uint32_t>(1, config.cluster.pipeline_depth);
   std::size_t remaining = config.total_txns;
   commit::BatchBuilder batcher(config.txns_per_block);
   while (remaining > 0) {
@@ -159,45 +166,14 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     while (!batcher.empty()) {
       batches.push_back(batcher.next_batch());
     }
-    const PipelineResult run = cluster.run_blocks(std::move(batches));
-    total_commit_wall_us += run.wall_us;
-    for (const RoundMetrics& metrics : run.rounds) {
-      ++result.blocks;
-      total_latency_us += metrics.modeled_latency_us;
-      total_measured_us += metrics.measured_latency_us;
-      total_mht_us += metrics.mht_us;
-      // Closed loop: every transaction in the block experienced the block's
-      // modeled latency.
-      for (std::size_t t = 0; t < metrics.txns_in_block; ++t) {
-        result.latency_hist.record(metrics.modeled_latency_us / 1000.0);
-      }
-      if (metrics.decision == ledger::Decision::kCommit) {
-        result.committed_txns += metrics.txns_in_block;
-      } else {
-        result.aborted_txns += metrics.txns_in_block;
-      }
-    }
+    PipelineResult run = cluster.run_blocks(std::move(batches));
+    commit_wall_us += run.wall_us;
+    rounds.insert(rounds.end(), std::make_move_iterator(run.rounds.begin()),
+                  std::make_move_iterator(run.rounds.end()));
   }
 
-  if (result.blocks > 0) {
-    result.avg_latency_ms = total_latency_us / 1000.0 / static_cast<double>(result.blocks);
-    result.avg_measured_ms =
-        total_measured_us / 1000.0 / static_cast<double>(result.blocks);
-    result.avg_mht_ms = total_mht_us / 1000.0 / static_cast<double>(result.blocks);
-  }
-  fill_percentiles(result);
-  if (total_latency_us > 0) {
-    result.throughput_tps =
-        static_cast<double>(result.committed_txns) / (total_latency_us / 1e6);
-  }
-  if (total_commit_wall_us > 0) {
-    result.measured_throughput_tps =
-        static_cast<double>(result.committed_txns) / (total_commit_wall_us / 1e6);
-  }
-  result.net = cluster.transport().stats();
-  result.wall_seconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - wall_start)
-                            .count();
+  ExperimentResult result;
+  fold_run(cluster, rounds, commit_wall_us, /*block_latency=*/true, wall_start, result);
   return result;
 }
 
@@ -210,7 +186,6 @@ ExperimentResult run_averaged(ExperimentConfig config,
     avg.committed_txns += r.committed_txns;
     avg.aborted_txns += r.aborted_txns;
     avg.blocks += r.blocks;
-    avg.avg_latency_ms += r.avg_latency_ms;
     avg.throughput_tps += r.throughput_tps;
     avg.avg_mht_ms += r.avg_mht_ms;
     avg.avg_measured_ms += r.avg_measured_ms;
@@ -232,7 +207,6 @@ ExperimentResult run_averaged(ExperimentConfig config,
   }
   const double n = static_cast<double>(seeds.size());
   if (n > 0) {
-    avg.avg_latency_ms /= n;
     avg.throughput_tps /= n;
     avg.avg_mht_ms /= n;
     avg.avg_measured_ms /= n;

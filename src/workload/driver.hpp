@@ -12,7 +12,7 @@
 //     executes a window of pipeline_depth blocks' worth of transactions on
 //     the data path, then hands the whole window's batches to the cluster in
 //     one pipelined call — the paper's §6 measurement loop. Per-transaction
-//     latency is its block's modeled latency.
+//     latency is its block's measured wall-clock latency.
 //   * Open loop (kFixedRate / kPoisson, simulated network only): clients
 //     are SimNet nodes submitting on the configured arrival schedule;
 //     per-transaction latency is the virtual time from the client's submit
@@ -48,18 +48,13 @@ struct ExperimentResult {
   std::size_t aborted_txns{0};
   std::size_t blocks{0};
 
-  /// Mean modeled commit latency per block, in milliseconds.
-  double avg_latency_ms{0};
-  /// Committed transactions per second of modeled time.
-  double throughput_tps{0};
   /// Mean per-block Merkle update time (max across servers), in ms.
   double avg_mht_ms{0};
 
   /// Mean *measured* wall-clock latency per block, in milliseconds — what
   /// the round actually took in this process, with the thread pool doing
-  /// per-server work concurrently. Compare against avg_latency_ms to
-  /// validate the analytical model against real concurrency. At pipeline
-  /// depth > 1 rounds overlap, so these per-round spans overlap too.
+  /// per-server work concurrently. At pipeline depth > 1 rounds overlap, so
+  /// these per-round spans overlap too.
   double avg_measured_ms{0};
   /// Committed transactions per second of measured commit wall time (the
   /// pipelined engine's actual rate; the depth > 1 gain shows up here).
@@ -71,7 +66,7 @@ struct ExperimentResult {
 
   // --- Per-transaction latency distribution ----------------------------------
   //
-  // Closed loop: each transaction records its block's modeled latency (so
+  // Closed loop: each transaction records its block's measured latency (so
   // the distribution reflects block-to-block variance). Open loop: each
   // transaction records its own submit→response virtual time. The histogram
   // merges exactly, so run_averaged pools the distribution across seeds.
@@ -84,6 +79,7 @@ struct ExperimentResult {
   // --- Open-loop extras ------------------------------------------------------
   bool open_loop{false};
   double offered_tps{0};             ///< configured arrival rate
+  double throughput_tps{0};          ///< committed txns per virtual second
   double span_ms{0};                 ///< virtual time to the last response
   std::uint64_t client_sends{0};     ///< submit copies clients put on the wire
   std::uint64_t client_retries{0};   ///< timeout-driven re-sends

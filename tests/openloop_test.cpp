@@ -176,8 +176,8 @@ TEST(OpenLoop, DirectModeIgnoresClientModelKnobs) {
 
   EXPECT_FALSE(a.open_loop);
   EXPECT_FALSE(b.open_loop);
-  // Compare the deterministic outputs; modeled latency folds in measured
-  // compute time, so timing fields jitter run-to-run even in direct mode.
+  // Compare the deterministic outputs; closed-loop latency is measured wall
+  // time, so timing fields jitter run-to-run.
   EXPECT_EQ(a.committed_txns, b.committed_txns);
   EXPECT_EQ(a.aborted_txns, b.aborted_txns);
   EXPECT_EQ(a.blocks, b.blocks);

@@ -25,13 +25,6 @@ TEST(Shard, InitialState) {
   EXPECT_TRUE(rec.wts.is_zero());
 }
 
-TEST(Shard, ReadBumpsStats) {
-  Shard s = make_shard(VersioningMode::kSingle);
-  s.read(10);
-  s.read(20);
-  EXPECT_EQ(s.stats().reads, 2u);
-}
-
 TEST(Shard, UnknownItemThrows) {
   Shard s = make_shard(VersioningMode::kSingle);
   EXPECT_THROW(s.read(5), std::out_of_range);
@@ -165,13 +158,6 @@ TEST(Placement, RoundRobinPartition) {
 TEST(Shard, DuplicateItemIdsDeduplicated) {
   Shard s(ShardId{0}, {5, 5, 7}, to_bytes("x"), VersioningMode::kSingle);
   EXPECT_EQ(s.item_count(), 2u);
-}
-
-TEST(Shard, MerkleRehashStatsAccumulate) {
-  Shard s = make_shard(VersioningMode::kSingle);  // 8 items -> depth 3
-  s.apply_write(10, to_bytes("a"), Timestamp{1, 0});
-  EXPECT_EQ(s.stats().merkle_nodes_rehashed, 3u);
-  EXPECT_EQ(s.stats().committed_writes, 1u);
 }
 
 }  // namespace

@@ -170,6 +170,32 @@ TEST(Occ, ForeignItemsIgnored) {
   EXPECT_TRUE(validate_occ(shard, t).ok());
 }
 
+// A signed write set that names an owned item twice would apply it twice at
+// one commit timestamp: the shard and its speculative overlay both refuse
+// it. A repeat of another shard's item is left to that shard.
+TEST(Occ, DuplicateOwnedWriteAborts) {
+  const store::Shard shard = make_shard();  // owns items 0..3
+  const store::ShardOverlay overlay(shard);
+  Transaction dup = make_txn(Timestamp{5, 0});
+  dup.rw.writes.push_back(WriteEntry{1, to_bytes("a"), to_bytes("init"), {}, {}});
+  dup.rw.writes.push_back(WriteEntry{2, to_bytes("b"), to_bytes("init"), {}, {}});
+  dup.rw.writes.push_back(WriteEntry{1, to_bytes("c"), to_bytes("init"), {}, {}});
+  Transaction foreign = make_txn(Timestamp{5, 0});
+  foreign.rw.writes.push_back(WriteEntry{100, to_bytes("a"), to_bytes("init"), {}, {}});
+  foreign.rw.writes.push_back(WriteEntry{1, to_bytes("b"), to_bytes("init"), {}, {}});
+  foreign.rw.writes.push_back(WriteEntry{100, to_bytes("c"), to_bytes("init"), {}, {}});
+
+  const auto check = [&](const auto& state, const char* name) {
+    const ValidationResult refused = validate_occ(state, dup);
+    EXPECT_FALSE(refused.ok()) << name;
+    EXPECT_NE(refused.reason.find("item 1 twice"), std::string::npos) << name;
+    const ValidationResult accepted = validate_occ(state, foreign);
+    EXPECT_TRUE(accepted.ok()) << name << ": " << accepted.reason;
+  };
+  check(shard, "shard");
+  check(overlay, "overlay");
+}
+
 TEST(Occ, ApplyCommittedInstallsWritesAndTimestamps) {
   store::Shard shard = make_shard();
   Transaction t = make_txn(Timestamp{5, 0});

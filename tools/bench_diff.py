@@ -167,7 +167,7 @@ def self_check():
         }
 
     a = report([point("p", {"committed_txns": 100.0, "virtual_ms": 12.5},
-                      {"throughput_tps": 1000.0, "avg_latency_ms": 2.0})])
+                      {"throughput_tps": 1000.0, "avg_measured_ms": 2.0})])
 
     checks = []
     # 1. identical reports pass
@@ -187,10 +187,10 @@ def self_check():
     checks.append(("tps-within", compare_reports(a, d, 0.25) == []))
     # 5. ms rise beyond tolerance fails; direction is one-sided (faster is fine)
     e = report([point("p", {"committed_txns": 100.0, "virtual_ms": 12.5},
-                      {"throughput_tps": 1000.0, "avg_latency_ms": 3.0})])
+                      {"throughput_tps": 1000.0, "avg_measured_ms": 3.0})])
     checks.append(("ms-rise", compare_reports(a, e, 0.25) != []))
     f = json.loads(json.dumps(e))
-    f["points"][0]["approx"]["avg_latency_ms"] = 0.5
+    f["points"][0]["approx"]["avg_measured_ms"] = 0.5
     checks.append(("ms-faster-ok", compare_reports(a, f, 0.25) == []))
     # 6. missing point fails
     g = report([])
@@ -203,6 +203,14 @@ def self_check():
     checks.append(("gb-format", is_google_benchmark({"context": {}, "benchmarks": []})))
     # 9. exact tolerance escape hatch works
     checks.append(("exact-tol", compare_reports(a, c, 0.25, exact_tol=1e-6) == []))
+    # 10. a baseline exact key absent from the current report fails
+    i = json.loads(json.dumps(a))
+    del i["points"][0]["exact"]["virtual_ms"]
+    checks.append(("exact-key-missing", compare_reports(a, i, 0.25) != []))
+    # 11. a baseline approx key absent from the current report fails
+    j = json.loads(json.dumps(a))
+    del j["points"][0]["approx"]["avg_measured_ms"]
+    checks.append(("approx-key-missing", compare_reports(a, j, 0.25) != []))
 
     failed = [n for n, ok in checks if not ok]
     for n, ok in checks:
