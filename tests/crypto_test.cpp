@@ -878,6 +878,49 @@ TEST(Schnorr, DeterministicSigning) {
   EXPECT_EQ(s1.s, s2.s);
 }
 
+TEST(Schnorr, SignaturesArePinned) {
+  // Byte pins: nonces are deterministic, so a signature's bytes are a pure
+  // function of (key, message), and a change to how k·G or the affine R is
+  // computed must leave every one of them, and a CoSi commitment, identical.
+  struct Case {
+    std::uint64_t key;
+    const char* message;
+    const char* want;
+  };
+  const std::vector<Case> cases = {
+      {1, "transaction payload",
+       "0492afa5f47f2f53161433cc7e0cbd24368f3b1f966fb22a07c41a40a662bb6e"},
+      {2, "",
+       "7e7ebea07170b3bd922f77155ad2f1105db8367b722f2ff14ced5267f356f145"},
+      {4, "m",
+       "d49c3d68c3b2d1cebeb21549704336f0f7d7adba4799627d7bf18fc0e267a831"},
+      {7, "a longer message, signed by a client at end-transaction",
+       "8d61cbad4b833e7a730e67326649acef3ae5c8de80bf7696d17cb3648c5d65f0"},
+      // Its nonce has its top five bits set: the comb's next-to-top window
+      // carries into the top row, whose digit becomes 16.
+      {3, "comb carry 35",
+       "c7560560b4812525f1b5092704dc9673358df14606b9011c83bfaea640b1ac42"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.message);
+    const KeyPair kp = KeyPair::deterministic(c.key);
+    EXPECT_EQ(sha256(kp.sign(to_bytes(c.message)).serialize()).hex(), c.want);
+  }
+  // The carry case's nonce, derived as KeyPair::sign derives it.
+  const KeyPair carry = KeyPair::deterministic(3);
+  const auto skb = carry.secret_key().to_bytes_be();
+  const std::uint8_t ctr = 0;
+  Sha256 h;
+  h.update(BytesView(skb.data(), skb.size()));
+  h.update(to_bytes("comb carry 35"));
+  h.update(BytesView(&ctr, 1));
+  EXPECT_EQ(scalar_from_digest(h.finalize()).w[3] >> 59, 0x1FU);
+
+  const CosiCommitment commit = cosi_commit(KeyPair::deterministic(9), to_bytes("block"), 5);
+  EXPECT_EQ(sha256(commit.v.serialize()).hex(),
+            "27fdbd0a63c2d94a1625319554bfd8f1ec4946ef8d02d9090fb702d786c328e6");
+}
+
 TEST(Schnorr, DistinctKeysFromDistinctSeeds) {
   EXPECT_NE(KeyPair::deterministic(1).public_key(),
             KeyPair::deterministic(2).public_key());
