@@ -12,6 +12,9 @@
 //                a registered key runs).
 //   batched_N  — schnorr::batch_verify over batches of N: one RLC aggregate
 //                MSM amortizing the ladder doublings across the whole batch.
+//   sign       — KeyPair::sign: k·G on the fixed-base comb plus one safegcd
+//                inversion for the affine R, timed against Curve::mul(k, G),
+//                the plain double-and-add reference.
 //
 // Unlike the Google-Benchmark ablations, this emits a fides-bench-v1 report
 // directly (--json <path> / FIDES_BENCH_JSON): wall-clock rates land in the
@@ -22,10 +25,12 @@
 // faster than single. cached and mul_add then verify each signature back to
 // back, in alternating order, every call timed on its own; the bench exits 1
 // unless the median cached call is at least 1.15x faster than the median
-// mul_add call. Pairing call by call keeps that ratio steady when other
-// processes load the host (the ctest smoke runs beside every other suite).
-// The ratio of two paths timed back to back on one host holds across hosts
-// where their absolute times do not.
+// mul_add call. sign and Curve::mul(s, G) likewise run back to back on each
+// signature's s, and the bench exits 1 unless the median sign call takes at
+// most 0.18 of the median mul call. Pairing call by call keeps these ratios
+// steady when other processes load the host (the ctest smoke runs beside
+// every other suite). The ratio of two paths timed back to back on one host
+// holds across hosts where their absolute times do not.
 //
 // Knobs: FIDES_ABLATION_REPS (default 40) scales how many verifications each
 // mode times.
@@ -45,6 +50,7 @@ using namespace fides;
 using Clock = std::chrono::steady_clock;
 
 struct Signed {
+  crypto::KeyPair kp;
   crypto::PublicKey pk;
   Bytes message;
   crypto::Signature sig;
@@ -61,7 +67,7 @@ std::vector<Signed> make_corpus(std::size_t n) {
     w.u64(i);
     Bytes msg = std::move(w).take();
     const crypto::Signature sig = kp.sign(msg);
-    out.push_back(Signed{kp.public_key(), std::move(msg), sig,
+    out.push_back(Signed{kp, kp.public_key(), std::move(msg), sig,
                          std::make_unique<crypto::KeyTable>(kp.public_key())});
   }
   return out;
@@ -83,7 +89,7 @@ int main(int argc, char** argv) {
   report.config("reps", reps);
 
   std::printf("Schnorr verification ablation (%zu verifications per mode)\n", reps);
-  std::printf("%-14s %-16s %s\n", "mode", "verifies/sec", "us/verify");
+  std::printf("%-14s %-16s %s\n", "mode", "ops/sec", "us/op");
   const auto emit = [&](const std::string& label, std::size_t count, double secs) {
     const double rate = secs > 0 ? count / secs : 0.0;
     std::printf("%-14s %-16.0f %.1f\n", label.c_str(), rate, 1e6 * secs / count);
@@ -170,6 +176,41 @@ int main(int argc, char** argv) {
   const double median_cached = median(pair_cached);
   emit("cached", 1, median_cached);
 
+  // sign: each message signed again, back to back with the reference
+  // double-and-add on its signature's s (a full-width scalar), in
+  // alternating order, each call timed on its own.
+  std::vector<double> pair_sign;
+  std::vector<double> pair_mul;
+  for (std::size_t i = 0; i < 7 * reps; ++i) {
+    const Signed& s = corpus[i % corpus.size()];
+    bool ok = true;
+    for (int side = 0; side < 2; ++side) {
+      const bool sign = (side == 0) == (i % 2 == 0);
+      const auto t0 = Clock::now();
+      if (sign) {
+        ok &= s.kp.sign(s.message).s == s.sig.s;
+      } else {
+        ok &= !curve.mul(s.sig.s, curve.generator()).is_infinity();
+      }
+      (sign ? pair_sign : pair_mul).push_back(seconds_since(t0));
+    }
+    if (!ok) {
+      std::printf("ERROR: sign-pair signing failed\n");
+      return 1;
+    }
+  }
+  const double median_sign = median(pair_sign);
+  const double median_mul = median(pair_mul);
+  const double sign_ratio = median_mul > 0 ? median_sign / median_mul : 0.0;
+  std::printf("%-14s %-16.0f %.1f\n", "sign", 1 / median_sign, 1e6 * median_sign);
+  {
+    bench::BenchPoint& p = report.point("sign");
+    p.info.set("signs_per_sec", 1 / median_sign);
+    p.info.set("us_per_sign", 1e6 * median_sign);
+    p.info.set("us_per_reference_mul", 1e6 * median_mul);
+    p.info.set("ratio_to_reference_mul", sign_ratio);
+  }
+
   // batched_N: RLC aggregate over batches of N — one MSM per batch.
   for (const std::size_t batch : {16UL, 64UL}) {
     std::vector<crypto::BatchItem> items;
@@ -204,12 +245,18 @@ int main(int argc, char** argv) {
   constexpr double kMinCachedSpeedup = 1.15;
   std::printf("cached speedup over mul_add: %.2fx (gate: >= %.2fx)\n", cached_speedup,
               kMinCachedSpeedup);
+  constexpr double kMaxSignRatio = 0.18;
+  std::printf("sign / reference mul: %.3f (gate: <= %.3f)\n", sign_ratio, kMaxSignRatio);
   if (speedup < kMinSpeedup) {
     std::printf("FAIL: mul_add is less than %.2fx faster than single\n", kMinSpeedup);
     return 1;
   }
   if (cached_speedup < kMinCachedSpeedup) {
     std::printf("FAIL: cached is less than %.2fx faster than mul_add\n", kMinCachedSpeedup);
+    return 1;
+  }
+  if (sign_ratio > kMaxSignRatio) {
+    std::printf("FAIL: sign takes more than %.3f of a reference mul\n", kMaxSignRatio);
     return 1;
   }
   return 0;

@@ -53,8 +53,9 @@ CosiCommitment cosi_commit(const KeyPair& kp, BytesView record, std::uint64_t ro
 
 AffinePoint cosi_aggregate_commitments(std::span<const AffinePoint> commitments) {
   const Curve& curve = Curve::instance();
+  // Every commitment is affine (Z == 1), so each step is a mixed add.
   Point acc = curve.infinity();
-  for (const auto& c : commitments) acc = curve.add(acc, curve.from_affine(c));
+  for (const auto& c : commitments) acc = curve.add_mixed(acc, curve.from_affine(c));
   return curve.to_affine(acc);
 }
 
@@ -106,7 +107,7 @@ bool cosi_verify(BytesView record, const CosiSignature& sig,
   Point x_agg = curve.infinity();
   for (const auto& pk : public_keys) {
     if (pk.point.infinity || !curve.on_curve(pk.point)) return false;
-    x_agg = curve.add(x_agg, curve.from_affine(pk.point));
+    x_agg = curve.add_mixed(x_agg, curve.from_affine(pk.point));
   }
   if (x_agg.is_infinity()) return false;
   return share_holds(sig.v, sig.r, cosi_challenge(sig.v, record), x_agg);

@@ -54,9 +54,10 @@ const KeyTable* KeyRegistry::aggregate(std::span<const ServerId> signers) const 
   const auto it = aggregates_.find(set);
   if (it != aggregates_.end()) return it->second.get();
   const Curve& curve = Curve::instance();
+  // Every key is affine (Z == 1), so each step is a mixed add.
   Point sum = curve.infinity();
   for (const std::uint32_t s : set) {
-    sum = curve.add(sum, curve.from_affine(servers_[s]->key().point));
+    sum = curve.add_mixed(sum, curve.from_affine(servers_[s]->key().point));
   }
   std::unique_ptr<const KeyTable> table;
   if (!sum.is_infinity()) table = std::make_unique<const KeyTable>(PublicKey{curve.to_affine(sum)});

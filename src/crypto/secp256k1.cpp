@@ -120,23 +120,21 @@ Curve::Curve() : fn_(kN), b7_(fp_.to_mont(U256(7))), beta_(fp_.to_mont(glv::kBet
   g_.y = fp_.to_mont(kGy);
   g_.z = fp_.one();
 
-  g_table_.resize(64);
-  Point window_base = g_;  // 16^i * G
-  for (int i = 0; i < 64; ++i) {
-    g_table_[i][0] = window_base;
-    for (int j = 1; j < 15; ++j) {
-      g_table_[i][j] = add(g_table_[i][j - 1], window_base);
-    }
-    for (int d = 0; d < 4; ++d) window_base = dbl(window_base);
-  }
-  // One inversion normalizes the whole table; every fixed-base lookup can
-  // then go through the cheaper mixed addition.
-  std::vector<Point> flat;
-  flat.reserve(64 * 15);
-  for (const auto& row : g_table_) flat.insert(flat.end(), row.begin(), row.end());
-  batch_normalize(flat);
-  for (int i = 0; i < 64; ++i) {
-    for (int j = 0; j < 15; ++j) g_table_[i][j] = flat[static_cast<std::size_t>(i) * 15 + j];
+  // mul_g's comb. Row i starts from its base B = 2^(w·i)·G at Z == 1 and
+  // chains mixed adds of B to 2^(w−1)·B, then doubles once more to the next
+  // row's base 2^w·B: one batch normalization per row covers both.
+  static_assert(256 - kCombWidth * (kCombRows - 1) < kCombWidth - 1,
+                "the top window must stay below 2^(w-1) after a carry");
+  g_table_.resize(kCombRows);
+  std::array<Point, kCombTeeth + 1> row;
+  Point base = g_;
+  for (auto& entries : g_table_) {
+    row[0] = base;
+    for (int j = 1; j < kCombTeeth; ++j) row[j] = add_mixed(row[j - 1], base);
+    row[kCombTeeth] = dbl(row[kCombTeeth - 1]);
+    batch_normalize(row);
+    for (int j = 0; j < kCombTeeth; ++j) entries[j] = CombEntry{row[j].x, row[j].y};
+    base = row[kCombTeeth];
   }
 
   g_fixed_ = fixed_table(g_);
@@ -234,18 +232,18 @@ Point Curve::add_mixed(const Point& p, const Point& q) const {
   }
   const Fe h = f.sub(u2, p.x);
   const Fe hh = f.sqr(h);
+  Point out;
+  out.z = f.sub(f.sub(f.sqr(f.add(p.z, h)), z1z1), hh);  // Z3 = (Z1+H)^2-Z1Z1-HH
   Fe i = f.add(hh, hh);
   i = f.add(i, i);                             // I = 4*HH
   const Fe j = f.mul(h, i);                    // J = H*I
   Fe rr = f.sub(s2, p.y);
   rr = f.add(rr, rr);                          // r = 2*(S2-Y1)
   const Fe v = f.mul(p.x, i);                  // V = X1*I
-  Point out;
   out.x = f.sub(f.sub(f.sqr(rr), j), f.add(v, v));  // X3 = r^2 - J - 2V
   Fe y1j = f.mul(p.y, j);
   y1j = f.add(y1j, y1j);
   out.y = f.sub(f.mul(rr, f.sub(v, out.x)), y1j);   // Y3 = r*(V-X3) - 2*Y1*J
-  out.z = f.sub(f.sub(f.sqr(f.add(p.z, h)), z1z1), hh);  // Z3 = (Z1+H)^2-Z1Z1-HH
   return out;
 }
 
@@ -303,10 +301,24 @@ Point Curve::mul(const U256& k, const Point& p) const {
 }
 
 Point Curve::mul_g(const U256& k) const {
+  constexpr int kHalf = kCombTeeth;
+  constexpr std::uint64_t kMask = (std::uint64_t{1} << kCombWidth) - 1;
   Point acc = infinity();
-  for (int i = 0; i < 64; ++i) {
-    const unsigned digit = static_cast<unsigned>((k.w[i / 16] >> (4 * (i % 16))) & 0xF);
-    if (digit != 0) acc = add_mixed(acc, g_table_[i][digit - 1]);
+  int carry = 0;
+  for (int i = 0; i < kCombRows; ++i) {
+    // Window i: bits w·i .. w·i + w − 1 of k, across a limb boundary when
+    // it straddles one, plus the carry out of window i − 1.
+    const int bit = kCombWidth * i;
+    const int limb = bit / 64;
+    const int shift = bit % 64;
+    std::uint64_t window = k.w[limb] >> shift;
+    if (shift + kCombWidth > 64 && limb < 3) window |= k.w[limb + 1] << (64 - shift);
+    int digit = static_cast<int>(window & kMask) + carry;
+    carry = digit >= kHalf ? 1 : 0;
+    digit -= carry << kCombWidth;
+    if (digit == 0) continue;
+    const CombEntry& e = g_table_[i][(digit > 0 ? digit : -digit) - 1];
+    acc = add_mixed(acc, Point{e.x, digit > 0 ? e.y : fp_.neg(e.y), fp_.one()});
   }
   return acc;
 }

@@ -12,9 +12,11 @@
 // tables precomputed once (G's, and a FixedTable per known public key, held
 // by crypto::KeyTable) or width-5 tables built per call for points seen once.
 // The implementation favours clarity and correctness over constant-time
-// hardening: Fides' threat model (§3.2) is a computationally bounded
-// adversary who cannot forge signatures; side-channel resistance of
-// co-located processes is out of the paper's scope.
+// hardening (mul_g's comb skips zero digits, and the base-field inverse is a
+// variable-time safegcd whose running time depends on its input): Fides'
+// threat model (§3.2) is a computationally bounded adversary who cannot forge
+// signatures; side-channel resistance of co-located processes is out of the
+// paper's scope.
 #pragma once
 
 #include <array>
@@ -169,9 +171,21 @@ class Curve {
   Point msm(const U256& g_scalar, std::span<const U256> scalars,
             std::span<const Point> points, std::span<const FixedTerm> fixed = {}) const;
 
-  /// k*G via a precomputed fixed-base window table (4-bit windows over the
-  /// 256-bit scalar: ~64 additions, no doublings). Signing, CoSi
-  /// commitments, and responses are all fixed-base, so this is the hot path.
+  /// mul_g's window width w. Each row then holds 2^(w−1) multiples, and
+  /// ⌈257/w⌉ rows cover a 256-bit scalar plus the carry out of its top
+  /// full window.
+  static constexpr int kCombWidth = 6;
+  static constexpr int kCombRows = (257 + kCombWidth - 1) / kCombWidth;
+  static constexpr int kCombTeeth = 1 << (kCombWidth - 1);
+
+  /// k*G for any 256-bit k by a signed-digit fixed-base comb (Lim and Lee,
+  /// CRYPTO '94; the shape of libsecp256k1's ecmult_gen): k is cut into
+  /// kCombRows windows of kCombWidth bits, each recoded to a digit in
+  /// [−2^(w−1), 2^(w−1)) by carrying into the next window, and each nonzero
+  /// digit d of window i adds ±|d|·2^(w·i)·G from row i of the table, a
+  /// negative digit by negating y. No doublings and at most 43 mixed adds.
+  /// Signing, CoSi commitments and key derivation are all fixed-base, so
+  /// this is the signing hot path.
   Point mul_g(const U256& k) const;
 
   AffinePoint to_affine(const Point& p) const;
@@ -191,10 +205,15 @@ class Curve {
   Fe b7_;  // curve constant 7
   Point g_;
   Fe beta_;  // glv::kBeta in the base field
-  /// g_table_[i][j-1] == j * 16^i * G for j in 1..15, i in 0..63: mul_g's
-  /// comb. Every entry is batch-normalized to Z == 1 at construction so table
-  /// lookups feed the cheaper mixed addition.
-  std::vector<std::array<Point, 15>> g_table_;
+  /// A comb entry, affine: its Z is the field's one.
+  struct CombEntry {
+    Fe x, y;
+  };
+  /// g_table_[i][j-1] == j·2^(w·i)·G for j in 1..2^(w−1), i in
+  /// 0..kCombRows−1: mul_g's comb, 43 rows of 32 affine points (86 KiB).
+  /// Each row is built by mixed adds from its normalized base and one batch
+  /// normalization at construction.
+  std::vector<std::array<CombEntry, kCombTeeth>> g_table_;
   /// G's FixedTable: the tables of msm's width-8 G terms.
   FixedTable g_fixed_;
 };

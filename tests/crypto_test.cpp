@@ -343,18 +343,67 @@ TEST_F(FieldTest, BaseFieldReducesEveryInput) {
   EXPECT_EQ(f.add(p1, p1), f.to_mont(p_minus(2)));
 }
 
-TEST_F(FieldTest, AdditionChainInverseMatchesFermat) {
+TEST_F(FieldTest, SafegcdInverseMatchesFermat) {
   Rng rng(0x1417);
   for (int i = 0; i < 200; ++i) {
     U256 a;
     for (auto& w : a.w) w = rng.next_u64();
     a = u256_mod(a, Secp256k1Field::kP);
     if (a.is_zero()) continue;
-    const Fe by_chain = fp().inverse(fp().to_mont(a));
+    const Fe by_safegcd = fp().inverse(fp().to_mont(a));
     const Fe by_pow = mont_p().pow(mont_p().to_mont(a), p_minus(2));
-    ASSERT_EQ(fp().from_mont(by_chain), mont_p().from_mont(by_pow)) << a.hex();
-    ASSERT_EQ(fp().mul(by_chain, fp().to_mont(a)), fp().one());
+    ASSERT_EQ(fp().from_mont(by_safegcd), mont_p().from_mont(by_pow)) << a.hex();
+    ASSERT_EQ(fp().mul(by_safegcd, fp().to_mont(a)), fp().one());
   }
+}
+
+TEST_F(FieldTest, SafegcdInverseMatchesOracleOnRandomInputs) {
+  // Limbs are drawn as in BaseFieldMatchesOraclesOnRandomPairs: often 0, 1
+  // or all-ones, so inputs with zero or short limbs, which end the divsteps
+  // early or shorten f and g unevenly, come up often.
+  Rng rng(0x5AFE6CD);
+  const auto limb = [&rng]() -> std::uint64_t {
+    switch (rng.uniform(8)) {
+      case 0: return 0;
+      case 1: return 1;
+      case 2: return ~0ULL;
+      default: return rng.next_u64();
+    }
+  };
+  for (int i = 0; i < 100000; ++i) {
+    U256 a;
+    for (auto& w : a.w) w = limb();
+    a = u256_mod(a, Secp256k1Field::kP);
+    if (a.is_zero()) continue;
+    ASSERT_EQ(fp().from_mont(fp().inverse(fp().to_mont(a))),
+              mont_p().from_mont(mont_p().inverse(mont_p().to_mont(a))))
+        << a.hex();
+  }
+}
+
+TEST_F(FieldTest, SafegcdInverseEdgeInputs) {
+  const auto pow2 = [](int k) {
+    U256 x;
+    x.w[k / 64] = 1ULL << (k % 64);
+    return x;
+  };
+  const U256 all_ones = U256::from_limbs(~0ULL, ~0ULL, ~0ULL, ~0ULL);
+  const std::vector<U256> edges = {
+      U256(1), U256(2), p_minus(1), p_minus(2), pow2(255),
+      U256((1ULL << 62) - 1), U256((1ULL << 62) + 1), pow2(62), pow2(124), pow2(248),
+      // Zero low limbs.
+      U256::from_limbs(0, 1, 0, 0), U256::from_limbs(0, 0, 1, 0),
+      U256::from_limbs(0, 0, 0, 1), U256::from_limbs(0, 0, ~0ULL, ~0ULL),
+      U256::from_limbs(0, 0, 0, 0xFFFFFFFFFFFFFFFEULL),
+      u256_mod(all_ones, Secp256k1Field::kP), U256(Secp256k1Field::kC)};
+  for (const U256& a : edges) {
+    SCOPED_TRACE(a.hex());
+    const Fe inv = fp().inverse(fp().to_mont(a));
+    EXPECT_EQ(fp().from_mont(inv), mont_p().from_mont(mont_p().inverse(mont_p().to_mont(a))));
+    EXPECT_EQ(fp().mul(inv, fp().to_mont(a)), fp().one());
+  }
+  EXPECT_EQ(fp().inverse(fp().one()), fp().one());
+  EXPECT_EQ(fp().inverse(fp().to_mont(p_minus(1))), fp().to_mont(p_minus(1)));  // (-1)^-1
 }
 
 // --- secp256k1 ------------------------------------------------------------------
@@ -402,6 +451,42 @@ TEST_F(CurveTest, FixedBaseTableMatchesGenericMul) {
   const U256 big = U256::from_limbs(0x1111111111111111, 0x2222222222222222,
                                     0x3333333333333333, 0x4444444444444444);
   EXPECT_TRUE(c.equal(c.mul_g(big), c.mul(big, c.generator())));
+}
+
+TEST_F(CurveTest, CombMatchesGenericMulOnRandomScalars) {
+  // Full 256-bit scalars, not reduced mod n: mul_g takes any 256-bit k.
+  Rng rng(0xC0B);
+  for (int i = 0; i < 10000; ++i) {
+    U256 k;
+    for (auto& w : k.w) w = rng.next_u64();
+    ASSERT_TRUE(c.equal(c.mul_g(k), c.mul(k, c.generator()))) << k.hex();
+  }
+}
+
+TEST_F(CurveTest, CombEdgeScalars) {
+  const U256& n = c.order();
+  U256 n_minus_1;
+  u256_sub(n_minus_1, n, U256(1));
+  const U256 all_ones = U256::from_limbs(~0ULL, ~0ULL, ~0ULL, ~0ULL);
+  // Every full window holds 2^(w−1): each recodes to a negative digit and
+  // carries into the next, up to the top row, which reads the carry alone.
+  U256 half_windows;
+  for (int i = 0; (i + 1) * Curve::kCombWidth <= 256; ++i) {
+    const int bit = i * Curve::kCombWidth + Curve::kCombWidth - 1;
+    half_windows.w[bit / 64] |= 1ULL << (bit % 64);
+  }
+  // Every window is 2^(w−1) − 1: the largest digit that does not carry.
+  U256 below_half;
+  for (int bit = 0; bit < 256; ++bit) {
+    if (bit % Curve::kCombWidth == Curve::kCombWidth - 1) continue;
+    below_half.w[bit / 64] |= 1ULL << (bit % 64);
+  }
+  for (const U256& k : {U256(0), U256(1), n_minus_1, n, all_ones, half_windows, below_half}) {
+    EXPECT_TRUE(c.equal(c.mul_g(k), c.mul(k, c.generator()))) << k.hex();
+  }
+  EXPECT_TRUE(c.mul_g(U256(0)).is_infinity());
+  EXPECT_TRUE(c.mul_g(n).is_infinity());
+  EXPECT_TRUE(c.equal(c.mul_g(n_minus_1), c.negate(c.generator())));
 }
 
 TEST_F(CurveTest, MulAddMatchesSeparateMuls) {
