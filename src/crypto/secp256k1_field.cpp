@@ -54,8 +54,7 @@ struct Transition {
 
 /// 62 divsteps on the low words of f (odd) and g, several at a time: a run
 /// of zero low bits of g is shifted out at once, and each odd step cancels
-/// up to 6 (eta < 0) or 4 low bits of g with one multiple of f. Returns the
-/// new eta.
+/// several low bits of g with one multiple of f. Returns the new eta.
 std::int64_t divsteps_62(std::int64_t eta, std::uint64_t f0, std::uint64_t g0, Transition& t) {
   std::uint64_t u = 1, v = 0, q = 0, r = 1;
   std::uint64_t f = f0, g = g0;
@@ -69,11 +68,9 @@ std::int64_t divsteps_62(std::int64_t eta, std::uint64_t f0, std::uint64_t g0, T
     eta -= zeros;
     i -= zeros;
     if (i == 0) break;
-    // f and g are odd here.
-    std::uint64_t w;
-    int limit;
-    if (eta < 0) {
-      // Swap in (g, −f) and negate eta.
+    // f and g are odd here. If eta < 0, swap in (g, −f) and negate eta.
+    const bool swapped = eta < 0;
+    if (swapped) {
       eta = -eta;
       std::uint64_t tmp = f;
       f = g;
@@ -84,18 +81,15 @@ std::int64_t divsteps_62(std::int64_t eta, std::uint64_t f0, std::uint64_t g0, T
       tmp = v;
       v = r;
       r = -tmp;
-      // Cancel at most min(eta + 1, i, 6) bits: eta flips again after
-      // eta + 1 steps, and only i are left. f·(f² − 2) == −f^(−1) mod 64.
-      limit = std::min(static_cast<int>(eta) + 1, i);
-      const std::uint64_t m = (~0ULL >> (64 - limit)) & 63U;
-      w = (f * g * (f * f - 2)) & m;
-    } else {
-      // At most 4 bits: f + (((f + 1) & 4) << 1) == f^(−1) mod 16.
-      limit = std::min(static_cast<int>(eta) + 1, i);
-      const std::uint64_t m = (~0ULL >> (64 - limit)) & 15U;
-      w = f + (((f + 1) & 4) << 1);
-      w = (-w * g) & m;
     }
+    // Cancel the low min(eta + 1, i) bits of g, at most 6 right after a
+    // swap and 4 otherwise, with one multiple w of f: eta flips again after
+    // eta + 1 steps, and only i are left. f·(f² − 2) == −f^(−1) (mod 64)
+    // and f + (((f + 1) & 4) << 1) == f^(−1) (mod 16).
+    const int limit = std::min(static_cast<int>(eta) + 1, i);
+    const std::uint64_t mask = ~0ULL >> (64 - limit);
+    const std::uint64_t w = swapped ? (f * g * (f * f - 2)) & mask & 63U
+                                    : (-(f + (((f + 1) & 4) << 1)) * g) & mask & 15U;
     g += f * w;
     q += u * w;
     r += v * w;
@@ -216,7 +210,7 @@ Fe Secp256k1Field::inverse(const Fe& a) {
   int len = 5;
   std::int64_t eta = -1;  // −delta, with delta starting at 1
   for (;;) {
-    Transition t;
+    Transition t{};
     eta = divsteps_62(eta, static_cast<std::uint64_t>(f.v[0]),
                       static_cast<std::uint64_t>(g.v[0]), t);
     update_de(d, e, t);
