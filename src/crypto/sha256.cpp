@@ -165,6 +165,8 @@ void Sha256::process_block(const std::uint8_t* p) {
 }
 
 void Sha256::update(BytesView data) {
+  // An empty view may carry a null data(), which memcpy must not receive.
+  if (data.empty()) return;
   total_len_ += data.size();
   std::size_t off = 0;
   if (buf_len_ > 0) {
