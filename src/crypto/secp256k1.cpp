@@ -301,7 +301,6 @@ Point Curve::mul(const U256& k, const Point& p) const {
 }
 
 Point Curve::mul_g(const U256& k) const {
-  constexpr int kHalf = kCombTeeth;
   constexpr std::uint64_t kMask = (std::uint64_t{1} << kCombWidth) - 1;
   Point acc = infinity();
   int carry = 0;
@@ -314,7 +313,7 @@ Point Curve::mul_g(const U256& k) const {
     std::uint64_t window = k.w[limb] >> shift;
     if (shift + kCombWidth > 64 && limb < 3) window |= k.w[limb + 1] << (64 - shift);
     int digit = static_cast<int>(window & kMask) + carry;
-    carry = digit >= kHalf ? 1 : 0;
+    carry = digit >= kCombTeeth ? 1 : 0;
     digit -= carry << kCombWidth;
     if (digit == 0) continue;
     const CombEntry& e = g_table_[i][(digit > 0 ? digit : -digit) - 1];

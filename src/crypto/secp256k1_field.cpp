@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
 
 namespace fides::crypto {
 
