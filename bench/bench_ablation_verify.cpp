@@ -13,8 +13,8 @@
 //   batched_N  — schnorr::batch_verify over batches of N: one RLC aggregate
 //                MSM amortizing the ladder doublings across the whole batch.
 //   sign       — KeyPair::sign: k·G on the fixed-base comb plus one safegcd
-//                inversion for the affine R, timed against Curve::mul(k, G),
-//                the plain double-and-add reference.
+//                inversion for the affine R, timed against the plain
+//                double-and-add Curve::mul(s, G) on the signature's s.
 //
 // Unlike the Google-Benchmark ablations, this emits a fides-bench-v1 report
 // directly (--json <path> / FIDES_BENCH_JSON): wall-clock rates land in the
@@ -55,10 +55,11 @@ using Clock = std::chrono::steady_clock;
 
 struct Signed {
   crypto::KeyPair kp;
-  crypto::PublicKey pk;
   Bytes message;
   crypto::Signature sig;
   std::unique_ptr<crypto::KeyTable> table;  ///< pk's, as a registry holds it
+
+  const crypto::PublicKey& pk() const { return kp.public_key(); }
 };
 
 std::vector<Signed> make_corpus(std::size_t n) {
@@ -71,7 +72,7 @@ std::vector<Signed> make_corpus(std::size_t n) {
     w.u64(i);
     Bytes msg = std::move(w).take();
     const crypto::Signature sig = kp.sign(msg);
-    out.push_back(Signed{kp, kp.public_key(), std::move(msg), sig,
+    out.push_back(Signed{kp, std::move(msg), sig,
                          std::make_unique<crypto::KeyTable>(kp.public_key())});
   }
   return out;
@@ -112,12 +113,12 @@ int main(int argc, char** argv) {
       // c = H(ser(R) || ser(P) || m) mod n, inline as verify() computes it.
       crypto::Sha256 h;
       h.update(s.sig.r.serialize());
-      h.update(s.pk.serialize());
+      h.update(s.pk().serialize());
       h.update(s.message);
       const crypto::U256 c = crypto::scalar_from_digest(h.finalize());
       const crypto::Point lhs = curve.mul_g(s.sig.s);
       const crypto::Point rhs = curve.add(
-          curve.from_affine(s.sig.r), curve.mul(c, curve.from_affine(s.pk.point)));
+          curve.from_affine(s.sig.r), curve.mul(c, curve.from_affine(s.pk().point)));
       good += curve.equal(lhs, rhs) ? 1 : 0;
     }
     const double secs = seconds_since(t0);
@@ -130,7 +131,7 @@ int main(int argc, char** argv) {
     const auto t0 = Clock::now();
     for (std::size_t i = 0; i < reps; ++i) {
       const Signed& s = corpus[i % corpus.size()];
-      good += crypto::verify(s.pk, s.message, s.sig) ? 1 : 0;
+      good += crypto::verify(s.pk(), s.message, s.sig) ? 1 : 0;
     }
     const double secs = seconds_since(t0);
     return good == reps ? secs : -1.0;
@@ -164,7 +165,7 @@ int main(int argc, char** argv) {
       const bool cached = (side == 0) == (i % 2 == 0);
       const auto t0 = Clock::now();
       ok &= cached ? crypto::verify(*s.table, s.message, s.sig)
-                   : crypto::verify(s.pk, s.message, s.sig);
+                   : crypto::verify(s.pk(), s.message, s.sig);
       (cached ? pair_cached : pair_mul_add).push_back(seconds_since(t0));
     }
     if (!ok) {
@@ -222,7 +223,7 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < batch; ++i) {
       const Signed& s = corpus[i % corpus.size()];
       items.push_back(crypto::BatchItem{
-          &s.pk, BytesView(s.message.data(), s.message.size()), &s.sig});
+          &s.pk(), BytesView(s.message.data(), s.message.size()), &s.sig});
     }
     const std::size_t iters = std::max<std::size_t>(1, reps / batch);
     std::size_t good = 0;

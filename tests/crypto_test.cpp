@@ -279,8 +279,9 @@ TEST_F(FieldTest, RejectsEvenModulus) {
 
 TEST_F(FieldTest, BaseFieldMatchesOraclesOnRandomPairs) {
   // Limbs are drawn mostly uniform, but often 0, 1 or all-ones, so sums,
-  // differences and folds hit their carry and borrow edges too. The
-  // inverse (the slow oracle) runs on every 8th pair.
+  // differences and folds hit their carry and borrow edges too, and the
+  // safegcd inverse meets inputs with zero or short limbs, which end its
+  // divsteps early or shorten f and g unevenly.
   Rng rng(0xF1E1D);
   const auto limb = [&rng]() -> std::uint64_t {
     switch (rng.uniform(8)) {
@@ -296,7 +297,7 @@ TEST_F(FieldTest, BaseFieldMatchesOraclesOnRandomPairs) {
     return u256_less(x, Secp256k1Field::kP) ? x : u256_mod(x, Secp256k1Field::kP);
   };
   for (int i = 0; i < 100000; ++i) {
-    expect_matches_oracles(element(), element(), i % 8 == 0);
+    expect_matches_oracles(element(), element(), true);
     if (HasFailure()) break;
   }
 }
@@ -354,30 +355,6 @@ TEST_F(FieldTest, SafegcdInverseMatchesFermat) {
     const Fe by_pow = mont_p().pow(mont_p().to_mont(a), p_minus(2));
     ASSERT_EQ(fp().from_mont(by_safegcd), mont_p().from_mont(by_pow)) << a.hex();
     ASSERT_EQ(fp().mul(by_safegcd, fp().to_mont(a)), fp().one());
-  }
-}
-
-TEST_F(FieldTest, SafegcdInverseMatchesOracleOnRandomInputs) {
-  // Limbs are drawn as in BaseFieldMatchesOraclesOnRandomPairs: often 0, 1
-  // or all-ones, so inputs with zero or short limbs, which end the divsteps
-  // early or shorten f and g unevenly, come up often.
-  Rng rng(0x5AFE6CD);
-  const auto limb = [&rng]() -> std::uint64_t {
-    switch (rng.uniform(8)) {
-      case 0: return 0;
-      case 1: return 1;
-      case 2: return ~0ULL;
-      default: return rng.next_u64();
-    }
-  };
-  for (int i = 0; i < 100000; ++i) {
-    U256 a;
-    for (auto& w : a.w) w = limb();
-    a = u256_mod(a, Secp256k1Field::kP);
-    if (a.is_zero()) continue;
-    ASSERT_EQ(fp().from_mont(fp().inverse(fp().to_mont(a))),
-              mont_p().from_mont(mont_p().inverse(mont_p().to_mont(a))))
-        << a.hex();
   }
 }
 
