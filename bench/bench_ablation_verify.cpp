@@ -24,17 +24,14 @@
 // keeps its fastest run. The bench exits 1 unless mul_add is at least 1.5x
 // faster than single. cached and mul_add then verify each signature back to
 // back, in alternating order, every call timed on its own; the bench exits 1
-// unless the median cached call is at least 1.05x faster than the median
-// mul_add call (it reads 1.13–1.19 on a loaded 4-core host: mul_add's one
-// inversion per call costs about 2 µs on the safegcd inverse, so the table
-// a registered key keeps saves less than it did at 12 µs per inversion).
-// sign and Curve::mul(s, G) likewise run back to back on each signature's
-// s, and the bench exits 1 unless the median sign call takes at most 0.18
-// of the median mul call (0.13 measured; 0.23–0.25 with a 4-bit unsigned
-// comb and an addition-chain inverse). Pairing call by call keeps these
-// ratios steady when other processes load the host (the ctest smoke runs
-// beside every other suite). The ratio of two paths timed back to back on
-// one host holds across hosts where their absolute times do not.
+// unless the median cached call is at least 1.15x faster than the median
+// mul_add call. sign and Curve::mul(s, G) likewise run back to back on each
+// signature's s, and the bench exits 1 unless the median sign call takes at
+// most 0.18 of the median mul call (it reads about 0.13). Pairing call by
+// call keeps these ratios steady when other processes load the host (the
+// ctest smoke runs beside every other suite). The ratio of two paths timed
+// back to back on one host holds across hosts where their absolute times do
+// not.
 //
 // Knobs: FIDES_ABLATION_REPS (default 40) scales how many verifications each
 // mode times.
@@ -247,7 +244,7 @@ int main(int argc, char** argv) {
   constexpr double kMinSpeedup = 1.5;
   std::printf("mul_add speedup over single: %.2fx (gate: >= %.2fx)\n", speedup, kMinSpeedup);
   const double cached_speedup = median_cached > 0 ? median_mul_add / median_cached : 0.0;
-  constexpr double kMinCachedSpeedup = 1.05;
+  constexpr double kMinCachedSpeedup = 1.15;
   std::printf("cached speedup over mul_add: %.2fx (gate: >= %.2fx)\n", cached_speedup,
               kMinCachedSpeedup);
   constexpr double kMaxSignRatio = 0.18;

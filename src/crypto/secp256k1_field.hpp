@@ -124,11 +124,10 @@ class Secp256k1Field {
 
   /// a^(−1) by variable-time safegcd (Bernstein and Yang, TCHES 2019, in
   /// the shape of libsecp256k1's modinv64_var): batches of 62 divsteps on
-  /// signed 62-bit limbs until the gcd's second argument is zero: about 2 µs
-  /// on a 2 GHz Xeon, against 12 µs for the Fermat power a^(p−2) by an
-  /// addition chain. Its running time depends on `a`, which the threat model
-  /// in secp256k1.hpp allows. Defined in secp256k1_field.cpp. Throws
-  /// std::domain_error for zero.
+  /// signed 62-bit limbs until the gcd's second argument is zero. Its
+  /// running time depends on `a`, which the threat model in secp256k1.hpp
+  /// allows. Defined in secp256k1_field.cpp. Throws std::domain_error for
+  /// zero.
   static Fe inverse(const Fe& a);
 
   static bool is_zero(const Fe& a) { return a.v.is_zero(); }
