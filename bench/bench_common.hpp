@@ -379,6 +379,46 @@ struct DepthRun {
   }
 };
 
+/// Fingerprints a finished run: each round's decision, the committed count,
+/// and the ledger of the cluster's first `servers` servers.
+inline DepthRun fingerprint(const Cluster& cluster, const std::vector<RoundMetrics>& rounds,
+                            double wall_us, std::uint32_t servers) {
+  DepthRun run;
+  run.wall_us = wall_us;
+  for (const RoundMetrics& m : rounds) {
+    run.decisions.push_back(m.decision);
+    if (m.decision == ledger::Decision::kCommit) run.committed_txns += m.txns_in_block;
+  }
+  for (std::uint32_t i = 0; i < servers; ++i) {
+    const Server& s = cluster.server(ServerId{i});
+    run.log_heads.push_back(s.log().head_hash());
+    run.merkle_roots.push_back(s.shard().merkle_root());
+  }
+  return run;
+}
+
+/// Mints a fixed stream of `blocks` signed batches of cfg.max_batch_size
+/// YCSB transactions, executed by one client against a pristine cluster
+/// whose blocks never run. Client keys are deterministic per id, so a fresh
+/// cluster with one client verifies the same signatures.
+inline std::vector<std::vector<commit::SignedEndTxn>> mint_batches(const ClusterConfig& cfg,
+                                                                   std::size_t blocks) {
+  Cluster mint(cfg);
+  Client& client = mint.make_client();
+  workload::YcsbWorkload workload(
+      {}, static_cast<std::uint64_t>(cfg.num_servers) * cfg.items_per_shard, cfg.seed);
+  commit::BatchBuilder batcher(cfg.max_batch_size);
+  for (std::size_t b = 0; b < blocks; ++b) {
+    workload.begin_batch();
+    for (std::size_t i = 0; i < cfg.max_batch_size; ++i) {
+      batcher.enqueue(workload.run_transaction(client));
+    }
+  }
+  std::vector<std::vector<commit::SignedEndTxn>> batches;
+  while (!batcher.empty()) batches.push_back(batcher.next_batch());
+  return batches;
+}
+
 inline void pipeline_depth_section(std::uint32_t servers, std::size_t txns_per_block,
                                    std::size_t blocks,
                                    BenchReport* report = nullptr) {
@@ -392,22 +432,7 @@ inline void pipeline_depth_section(std::uint32_t servers, std::size_t txns_per_b
   // thread, so this section never runs below n+1 executors.
   cfg.num_threads = std::max<std::uint32_t>(servers + 1, bench_threads());
 
-  // Mint the batch stream.
-  std::vector<std::vector<commit::SignedEndTxn>> batches;
-  {
-    Cluster mint(cfg);
-    Client& client = mint.make_client();
-    workload::YcsbWorkload workload(
-        {}, static_cast<std::uint64_t>(servers) * cfg.items_per_shard, cfg.seed);
-    commit::BatchBuilder batcher(txns_per_block);
-    for (std::size_t b = 0; b < blocks; ++b) {
-      workload.begin_batch();
-      for (std::size_t i = 0; i < txns_per_block; ++i) {
-        batcher.enqueue(workload.run_transaction(client));
-      }
-    }
-    while (!batcher.empty()) batches.push_back(batcher.next_batch());
-  }
+  const std::vector<std::vector<commit::SignedEndTxn>> batches = mint_batches(cfg, blocks);
 
   std::printf("\nPipelined engine: %u servers, %zu blocks x %zu txns, %u threads\n",
               servers, batches.size(), txns_per_block, cfg.num_threads);
@@ -422,19 +447,8 @@ inline void pipeline_depth_section(std::uint32_t servers, std::size_t txns_per_b
       run_cfg.speculate = speculate;
       Cluster cluster(run_cfg);
       cluster.make_client();  // registers the deterministic client key
-      DepthRun run;
       const PipelineResult result = cluster.run_blocks(batches);
-      run.wall_us = result.wall_us;
-      for (const RoundMetrics& m : result.rounds) {
-        run.decisions.push_back(m.decision);
-        if (m.decision == ledger::Decision::kCommit) run.committed_txns += m.txns_in_block;
-      }
-      for (std::uint32_t i = 0; i < servers; ++i) {
-        const Server& s = cluster.server(ServerId{i});
-        run.log_heads.push_back(s.log().head_hash());
-        run.merkle_roots.push_back(s.shard().merkle_root());
-      }
-      runs.push_back(std::move(run));
+      runs.push_back(fingerprint(cluster, result.rounds, result.wall_us, servers));
 
       const DepthRun& base = runs.front();
       const DepthRun& cur = runs.back();
@@ -481,23 +495,13 @@ inline void pipeline_depth_section(std::uint32_t servers, std::size_t txns_per_b
       run_cfg.network.sim.seed = env_size("FIDES_SIM_SEED", 1);
       Cluster cluster(run_cfg);
       cluster.make_client();
-      DepthRun run;
       const PipelineResult result = cluster.run_blocks(batches);
-      run.wall_us = cluster.simnet()->now_us();  // virtual span (fresh net starts at 0)
-      for (const RoundMetrics& m : result.rounds) {
-        run.decisions.push_back(m.decision);
-        if (m.decision == ledger::Decision::kCommit) run.committed_txns += m.txns_in_block;
-      }
-      for (std::uint32_t i = 0; i < servers; ++i) {
-        const Server& s = cluster.server(ServerId{i});
-        run.log_heads.push_back(s.log().head_hash());
-        run.merkle_roots.push_back(s.shard().merkle_root());
-      }
-      sim_runs.push_back(std::move(run));
-      if (!speculate && depth == 1) lockstep_d1_us = run.wall_us;
-      if (speculate && depth == 4) spec_d4_us = run.wall_us;
-
+      // wall_us holds the virtual span: a fresh net starts at 0.
+      sim_runs.push_back(fingerprint(cluster, result.rounds, cluster.simnet()->now_us(), servers));
       const DepthRun& cur = sim_runs.back();
+      if (!speculate && depth == 1) lockstep_d1_us = cur.wall_us;
+      if (speculate && depth == 4) spec_d4_us = cur.wall_us;
+
       // Gate against the *direct* depth-1 run too: the simulated schedule must
       // reproduce the exact same ledger as direct delivery at every depth.
       const bool identical =
@@ -590,14 +594,8 @@ inline void pipeline_depth_section(std::uint32_t servers, std::size_t txns_per_b
       const net::SocketRunResult sock = net::run_commit_rounds_over_sockets(
           cluster, run_cfg.protocol, std::move(batch_copy), sopts);
 
-      DepthRun run;
-      run.wall_us = sock.pipeline.wall_us;
-      for (const RoundMetrics& m : sock.pipeline.rounds) {
-        run.decisions.push_back(m.decision);
-        if (m.decision == ledger::Decision::kCommit) run.committed_txns += m.txns_in_block;
-      }
-      run.log_heads.push_back(cluster.server(ServerId{0}).log().head_hash());
-      run.merkle_roots.push_back(cluster.server(ServerId{0}).shard().merkle_root());
+      // Server 0 runs here; the others report their ledgers as digests.
+      DepthRun run = fingerprint(cluster, sock.pipeline.rounds, sock.pipeline.wall_us, 1);
       for (const net::PeerDigest& d : sock.digests) {
         run.log_heads.push_back(d.log_head);
         run.merkle_roots.push_back(d.shard_root);

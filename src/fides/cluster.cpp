@@ -62,6 +62,7 @@ bool verify_touching_requests(Transport& transport, const Server& server,
 
 Cluster::Cluster(ClusterConfig config)
     : config_(std::move(config)),
+      transport_(config_.batch_verify),
       pool_(std::make_unique<common::ThreadPool>(config_.num_threads)),
       crashed_(config_.num_servers, 0),
       saved_faults_(config_.num_servers) {
@@ -87,7 +88,6 @@ Cluster::Cluster(ClusterConfig config)
     servers_[i] = std::make_unique<Server>(ServerId{static_cast<std::uint32_t>(i)},
                                            config_, pool_.get(), round_logs_[i].get());
   });
-  transport_.set_batch_verify(config_.batch_verify);
   // Key registration mutates the shared transport registry: sequential.
   for (std::uint32_t i = 0; i < config_.num_servers; ++i) {
     transport_.register_node(NodeId::server(ServerId{i}), servers_[i]->public_key());

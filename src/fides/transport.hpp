@@ -71,6 +71,8 @@ struct Envelope {
 
 class Transport {
  public:
+  explicit Transport(bool batch_verify = false) : batch_verify_(batch_verify) {}
+
   /// Traffic counters. Thread-safe: the round driver seals/opens envelopes
   /// from pool workers concurrently, so every counter is an atomic. Copying
   /// a Stats takes a (non-atomic-across-fields) snapshot — fine for the
@@ -144,11 +146,8 @@ class Transport {
 
   /// Mirrors ClusterConfig::batch_verify so verification sites that only see
   /// the transport (request checks, the pipeline's inbox seam) can route
-  /// through the batched path. Toggled only between rounds.
-  void set_batch_verify(bool enabled) {
-    batch_verify_.store(enabled, std::memory_order_relaxed);
-  }
-  bool batch_verify() const { return batch_verify_.load(std::memory_order_relaxed); }
+  /// through the batched path.
+  bool batch_verify() const { return batch_verify_; }
 
   Stats& stats() { return stats_; }
   const Stats& stats() const { return stats_; }
@@ -159,11 +158,10 @@ class Transport {
   // Audited for the thread-safety pass: keys are registered only during
   // cluster setup (before any round traffic or pool fan-out exists) and are
   // read-only while rounds run; the registry's aggregate cache locks itself.
-  // Everything mutated on the hot path (stats_ counters, the mode flag) is
-  // atomic.
+  // Everything mutated on the hot path (the stats_ counters) is atomic.
   crypto::KeyRegistry keys_;  // confined(setup)
   Stats stats_;  // confined(shared-atomics): every field is a relaxed atomic
-  std::atomic<bool> batch_verify_{false};
+  const bool batch_verify_;  // confined(ctor)
 };
 
 }  // namespace fides

@@ -119,6 +119,48 @@ TEST(Cluster, UnsignedDataPathStillCountsAndRoundsStillSign) {
   EXPECT_GT(stats.signatures_verified, 0u);
 }
 
+TEST(Cluster, TouchingRequestChecksAgreeWithAndWithoutBatchVerify) {
+  // Five requests from one client, each touching server 0's shard.
+  std::vector<commit::SignedEndTxn> valid;
+  {
+    Cluster mint(small_config());
+    Client& client = mint.make_client();
+    for (ItemId item = 0; valid.size() < 5; ++item) {
+      if (mint.owner_of(item) != ServerId{0}) continue;
+      valid.push_back(simple_txn(mint, client, {item}, "t"));
+    }
+  }
+  struct Case {
+    std::string name;
+    std::vector<commit::SignedEndTxn> requests;
+    bool verdict;
+    std::uint64_t verified;  // counted up to and including the first failure
+  };
+  std::vector<Case> cases{{"all valid", valid, true, 5}};
+  for (std::size_t pos = 0; pos < valid.size(); ++pos) {
+    Case forged{"forged at " + std::to_string(pos), valid, false, pos + 1};
+    forged.requests[pos].request.txn.commit_ts.logical += 1;
+    cases.push_back(std::move(forged));
+    Case unknown{"unregistered client at " + std::to_string(pos), valid, false, pos + 1};
+    unknown.requests[pos].client = ClientId{7};
+    cases.push_back(std::move(unknown));
+  }
+  for (const bool batch_verify : {false, true}) {
+    for (const Case& c : cases) {
+      ClusterConfig cfg = small_config();
+      cfg.batch_verify = batch_verify;
+      Cluster cluster(cfg);
+      cluster.make_client();  // registers the same deterministic client key
+      EXPECT_EQ(verify_touching_requests(cluster.transport(), cluster.server(ServerId{0}),
+                                         c.requests),
+                c.verdict)
+          << c.name << ", batch_verify " << batch_verify;
+      EXPECT_EQ(cluster.transport().stats().signatures_verified, c.verified)
+          << c.name << ", batch_verify " << batch_verify;
+    }
+  }
+}
+
 TEST(Cluster, TfCommitRoundCommitsAndReplicatesLog) {
   Cluster cluster(small_config());
   Client& client = cluster.make_client();
