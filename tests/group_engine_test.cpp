@@ -9,6 +9,9 @@
 // cluster and replayed on fresh clusters (client keys are deterministic).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "crypto/sha256.hpp"
 #include "ordserv/group_commit.hpp"
 #include "ordserv/group_engine.hpp"
 
@@ -85,6 +88,57 @@ StreamFingerprint fingerprint(const Cluster& cluster, const Sequencer& seq,
   return fp;
 }
 
+/// SHA-256 pins of a sequenced stream and of every server's copy of it.
+struct StreamPins {
+  std::string blocks;  ///< the serialized sequenced blocks, height order
+  std::string deps;    ///< their depends_on lists
+  std::string heads;   ///< every server's log head hash, server order
+};
+
+StreamPins pins(const Sequencer& seq, const std::vector<crypto::Digest>& heads) {
+  Writer blocks;
+  Writer deps;
+  Writer hs;
+  for (const SequencedBlock& e : seq.stream()) {
+    blocks.bytes(e.block.serialize());
+    deps.u32(static_cast<std::uint32_t>(e.depends_on.size()));
+    for (const std::uint64_t d : e.depends_on) deps.u64(d);
+  }
+  for (const crypto::Digest& h : heads) hs.raw(h.view());
+  return {crypto::sha256(std::move(blocks).take()).hex(),
+          crypto::sha256(std::move(deps).take()).hex(),
+          crypto::sha256(std::move(hs).take()).hex()};
+}
+
+std::vector<crypto::Digest> log_heads(const Cluster& cluster) {
+  std::vector<crypto::Digest> heads;
+  for (std::uint32_t i = 0; i < cluster.num_servers(); ++i) {
+    heads.push_back(cluster.server(ServerId{i}).log().head_hash());
+  }
+  return heads;
+}
+
+std::vector<crypto::Digest> runner_heads(const GroupCommitRunner& runner, std::uint32_t n) {
+  std::vector<crypto::Digest> heads;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const auto& log = runner.log_of(ServerId{i});
+    heads.push_back(log.empty() ? crypto::Digest::zero() : log.back().block.digest());
+  }
+  return heads;
+}
+
+void expect_pins(const StreamPins& got, const StreamPins& want, const char* who) {
+  EXPECT_EQ(got.blocks, want.blocks) << who << ": sequenced blocks";
+  EXPECT_EQ(got.deps, want.deps) << who << ": depends_on lists";
+  EXPECT_EQ(got.heads, want.heads) << who << ": per-server log heads";
+}
+
+/// The stream mint_batches() sequences, at every scheduler and depth.
+const StreamPins kMintPins{
+    "b2590d66eb2867f0354d97813f159f9da92312e270238f217425c5e3d60a3c57",
+    "3c0c918105e5818936c2eeee48d5cb63676a79a1ebefbae29fd1b2b18cff4bce",
+    "1428c55196c58db21d818d2d62dffe3c573eed4d2037adae1cc558b07388fede"};
+
 StreamFingerprint run_engine(ClusterConfig cfg,
                              const std::vector<std::vector<commit::SignedEndTxn>>& batches) {
   Cluster cluster(cfg);
@@ -134,6 +188,9 @@ TEST(GroupEngine, MatchesLockStepRunnerBitForBit) {
   for (std::uint32_t i = 0; i < cluster.num_servers(); ++i) {
     EXPECT_EQ(cluster.server(ServerId{i}).log().size(), seq.size());
   }
+  expect_pins(pins(ref_seq, runner_heads(runner, ref_cluster.num_servers())), kMintPins,
+              "runner");
+  expect_pins(pins(seq, log_heads(cluster)), kMintPins, "engine");
 }
 
 TEST(GroupEngine, SchedulersDepthsSpeculationIdentical) {
@@ -322,6 +379,101 @@ TEST(GroupEngine, ByzantineCosignerRefusedAndLaterGroupsProceed) {
   for (std::uint32_t i = 0; i < cluster.num_servers(); ++i) {
     EXPECT_EQ(cluster.server(ServerId{i}).log().size(), 1u);
   }
+}
+
+/// The 24-batch stream of RacingGroupCoordinatorsKeepEpochAndStreamDiscipline.
+const StreamPins kRacingPins{
+    "4a1915bdb9dcb8b9cb4ad4fd1296ae6725bb35e6b592e20df0282f646247b282",
+    "e4f6feb786d8ee62ed984347664c80af2e8b065a6cbd96ce902951ce6531f040",
+    "449a17d6f1178715f1923522c1e62cc3052de90dc5fbaaedd342737fc2e84c0d"};
+
+TEST(GroupEngine, RacingGroupCoordinatorsKeepEpochAndStreamDiscipline) {
+  // Many group rounds in flight on a multi-threaded scheduler: disjoint
+  // groups race their coordinators concurrently, overlapping groups bridge
+  // them. Epochs must stay unique and gap-free, the stream must respect
+  // dependency order, and the result must be bit-identical to the
+  // single-threaded lock-step runner.
+  ClusterConfig cfg;
+  cfg.num_servers = 6;
+  cfg.items_per_shard = 32;
+  cfg.versioning = store::VersioningMode::kSingle;
+
+  // Minted once; replayed on fresh clusters (deterministic client keys).
+  Cluster mint(cfg);
+  Client& client = mint.make_client();
+  auto rw = [&](std::vector<ItemId> items, const std::string& tag) {
+    ClientTxn txn = client.begin();
+    for (const ItemId item : items) {
+      client.read(txn, item);
+      client.write(txn, item, to_bytes(tag + "-" + std::to_string(item)));
+    }
+    return client.end(std::move(txn));
+  };
+  std::vector<std::vector<commit::SignedEndTxn>> batches;
+  for (std::uint32_t i = 0; i < 24; ++i) {
+    const std::uint32_t g = i % 3;  // groups {0,1}, {2,3}, {4,5} (item = server)
+    if (i % 8 == 7) {
+      // A bridging batch across two of the disjoint groups.
+      batches.push_back({rw({ItemId{g * 2}, ItemId{(g * 2 + 2) % 6}},
+                            "x" + std::to_string(i))});
+    } else {
+      batches.push_back({rw({ItemId{g * 2}, ItemId{g * 2 + 1}},
+                            "t" + std::to_string(i))});
+    }
+  }
+
+  // Reference: sequential lock-step runner.
+  Cluster ref(cfg);
+  ref.make_client();
+  Sequencer ref_seq;
+  GroupCommitRunner runner(ref, ref_seq);
+  for (const auto& batch : batches) runner.run_group_block(batch);
+
+  // Engine on 8 worker threads, deep pipeline, speculation on — maximum
+  // coordinator concurrency.
+  ClusterConfig ecfg = cfg;
+  ecfg.num_threads = 8;
+  ecfg.pipeline_depth = 8;
+  ecfg.speculate = true;
+  Cluster cluster(ecfg);
+  cluster.make_client();
+  Sequencer seq;
+  const GroupRunResult result = cluster.run_group_blocks(seq, batches);
+
+  // Epoch discipline: one epoch per admissible round, no reuse, no gaps.
+  EXPECT_EQ(seq.epochs().issued(), batches.size());
+
+  // Bit-identity with the lock-step runner.
+  ASSERT_EQ(seq.size(), ref_seq.size());
+  for (std::size_t h = 0; h < seq.size(); ++h) {
+    EXPECT_EQ(seq.stream()[h].block.serialize(), ref_seq.stream()[h].block.serialize())
+        << "height " << h;
+    EXPECT_EQ(seq.stream()[h].depends_on, ref_seq.stream()[h].depends_on);
+  }
+
+  // Dependency-order oracle over the engine's stream.
+  std::unordered_map<ItemId, std::uint64_t> last_touch;
+  for (const SequencedBlock& e : seq.stream()) {
+    for (const auto& t : e.block.txns) {
+      for (const ItemId item : t.rw.touched_items()) {
+        const auto it = last_touch.find(item);
+        if (it != last_touch.end()) {
+          EXPECT_NE(std::find(e.depends_on.begin(), e.depends_on.end(), it->second),
+                    e.depends_on.end())
+              << "height " << e.block.height << " hides a dependency";
+        }
+        last_touch[item] = e.block.height;
+      }
+    }
+  }
+
+  // Delivery applied the whole stream at every server, refusal-free.
+  for (std::uint32_t i = 0; i < cluster.num_servers(); ++i) {
+    EXPECT_FALSE(result.delivery_refusals[i].has_value());
+    EXPECT_EQ(cluster.server(ServerId{i}).log().size(), seq.size());
+  }
+  expect_pins(pins(ref_seq, runner_heads(runner, ref.num_servers())), kRacingPins, "runner");
+  expect_pins(pins(seq, log_heads(cluster)), kRacingPins, "engine");
 }
 
 }  // namespace

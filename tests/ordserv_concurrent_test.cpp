@@ -12,7 +12,6 @@
 #include <thread>
 
 #include "ordserv/group_commit.hpp"
-#include "ordserv/group_engine.hpp"
 #include "ordserv/sequencer.hpp"
 
 namespace fides::ordserv {
@@ -160,93 +159,6 @@ TEST(GroupCommit, RunnersSharingASequencerNeverReuseACosiRound) {
             ledger::Decision::kCommit);
   // Three rounds, three distinct epochs — regardless of which runner ran.
   EXPECT_EQ(seq.epochs().issued(), before + 3);
-}
-
-TEST(GroupEngine, RacingGroupCoordinatorsKeepEpochAndStreamDiscipline) {
-  // Many group rounds in flight on a multi-threaded scheduler: disjoint
-  // groups race their coordinators concurrently, overlapping groups bridge
-  // them. Epochs must stay unique and gap-free, the stream must respect
-  // dependency order, and the result must be bit-identical to the
-  // single-threaded lock-step runner.
-  ClusterConfig cfg;
-  cfg.num_servers = 6;
-  cfg.items_per_shard = 32;
-  cfg.versioning = store::VersioningMode::kSingle;
-
-  // Minted once; replayed on fresh clusters (deterministic client keys).
-  Cluster mint(cfg);
-  Client& client = mint.make_client();
-  auto rw = [&](std::vector<ItemId> items, const std::string& tag) {
-    ClientTxn txn = client.begin();
-    for (const ItemId item : items) {
-      client.read(txn, item);
-      client.write(txn, item, to_bytes(tag + "-" + std::to_string(item)));
-    }
-    return client.end(std::move(txn));
-  };
-  std::vector<std::vector<commit::SignedEndTxn>> batches;
-  for (std::uint32_t i = 0; i < 24; ++i) {
-    const std::uint32_t g = i % 3;  // groups {0,1}, {2,3}, {4,5} (item = server)
-    if (i % 8 == 7) {
-      // A bridging batch across two of the disjoint groups.
-      batches.push_back({rw({ItemId{g * 2}, ItemId{(g * 2 + 2) % 6}},
-                            "x" + std::to_string(i))});
-    } else {
-      batches.push_back({rw({ItemId{g * 2}, ItemId{g * 2 + 1}},
-                            "t" + std::to_string(i))});
-    }
-  }
-
-  // Reference: sequential lock-step runner.
-  Cluster ref(cfg);
-  ref.make_client();
-  Sequencer ref_seq;
-  GroupCommitRunner runner(ref, ref_seq);
-  for (const auto& batch : batches) runner.run_group_block(batch);
-
-  // Engine on 8 worker threads, deep pipeline, speculation on — maximum
-  // coordinator concurrency.
-  ClusterConfig ecfg = cfg;
-  ecfg.num_threads = 8;
-  ecfg.pipeline_depth = 8;
-  ecfg.speculate = true;
-  Cluster cluster(ecfg);
-  cluster.make_client();
-  Sequencer seq;
-  const GroupRunResult result = cluster.run_group_blocks(seq, batches);
-
-  // Epoch discipline: one epoch per admissible round, no reuse, no gaps.
-  EXPECT_EQ(seq.epochs().issued(), batches.size());
-
-  // Bit-identity with the lock-step runner.
-  ASSERT_EQ(seq.size(), ref_seq.size());
-  for (std::size_t h = 0; h < seq.size(); ++h) {
-    EXPECT_EQ(seq.stream()[h].block.serialize(), ref_seq.stream()[h].block.serialize())
-        << "height " << h;
-    EXPECT_EQ(seq.stream()[h].depends_on, ref_seq.stream()[h].depends_on);
-  }
-
-  // Dependency-order oracle over the engine's stream.
-  std::unordered_map<ItemId, std::uint64_t> last_touch;
-  for (const SequencedBlock& e : seq.stream()) {
-    for (const auto& t : e.block.txns) {
-      for (const ItemId item : t.rw.touched_items()) {
-        const auto it = last_touch.find(item);
-        if (it != last_touch.end()) {
-          EXPECT_NE(std::find(e.depends_on.begin(), e.depends_on.end(), it->second),
-                    e.depends_on.end())
-              << "height " << e.block.height << " hides a dependency";
-        }
-        last_touch[item] = e.block.height;
-      }
-    }
-  }
-
-  // Delivery applied the whole stream at every server, refusal-free.
-  for (std::uint32_t i = 0; i < cluster.num_servers(); ++i) {
-    EXPECT_FALSE(result.delivery_refusals[i].has_value());
-    EXPECT_EQ(cluster.server(ServerId{i}).log().size(), seq.size());
-  }
 }
 
 }  // namespace
