@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "ordserv/group_commit.hpp"
+#include "ordserv/group_engine.hpp"
 #include "workload/ycsb.hpp"
 
 int main(int argc, char** argv) {
@@ -31,7 +31,6 @@ int main(int argc, char** argv) {
     workload::YcsbWorkload wl({}, static_cast<std::uint64_t>(servers) * 1000, 42);
 
     ordserv::Sequencer sequencer;
-    ordserv::GroupCommitRunner runner(cluster, sequencer);
 
     const int kRounds = 20;
     double group_size_sum = 0;
@@ -39,11 +38,11 @@ int main(int argc, char** argv) {
     for (int i = 0; i < kRounds; ++i) {
       const auto req = wl.run_transaction(client);
       const auto t0 = std::chrono::steady_clock::now();
-      const auto result = runner.run_group_block({req});
+      const auto run = cluster.run_group_blocks(sequencer, {{req}});
       ms_sum += std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - t0)
                     .count();
-      group_size_sum += static_cast<double>(result.group_size);
+      group_size_sum += static_cast<double>(run.rounds.front().group_size);
     }
     std::printf("%-8u %-18u %-18.1f %-20.3f\n", servers, servers,
                 group_size_sum / kRounds, ms_sum / kRounds);

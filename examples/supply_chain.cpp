@@ -8,7 +8,7 @@
 // broadcasts one dependency-ordered stream every domain replicates.
 #include <cstdio>
 
-#include "ordserv/group_commit.hpp"
+#include "ordserv/group_engine.hpp"
 
 namespace {
 
@@ -44,7 +44,6 @@ int main() {
   Client& client = cluster.make_client();
 
   ordserv::Sequencer ordserv;
-  ordserv::GroupCommitRunner runner(cluster, ordserv);
 
   struct Hop {
     std::uint64_t lot;
@@ -60,8 +59,10 @@ int main() {
   std::printf("running %zu cross-domain hand-offs via group commit:\n",
               std::size(hops));
   for (const Hop& hop : hops) {
-    const auto result = runner.run_group_block(
-        {handoff(cluster, client, hop.lot, hop.from, hop.to, hop.state)});
+    // One run per hand-off: each call extends the cluster's one stream.
+    const auto run = cluster.run_group_blocks(
+        ordserv, {{handoff(cluster, client, hop.lot, hop.from, hop.to, hop.state)}});
+    const ordserv::GroupRoundResult& result = run.rounds.front();
     std::printf("  %-18s group={", hop.state);
     for (const ServerId member : result.group.members) {
       std::printf(" %s", to_string(member).c_str());
@@ -72,19 +73,21 @@ int main() {
   }
 
   // Every domain replicates the same ordered stream; dependencies (same lot
-  // touching the same domain records) are reflected in the metadata.
-  const auto& stream = runner.log_of(ServerId{2});
-  std::printf("\nretailer's replicated stream (%zu blocks):\n", stream.size());
-  for (const auto& entry : stream) {
-    std::printf("  height %llu deps={",
-                static_cast<unsigned long long>(entry.block.height));
-    for (const auto dep : entry.depends_on) {
+  // touching the same domain records) are reflected in OrdServ's metadata.
+  const auto& retailer = cluster.server(ServerId{2}).log();
+  std::printf("\nretailer's replicated stream (%zu blocks):\n", retailer.size());
+  for (const ledger::Block& block : retailer.blocks()) {
+    std::printf("  height %llu deps={", static_cast<unsigned long long>(block.height));
+    for (const auto dep : ordserv.at(block.height).depends_on) {
       std::printf(" %llu", static_cast<unsigned long long>(dep));
     }
-    std::printf(" } signers=%zu\n", entry.block.signers.size());
+    std::printf(" } signers=%zu\n", block.signers.size());
   }
 
-  const auto bad = ordserv::validate_stream(stream, cluster.server_keys());
+  const std::vector<ordserv::SequencedBlock> stream(ordserv.stream().begin(),
+                                                    ordserv.stream().end());
+  const bool bad = retailer.size() != stream.size() ||
+                   ordserv::validate_stream(stream, cluster.server_keys()).has_value();
   std::printf("\nstream validation: %s\n",
               bad ? "FAILED" : "clean (co-signs + chain + dependency order)");
   std::printf("lot0 at retailer: \"%s\"\n",

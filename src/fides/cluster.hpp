@@ -257,8 +257,10 @@ class Cluster {
   /// its own TFCommit round on the message reactors under the configured
   /// scheduler, with pipeline_depth and speculate composing per group;
   /// outcomes are serialized by `sequencer` and the hash-chained stream is
-  /// delivered (validated, durably logged) to every server. Bit-identical to
-  /// ordserv::GroupCommitRunner's sequential lock-step run.
+  /// delivered (validated, durably logged) to every server. The stream is
+  /// bit-identical to the depth-1, one-thread, in-process run, and a call
+  /// per batch extends the stream earlier calls on this cluster and
+  /// `sequencer` left.
   ordserv::GroupRunResult run_group_blocks(
       ordserv::Sequencer& sequencer,
       std::vector<std::vector<commit::SignedEndTxn>> batches);

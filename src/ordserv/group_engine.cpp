@@ -6,8 +6,69 @@
 
 #include "commit/batch.hpp"
 #include "engine/round_dispatcher.hpp"
+#include "ledger/chain_validation.hpp"
 
 namespace fides::ordserv {
+
+std::optional<std::string> StreamValidator::check(
+    const SequencedBlock& entry,
+    const crypto::KeyRegistry& keys) {
+  const ledger::Block& b = entry.block;
+
+  if (b.height != next_height) {
+    return "height " + std::to_string(b.height) + " where " +
+           std::to_string(next_height) + " expected";
+  }
+  if (!(b.prev_hash == expected_prev)) return "prev-hash chain broken";
+
+  switch (ledger::verify_unchained_cosign(b, keys)) {
+    case ledger::CosignVerdict::kMissing:
+      return "missing group co-sign";
+    case ledger::CosignVerdict::kBadSignerSet:
+      return b.signers.empty() ? "missing group co-sign" : "invalid signer set";
+    case ledger::CosignVerdict::kBadSignature:
+      return "group co-sign does not verify";
+    case ledger::CosignVerdict::kOk:
+      break;
+  }
+
+  for (const std::uint64_t dep : entry.depends_on) {
+    if (dep >= b.height) return "dependency on a later block";
+  }
+  // `depends_on` is sequencer metadata, covered by no signature. Recompute
+  // the dependencies from the block's own (co-signed) transactions and make
+  // sure every one of them is declared — a lying OrdServ must not be able to
+  // hide a cross-group dependency. std::find, not binary_search: a tampered
+  // entry's list need not be sorted.
+  for (const auto& t : b.txns) {
+    for (const ItemId item : t.rw.touched_items()) {
+      const auto it = last_touch.find(item);
+      if (it == last_touch.end()) continue;
+      if (std::find(entry.depends_on.begin(), entry.depends_on.end(),
+                    it->second) == entry.depends_on.end()) {
+        return "under-reported dependency on height " + std::to_string(it->second);
+      }
+    }
+  }
+
+  for (const auto& t : b.txns) {
+    for (const ItemId item : t.rw.touched_items()) last_touch[item] = b.height;
+  }
+  expected_prev = b.digest();
+  ++next_height;
+  return std::nullopt;
+}
+
+std::optional<std::size_t> validate_stream(
+    std::span<const SequencedBlock> stream,
+    const crypto::KeyRegistry& keys) {
+  StreamValidator v;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    if (v.check(stream[i], keys)) return i;
+  }
+  return std::nullopt;
+}
+
 namespace {
 
 using engine::server_node;
@@ -40,9 +101,7 @@ class GroupEngine final : public engine::RoundDispatcher {
         // single-server group would co-sign an empty "committed" block.
         g.fault = "empty batch refused at submission";
       } else {
-        auto ordered = batch;
-        commit::order_batch(ordered);
-        g.group = group_for(commit::batch_txns(ordered), n_);
+        g.group = group_for(commit::batch_txns(batch), n_);
         if (g.group.members.empty()) g.fault = "batch touches no shard";
       }
       std::unique_ptr<engine::RoundReactor> reactor;

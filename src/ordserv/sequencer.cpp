@@ -84,16 +84,6 @@ const SequencedBlock& Sequencer::at(std::uint64_t height) const {
   return stream_.at(height);
 }
 
-std::vector<const SequencedBlock*> Sequencer::fetch_new(ServerId server) {
-  common::MutexLock lock(mutex_);
-  std::size_t& cur = cursor_[server.value];
-  std::vector<const SequencedBlock*> out;
-  // deque never invalidates element addresses on push_back, so handing out
-  // pointers is safe even while other threads keep submitting.
-  while (cur < stream_.size()) out.push_back(&stream_[cur++]);
-  return out;
-}
-
 std::size_t Sequencer::size() const {
   common::MutexLock lock(mutex_);
   return stream_.size();

@@ -77,7 +77,7 @@ class Sequencer {
   /// Blocks sequenced so far, in broadcast order. ONLY safe once submitters
   /// are quiescent (the harness's post-run inspection) — it hands out an
   /// unguarded reference into the guarded stream, which the analysis cannot
-  /// express; concurrent readers must use at() / fetch_new() instead.
+  /// express; concurrent readers must use at() / size() instead.
   const std::deque<SequencedBlock>& stream() const NO_THREAD_SAFETY_ANALYSIS {
     return stream_;
   }
@@ -88,10 +88,6 @@ class Sequencer {
   /// mutated after sequencing). Throws std::out_of_range beyond the head.
   const SequencedBlock& at(std::uint64_t height) const EXCLUDES(mutex_);
 
-  /// Drains blocks not yet delivered to `server` (at-most-once per server).
-  /// Thread-safe against concurrent submit and fetch_new calls.
-  std::vector<const SequencedBlock*> fetch_new(ServerId server) EXCLUDES(mutex_);
-
   std::size_t size() const EXCLUDES(mutex_);
 
  private:
@@ -101,8 +97,6 @@ class Sequencer {
   crypto::Digest head_hash_ GUARDED_BY(mutex_){};  // zero for genesis
   std::unordered_map<ItemId, std::uint64_t> last_touch_
       GUARDED_BY(mutex_);  // item -> height
-  std::unordered_map<std::uint32_t, std::size_t> cursor_
-      GUARDED_BY(mutex_);  // server -> next idx
 };
 
 }  // namespace fides::ordserv

@@ -13,8 +13,8 @@
 //
 // Its counterpart is the one apply rule, apply_committed(): every committed
 // transaction reaches shard state through it — a server applying a decided
-// block, a cohort staging in-flight blocks for a speculative vote, and the
-// OrdServ reference runner. Both functions are templates over the state
+// block (TFCommit, OrdServ and 2PC alike) and a cohort staging in-flight
+// blocks for a speculative vote. Both functions are templates over the state
 // surface, so the shard and its speculative overlay share one definition.
 #pragma once
 

@@ -2,17 +2,18 @@
 //
 // The contract (ordserv/group_engine.hpp): the same batch stream produces a
 // bit-identical sequenced stream — and identical per-server replicated logs —
-// under the sequential lock-step runner AND the engine, at every scheduler
-// (direct at any thread count, SimNet at any seed), pipeline depth, and
-// speculation setting; crash/recovery of members and group coordinators
-// converges on the same stream. Batches are minted once against a pristine
-// cluster and replayed on fresh clusters (client keys are deterministic).
+// at every scheduler (direct at any thread count, SimNet at any seed),
+// pipeline depth, and speculation setting, whether the batches go through
+// one run or one run each; crash/recovery of members and group coordinators
+// converges on the same stream. The reference is the engine at depth 1 on
+// one thread under the in-process scheduler, and SHA-256 pins hold its
+// bytes. Batches are minted once against a pristine cluster and replayed on
+// fresh clusters (client keys are deterministic).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "crypto/sha256.hpp"
-#include "ordserv/group_commit.hpp"
 #include "ordserv/group_engine.hpp"
 
 namespace fides::ordserv {
@@ -118,15 +119,6 @@ std::vector<crypto::Digest> log_heads(const Cluster& cluster) {
   return heads;
 }
 
-std::vector<crypto::Digest> runner_heads(const GroupCommitRunner& runner, std::uint32_t n) {
-  std::vector<crypto::Digest> heads;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const auto& log = runner.log_of(ServerId{i});
-    heads.push_back(log.empty() ? crypto::Digest::zero() : log.back().block.digest());
-  }
-  return heads;
-}
-
 void expect_pins(const StreamPins& got, const StreamPins& want, const char* who) {
   EXPECT_EQ(got.blocks, want.blocks) << who << ": sequenced blocks";
   EXPECT_EQ(got.deps, want.deps) << who << ": depends_on lists";
@@ -151,22 +143,27 @@ StreamFingerprint run_engine(ClusterConfig cfg,
   return fingerprint(cluster, seq, result);
 }
 
-TEST(GroupEngine, MatchesLockStepRunnerBitForBit) {
+TEST(GroupEngine, OneRunPerBatchMatchesOneRunBitForBit) {
   const auto batches = mint_batches();
 
-  // Reference: the sequential lock-step runner.
+  // Reference: every batch in one run at depth 1, one thread, in-process.
   Cluster ref_cluster(base_config());
   ref_cluster.make_client();
   Sequencer ref_seq;
-  GroupCommitRunner runner(ref_cluster, ref_seq);
-  std::vector<GroupRoundResult> ref_rounds;
-  for (const auto& batch : batches) ref_rounds.push_back(runner.run_group_block(batch));
+  const std::vector<GroupRoundResult> ref_rounds =
+      ref_cluster.run_group_blocks(ref_seq, batches).rounds;
 
-  // Engine under the in-process scheduler.
+  // Lock-step: one run per batch on one cluster and sequencer, each run
+  // extending the stream the earlier runs left.
   Cluster cluster(base_config());
   cluster.make_client();
   Sequencer seq;
-  const GroupRunResult result = cluster.run_group_blocks(seq, batches);
+  GroupRunResult result;
+  for (const auto& batch : batches) {
+    GroupRunResult one = cluster.run_group_blocks(seq, {batch});
+    for (const auto& refusal : one.delivery_refusals) EXPECT_FALSE(refusal.has_value());
+    result.rounds.push_back(std::move(one.rounds.front()));
+  }
 
   ASSERT_EQ(result.rounds.size(), ref_rounds.size());
   ASSERT_EQ(seq.size(), ref_seq.size());
@@ -188,9 +185,8 @@ TEST(GroupEngine, MatchesLockStepRunnerBitForBit) {
   for (std::uint32_t i = 0; i < cluster.num_servers(); ++i) {
     EXPECT_EQ(cluster.server(ServerId{i}).log().size(), seq.size());
   }
-  expect_pins(pins(ref_seq, runner_heads(runner, ref_cluster.num_servers())), kMintPins,
-              "runner");
-  expect_pins(pins(seq, log_heads(cluster)), kMintPins, "engine");
+  expect_pins(pins(ref_seq, log_heads(ref_cluster)), kMintPins, "one run");
+  expect_pins(pins(seq, log_heads(cluster)), kMintPins, "one run per batch");
 }
 
 TEST(GroupEngine, SchedulersDepthsSpeculationIdentical) {
@@ -391,8 +387,8 @@ TEST(GroupEngine, RacingGroupCoordinatorsKeepEpochAndStreamDiscipline) {
   // Many group rounds in flight on a multi-threaded scheduler: disjoint
   // groups race their coordinators concurrently, overlapping groups bridge
   // them. Epochs must stay unique and gap-free, the stream must respect
-  // dependency order, and the result must be bit-identical to the
-  // single-threaded lock-step runner.
+  // dependency order, and the result must be bit-identical to the depth-1,
+  // one-thread run.
   ClusterConfig cfg;
   cfg.num_servers = 6;
   cfg.items_per_shard = 32;
@@ -422,12 +418,11 @@ TEST(GroupEngine, RacingGroupCoordinatorsKeepEpochAndStreamDiscipline) {
     }
   }
 
-  // Reference: sequential lock-step runner.
+  // Reference: depth 1, one thread, in-process.
   Cluster ref(cfg);
   ref.make_client();
   Sequencer ref_seq;
-  GroupCommitRunner runner(ref, ref_seq);
-  for (const auto& batch : batches) runner.run_group_block(batch);
+  ref.run_group_blocks(ref_seq, batches);
 
   // Engine on 8 worker threads, deep pipeline, speculation on — maximum
   // coordinator concurrency.
@@ -443,7 +438,7 @@ TEST(GroupEngine, RacingGroupCoordinatorsKeepEpochAndStreamDiscipline) {
   // Epoch discipline: one epoch per admissible round, no reuse, no gaps.
   EXPECT_EQ(seq.epochs().issued(), batches.size());
 
-  // Bit-identity with the lock-step runner.
+  // Bit-identity with the reference.
   ASSERT_EQ(seq.size(), ref_seq.size());
   for (std::size_t h = 0; h < seq.size(); ++h) {
     EXPECT_EQ(seq.stream()[h].block.serialize(), ref_seq.stream()[h].block.serialize())
@@ -472,8 +467,8 @@ TEST(GroupEngine, RacingGroupCoordinatorsKeepEpochAndStreamDiscipline) {
     EXPECT_FALSE(result.delivery_refusals[i].has_value());
     EXPECT_EQ(cluster.server(ServerId{i}).log().size(), seq.size());
   }
-  expect_pins(pins(ref_seq, runner_heads(runner, ref.num_servers())), kRacingPins, "runner");
-  expect_pins(pins(seq, log_heads(cluster)), kRacingPins, "engine");
+  expect_pins(pins(ref_seq, log_heads(ref)), kRacingPins, "depth 1");
+  expect_pins(pins(seq, log_heads(cluster)), kRacingPins, "8 threads");
 }
 
 }  // namespace

@@ -11,7 +11,7 @@
 #include <algorithm>
 #include <thread>
 
-#include "ordserv/group_commit.hpp"
+#include "ordserv/group_engine.hpp"
 #include "ordserv/sequencer.hpp"
 
 namespace fides::ordserv {
@@ -91,74 +91,33 @@ TEST(Sequencer, ConcurrentSubmissionsFormOneConsistentChain) {
   }
 }
 
-TEST(Sequencer, ConcurrentFetchersEachSeeTheWholeStreamOnce) {
-  Sequencer seq;
-  constexpr std::size_t kBlocks = 120;
-  constexpr std::uint32_t kServers = 5;
-
-  std::vector<std::vector<const SequencedBlock*>> seen(kServers);
-  std::vector<std::thread> threads;
-  // One producer races per-server consumers that poll fetch_new.
-  threads.emplace_back([&] {
-    for (std::size_t i = 0; i < kBlocks; ++i) {
-      ServerGroup group;
-      group.members = {ServerId{0}};
-      group.coordinator = ServerId{0};
-      seq.submit(block_touching(ItemId{i}, "b"), group);
-    }
-  });
-  for (std::uint32_t s = 0; s < kServers; ++s) {
-    threads.emplace_back([&, s] {
-      while (seen[s].size() < kBlocks) {
-        for (const SequencedBlock* entry : seq.fetch_new(ServerId{s})) {
-          seen[s].push_back(entry);
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  for (std::uint32_t s = 0; s < kServers; ++s) {
-    ASSERT_EQ(seen[s].size(), kBlocks) << "server " << s;
-    for (std::size_t h = 0; h < kBlocks; ++h) {
-      EXPECT_EQ(seen[s][h]->block.height, h) << "server " << s << " out of order";
-    }
-  }
-}
-
-TEST(GroupCommit, RunnersSharingASequencerNeverReuseACosiRound) {
-  // Two clusters (two independent "deployments" of the same group protocol)
-  // publishing through one OrdServ must draw distinct epochs — reusing a
-  // CoSi round id across concurrent groups would reuse nonce domains.
+TEST(GroupCommit, RunsSharingASequencerNeverReuseACosiRound) {
+  // Group rounds publishing through one OrdServ must draw distinct epochs —
+  // reusing a CoSi round id across groups would reuse nonce domains. Each
+  // run_group_blocks call draws from the sequencer's counter, not from the
+  // cluster's own engine counter, so a later run never restarts at epoch 1.
   ClusterConfig cfg;
   cfg.num_servers = 3;
   cfg.items_per_shard = 16;
-  Cluster cluster_a(cfg);
-  Cluster cluster_b(cfg);
-  Client& client_a = cluster_a.make_client();
-  Client& client_b = cluster_b.make_client();
-
+  Cluster cluster(cfg);
+  Client& client = cluster.make_client();
   Sequencer seq;
-  GroupCommitRunner runner_a(cluster_a, seq);
-  GroupCommitRunner runner_b(cluster_b, seq);
 
-  auto txn_on = [](Cluster& cluster, Client& client, ItemId item) {
+  auto run_one = [&](ItemId item) {
     ClientTxn txn = client.begin();
     cluster.client_begin(client, txn.id(), std::vector<ItemId>{item});
     client.read(txn, item);
     client.write(txn, item, to_bytes("v"));
-    return client.end(std::move(txn));
+    return cluster.run_group_blocks(seq, {{client.end(std::move(txn))}}).rounds.front();
   };
 
   const std::uint64_t before = seq.epochs().issued();
-  ASSERT_EQ(runner_a.run_group_block({txn_on(cluster_a, client_a, 0)}).decision,
-            ledger::Decision::kCommit);
-  ASSERT_EQ(runner_b.run_group_block({txn_on(cluster_b, client_b, 1)}).decision,
-            ledger::Decision::kCommit);
-  ASSERT_EQ(runner_a.run_group_block({txn_on(cluster_a, client_a, 2)}).decision,
-            ledger::Decision::kCommit);
-  // Three rounds, three distinct epochs — regardless of which runner ran.
+  ASSERT_EQ(run_one(0).decision, ledger::Decision::kCommit);  // group {S0}
+  ASSERT_EQ(run_one(1).decision, ledger::Decision::kCommit);  // group {S1}
+  ASSERT_EQ(run_one(2).decision, ledger::Decision::kCommit);  // group {S2}
+  // Three rounds, three distinct epochs — whichever group ran.
   EXPECT_EQ(seq.epochs().issued(), before + 3);
+  EXPECT_EQ(cluster.epochs().issued(), 0u);
 }
 
 }  // namespace

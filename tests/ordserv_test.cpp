@@ -1,8 +1,8 @@
 // Tests for the §4.6 scaling path: server groups, the OrdServ sequencer,
-// and group-commit rounds.
+// and group-commit rounds (one engine run per batch, extending one stream).
 #include <gtest/gtest.h>
 
-#include "ordserv/group_commit.hpp"
+#include "ordserv/group_engine.hpp"
 
 namespace fides::ordserv {
 namespace {
@@ -23,6 +23,16 @@ commit::SignedEndTxn rw_txn(Cluster& /*cluster*/, Client& client, std::vector<It
     client.write(txn, item, to_bytes(tag + "-" + std::to_string(item)));
   }
   return client.end(std::move(txn));
+}
+
+/// One group round through the engine, extending the cluster's stream.
+GroupRoundResult run_one(Cluster& cluster, Sequencer& seq,
+                         std::vector<commit::SignedEndTxn> batch) {
+  return cluster.run_group_blocks(seq, {std::move(batch)}).rounds.front();
+}
+
+std::vector<SequencedBlock> stream_of(const Sequencer& seq) {
+  return {seq.stream().begin(), seq.stream().end()};
 }
 
 txn::Transaction touching(std::vector<ItemId> items) {
@@ -75,16 +85,6 @@ TEST(Sequencer, TracksDependencies) {
   EXPECT_TRUE(seq.stream()[0].depends_on.empty());
   EXPECT_TRUE(seq.stream()[1].depends_on.empty());
   EXPECT_EQ(seq.stream()[2].depends_on, (std::vector<std::uint64_t>{0, 1}));
-}
-
-TEST(Sequencer, FetchNewDeliversOnce) {
-  Sequencer seq;
-  ledger::Block b;
-  b.txns.push_back(touching({0}));
-  seq.submit(b, group_for(b.txns, 5));
-  EXPECT_EQ(seq.fetch_new(ServerId{0}).size(), 1u);
-  EXPECT_TRUE(seq.fetch_new(ServerId{0}).empty());
-  EXPECT_EQ(seq.fetch_new(ServerId{1}).size(), 1u);
 }
 
 TEST(SequencedBlock, WireRoundTrip) {
@@ -142,10 +142,9 @@ TEST(GroupCommit, RoundCommitsWithinGroupOnly) {
   Cluster cluster(config());
   Client& client = cluster.make_client();
   Sequencer seq;
-  GroupCommitRunner runner(cluster, seq);
 
   // Items 0 and 6 involve servers 0 and 1 only.
-  const auto result = runner.run_group_block({rw_txn(cluster, client, {0, 6}, "a")});
+  const auto result = run_one(cluster, seq, {rw_txn(cluster, client, {0, 6}, "a")});
   EXPECT_EQ(result.decision, ledger::Decision::kCommit);
   EXPECT_TRUE(result.cosign_valid);
   EXPECT_EQ(result.group_size, 2u);
@@ -154,7 +153,7 @@ TEST(GroupCommit, RoundCommitsWithinGroupOnly) {
 
   // The block reached every server's stream, and the write applied.
   for (std::uint32_t i = 0; i < cluster.num_servers(); ++i) {
-    EXPECT_EQ(runner.log_of(ServerId{i}).size(), 1u);
+    EXPECT_EQ(cluster.server(ServerId{i}).log().size(), 1u);
   }
   EXPECT_EQ(to_string(cluster.server(ServerId{0}).shard().peek(0).value), "a-0");
 }
@@ -163,12 +162,12 @@ TEST(GroupCommit, StreamValidates) {
   Cluster cluster(config());
   Client& client = cluster.make_client();
   Sequencer seq;
-  GroupCommitRunner runner(cluster, seq);
-  runner.run_group_block({rw_txn(cluster, client, {0}, "a")});
-  runner.run_group_block({rw_txn(cluster, client, {1}, "b")});
-  runner.run_group_block({rw_txn(cluster, client, {0, 1}, "c")});
+  run_one(cluster, seq, {rw_txn(cluster, client, {0}, "a")});
+  run_one(cluster, seq, {rw_txn(cluster, client, {1}, "b")});
+  run_one(cluster, seq, {rw_txn(cluster, client, {0, 1}, "c")});
 
-  const auto& stream = runner.log_of(ServerId{4});
+  EXPECT_EQ(cluster.server(ServerId{4}).log().size(), 3u);
+  const auto stream = stream_of(seq);
   ASSERT_EQ(stream.size(), 3u);
   EXPECT_FALSE(validate_stream(stream, cluster.server_keys()).has_value());
   // Dependency metadata: block 2 depends on blocks 0 and 1.
@@ -179,11 +178,10 @@ TEST(GroupCommit, StreamDetectsTampering) {
   Cluster cluster(config());
   Client& client = cluster.make_client();
   Sequencer seq;
-  GroupCommitRunner runner(cluster, seq);
-  runner.run_group_block({rw_txn(cluster, client, {0}, "a")});
-  runner.run_group_block({rw_txn(cluster, client, {1}, "b")});
+  run_one(cluster, seq, {rw_txn(cluster, client, {0}, "a")});
+  run_one(cluster, seq, {rw_txn(cluster, client, {1}, "b")});
 
-  auto stream = runner.log_of(ServerId{0});
+  auto stream = stream_of(seq);
   stream[0].block.txns[0].rw.writes[0].new_value = to_bytes("evil");
   const auto bad = validate_stream(stream, cluster.server_keys());
   ASSERT_TRUE(bad.has_value());
@@ -194,11 +192,10 @@ TEST(GroupCommit, StreamDetectsReorder) {
   Cluster cluster(config());
   Client& client = cluster.make_client();
   Sequencer seq;
-  GroupCommitRunner runner(cluster, seq);
-  runner.run_group_block({rw_txn(cluster, client, {0}, "a")});
-  runner.run_group_block({rw_txn(cluster, client, {1}, "b")});
+  run_one(cluster, seq, {rw_txn(cluster, client, {0}, "a")});
+  run_one(cluster, seq, {rw_txn(cluster, client, {1}, "b")});
 
-  auto stream = runner.log_of(ServerId{0});
+  auto stream = stream_of(seq);
   std::swap(stream[0], stream[1]);
   EXPECT_TRUE(validate_stream(stream, cluster.server_keys()).has_value());
 }
@@ -207,11 +204,10 @@ TEST(GroupCommit, DisjointGroupsProgressIndependently) {
   Cluster cluster(config());
   Client& client = cluster.make_client();
   Sequencer seq;
-  GroupCommitRunner runner(cluster, seq);
 
   // Server pairs (0) and (1): Gi ∩ Gj = ∅ — any order is fine, FIFO used.
-  const auto r1 = runner.run_group_block({rw_txn(cluster, client, {0}, "a")});
-  const auto r2 = runner.run_group_block({rw_txn(cluster, client, {1}, "b")});
+  const auto r1 = run_one(cluster, seq, {rw_txn(cluster, client, {0}, "a")});
+  const auto r2 = run_one(cluster, seq, {rw_txn(cluster, client, {1}, "b")});
   EXPECT_EQ(r1.decision, ledger::Decision::kCommit);
   EXPECT_EQ(r2.decision, ledger::Decision::kCommit);
   EXPECT_FALSE(r1.group.overlaps(r2.group));
@@ -223,17 +219,15 @@ TEST(GroupCommit, DependentGroupsKeepOrder) {
   Cluster cluster(config());
   Client& client = cluster.make_client();
   Sequencer seq;
-  GroupCommitRunner runner(cluster, seq);
 
   // Two sequential writes to the same item through different group rounds:
   // the second must see the first (no lost update).
   auto t1 = rw_txn(cluster, client, {0}, "first");
-  ASSERT_EQ(runner.run_group_block({t1}).decision, ledger::Decision::kCommit);
+  ASSERT_EQ(run_one(cluster, seq, {t1}).decision, ledger::Decision::kCommit);
   auto t2 = rw_txn(cluster, client, {0}, "second");
-  ASSERT_EQ(runner.run_group_block({t2}).decision, ledger::Decision::kCommit);
+  ASSERT_EQ(run_one(cluster, seq, {t2}).decision, ledger::Decision::kCommit);
   EXPECT_EQ(to_string(cluster.server(ServerId{0}).shard().peek(0).value), "second-0");
-  const auto& stream = runner.log_of(ServerId{0});
-  EXPECT_EQ(stream[1].depends_on, (std::vector<std::uint64_t>{0}));
+  EXPECT_EQ(seq.stream()[1].depends_on, (std::vector<std::uint64_t>{0}));
 }
 
 TEST(GroupCommit, EmptyBatchRefusedAtSubmission) {
@@ -242,8 +236,7 @@ TEST(GroupCommit, EmptyBatchRefusedAtSubmission) {
   // group no transaction ever touched.
   Cluster cluster(config());
   Sequencer seq;
-  GroupCommitRunner runner(cluster, seq);
-  const auto result = runner.run_group_block({});
+  const auto result = run_one(cluster, seq, {});
   EXPECT_EQ(result.fault, "empty batch refused at submission");
   EXPECT_EQ(result.decision, ledger::Decision::kAbort);
   EXPECT_TRUE(result.group.members.empty());
@@ -251,39 +244,14 @@ TEST(GroupCommit, EmptyBatchRefusedAtSubmission) {
   EXPECT_EQ(seq.epochs().issued(), 0u);  // no epoch burned on a refused batch
 }
 
-TEST(GroupCommit, MalformedChallengeFanOutRefusedNotIndexed) {
-  // Regression: a coordinator emitting a challenge fan-out that matches
-  // neither the broadcast shape (1) nor the cohort count drove
-  // challenges[slot] out of bounds for the last cohort. The round must be
-  // refused instead — and must never reach OrdServ.
-  Cluster cluster(config());
-  Client& client = cluster.make_client();
-  Sequencer seq;
-  GroupCommitRunner runner(cluster, seq);
-
-  // Items {0, 6, 12} → servers {0, 1, 2}: a 3-member group, so N-1 = 2
-  // challenges match neither 1 nor N.
-  cluster.server(ServerId{0}).faults().coordinator.drop_last_challenge = true;
-  const auto result =
-      runner.run_group_block({rw_txn(cluster, client, {0, 6, 12}, "a")});
-  EXPECT_EQ(result.fault,
-            "coordinator challenge fan-out mismatch (2 messages for 3 cohorts)");
-  EXPECT_FALSE(result.cosign_valid);
-  EXPECT_EQ(seq.size(), 0u);
-  for (std::uint32_t i = 0; i < cluster.num_servers(); ++i) {
-    EXPECT_TRUE(runner.log_of(ServerId{i}).empty());
-  }
-}
-
-TEST(GroupCommit, DeliveryRefusesForgedSequencedBlock) {
-  // Regression: deliver_all used to apply whatever OrdServ broadcast without
+TEST(GroupCommit, ValidatorRefusesForgedSequencedBlock) {
+  // Regression: delivery used to apply whatever OrdServ broadcast without
   // checking the inner co-sign, so a compromised sequencer could inject an
   // unsigned "committed" block straight into every shard.
   Cluster cluster(config());
   Client& client = cluster.make_client();
   Sequencer seq;
-  GroupCommitRunner runner(cluster, seq);
-  runner.run_group_block({rw_txn(cluster, client, {0}, "a")});
+  run_one(cluster, seq, {rw_txn(cluster, client, {0}, "a")});
 
   // Forge a block (no co-sign at all) and submit it to the sequencer
   // directly, bypassing the group round.
@@ -292,17 +260,16 @@ TEST(GroupCommit, DeliveryRefusesForgedSequencedBlock) {
   forged.txns.push_back(touching({0}));
   forged.txns[0].rw.writes[0].new_value = to_bytes("evil");
   seq.submit(forged, group_for(forged.txns, cluster.num_servers()));
-  runner.deliver_pending();
 
-  for (std::uint32_t i = 0; i < cluster.num_servers(); ++i) {
-    const auto& refusal = runner.refusal_of(ServerId{i});
-    ASSERT_TRUE(refusal.has_value()) << "S" << i;
-    EXPECT_EQ(refusal->height, 1u);
-    EXPECT_EQ(refusal->reason, "missing group co-sign");
-    EXPECT_EQ(runner.log_of(ServerId{i}).size(), 1u);  // halted before the forgery
-  }
-  // The forged write never touched the shard.
-  EXPECT_EQ(to_string(cluster.server(ServerId{0}).shard().peek(0).value), "a-0");
+  const auto stream = stream_of(seq);
+  ASSERT_EQ(stream.size(), 2u);
+  StreamValidator v;
+  EXPECT_FALSE(v.check(stream[0], cluster.server_keys()).has_value());
+  const auto reason = v.check(stream[1], cluster.server_keys());
+  ASSERT_TRUE(reason.has_value());
+  EXPECT_EQ(*reason, "missing group co-sign");
+  EXPECT_EQ(v.next_height, 1u);  // halted before the forgery
+  EXPECT_EQ(validate_stream(stream, cluster.server_keys()), std::optional<std::size_t>{1});
 }
 
 TEST(GroupCommit, ValidatorRecomputesUnderReportedDependencies) {
@@ -313,12 +280,11 @@ TEST(GroupCommit, ValidatorRecomputesUnderReportedDependencies) {
   Cluster cluster(config());
   Client& client = cluster.make_client();
   Sequencer seq;
-  GroupCommitRunner runner(cluster, seq);
-  runner.run_group_block({rw_txn(cluster, client, {0}, "a")});
+  run_one(cluster, seq, {rw_txn(cluster, client, {0}, "a")});
   auto t2 = rw_txn(cluster, client, {0}, "b");  // same item: depends on block 0
-  runner.run_group_block({t2});
+  run_one(cluster, seq, {t2});
 
-  auto stream = runner.log_of(ServerId{0});
+  auto stream = stream_of(seq);
   ASSERT_EQ(stream.size(), 2u);
   ASSERT_EQ(stream[1].depends_on, (std::vector<std::uint64_t>{0}));
   stream[1].depends_on.clear();  // OrdServ under-reports the dependency
@@ -338,11 +304,10 @@ TEST(GroupCommit, ByzantineGroupMemberBlocksSigning) {
   Cluster cluster(config());
   Client& client = cluster.make_client();
   Sequencer seq;
-  GroupCommitRunner runner(cluster, seq);
 
   cluster.server(ServerId{1}).faults().cohort.corrupt_sch_response = true;
   // Items 0 and 6 -> servers 0 and 1; member 1 sabotages the co-sign.
-  const auto result = runner.run_group_block({rw_txn(cluster, client, {0, 6}, "a")});
+  const auto result = run_one(cluster, seq, {rw_txn(cluster, client, {0, 6}, "a")});
   EXPECT_FALSE(result.cosign_valid);
   EXPECT_EQ(seq.size(), 0u);  // never published
 }

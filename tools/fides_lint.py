@@ -63,6 +63,14 @@ clang, but want diagnosed everywhere):
                    A decided block reaches shard state only through the one
                    apply rule, txn::apply_committed, whether the state is the
                    shard or a cohort's speculative store::ShardOverlay.
+  round-drivers    in src/, a call that drives a commit round's state
+                   machines -- a cohort's handle_get_vote / handle_challenge
+                   (tf_cohort() or any other handle to it), or a
+                   coordinator's start / on_votes / on_responses --
+                   outside src/engine/reactor.*. Rounds run as engine
+                   reactors under a Scheduler, so they get durable logs,
+                   crash/recovery and every scheduler; a hand loop over the
+                   state machines is a second protocol driver.
 
 Suppressions (always give a reason after `--`):
 
@@ -117,6 +125,7 @@ ALL_RULES = (
     "guarded-fields",
     "cosi-roles",
     "block-effects",
+    "round-drivers",
 )
 
 RAW_MUTEX_RE = re.compile(
@@ -184,6 +193,14 @@ COSI_ROLE_SANCTIONED_RE = re.compile(
 # store that defines them and the one apply rule in txn/occ.hpp.
 BLOCK_EFFECT_RE = re.compile(r"\b(?:apply_write|update_read_ts)\s*\(")
 BLOCK_EFFECT_SANCTIONED_RE = re.compile(r"^src/store/|^src/txn/occ\.hpp$")
+
+# Round state-machine steps and the one file pair that may call them (src/
+# only): the engine reactors.
+ROUND_DRIVER_RE = re.compile(
+    r"(?:\.|->)\s*handle_(?:get_vote|challenge)\s*\("
+    r"|\b\w*coord\w*\s*(?:\.|->)\s*(?:start|on_votes|on_responses)\s*\("
+)
+ROUND_DRIVER_SANCTIONED_RE = re.compile(r"^src/engine/reactor\.[^/]+$")
 
 SUPPRESS_RE = re.compile(r"fides-lint:\s*(allow|allow-file|off|on)\(([\w-]+)\)")
 
@@ -271,6 +288,9 @@ class FileLinter:
         block_effects_checked = (
             rel.startswith("src/") and not BLOCK_EFFECT_SANCTIONED_RE.match(rel)
         )
+        round_drivers_checked = (
+            rel.startswith("src/") and not ROUND_DRIVER_SANCTIONED_RE.match(rel)
+        )
 
         has_decode_def = False
         decode_def_line = 0
@@ -344,6 +364,17 @@ class FileLinter:
                     "block-effects",
                     "shard-state mutator %r outside src/store/ and src/txn/occ.hpp; "
                     "apply a committed transaction through txn::apply_committed"
+                    % m.group(0).rstrip("( \t"),
+                    suppressed,
+                )
+
+            m = ROUND_DRIVER_RE.search(code) if round_drivers_checked else None
+            if m:
+                self.report(
+                    lineno,
+                    "round-drivers",
+                    "round state-machine step %r outside src/engine/reactor.*; "
+                    "run the round as an engine reactor under a Scheduler"
                     % m.group(0).rstrip("( \t"),
                     suppressed,
                 )
@@ -731,6 +762,48 @@ FIXTURES = [
         "block effects outside src not checked",
         "tests/s_test.cpp",
         "s.apply_write(10, to_bytes(\"v1\"), ts);\ns.update_read_ts(10, ts);\n",
+        [],
+    ),
+    (
+        # The lock-step group runner's hand loop over the TFCommit state
+        # machines, as it stood in src/ordserv/group_commit.cpp.
+        "round driven by hand outside the reactors",
+        "src/ordserv/group_commit.cpp",
+        "commit::GetVoteMsg get_vote = coordinator.start(std::move(partial), std::move(b));\n"
+        "votes.push_back(\n    server.tf_cohort().handle_get_vote(get_vote, f));\n"
+        "const auto challenges =\n    coordinator.on_votes(votes, coord_server.faults().coordinator);\n"
+        "responses.push_back(server.tf_cohort().handle_challenge(\n    round, c, f));\n"
+        "const commit::TfCommitOutcome outcome = coordinator.on_responses(responses);\n",
+        ["round-drivers"] * 5,
+    ),
+    (
+        "round steps through pointers and members",
+        "src/fides/c.cpp",
+        "auto v = s->tf_cohort ( ) -> handle_get_vote(m);\nauto d = coord_->on_votes(vs);\n"
+        "auto o = two_pc_coordinator.on_responses(rs);\ncohort.handle_challenge(r, c);\n",
+        ["round-drivers"] * 4,
+    ),
+    (
+        "round steps in the reactors",
+        "src/engine/reactor.cpp",
+        "commit::GetVoteMsg get_vote = coordinator_.start(std::move(partial), std::move(b));\n"
+        "resp = server.tf_cohort().handle_challenge(epoch_, *msg, f);\n"
+        "decide(coordinator_.on_responses(responses_.values()), out);\n",
+        [],
+    ),
+    (
+        "round step definitions, comments and lookalikes are not round drivers",
+        "src/commit/tfcommit.cpp",
+        "VoteMsg TfCommitCohort::handle_get_vote(const GetVoteMsg& msg) {\n"
+        "// coordinator.on_votes(votes) runs in the reactor\n"
+        "sched.start(); timer.on_votes(x); handle_get_vote(dst, body, true, out);\n"
+        "auto o = coordinator.on_votes(v);  // fides-lint: allow(round-drivers) -- fixture\n",
+        [],
+    ),
+    (
+        "round drivers outside src not checked",
+        "tests/g_test.cpp",
+        "votes.push_back(server.tf_cohort().handle_get_vote(gv));\ncoordinator.on_votes(votes);\n",
         [],
     ),
 ]
